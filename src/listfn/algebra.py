@@ -9,7 +9,6 @@ on the length of the word.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Hashable, Iterable, Sequence
 
 
@@ -312,21 +311,23 @@ def _split(s: FiniteSemigroup, items: list[tuple[FactTree, str]],
     return mid
 
 
-@lru_cache(maxsize=None)
-def _combine_depth_bound(n: int, g: int) -> int:
-    """Levels added above the combined items, by semigroup size and generators."""
-    if g <= 1 or n <= 1:
-        return 1
-    blue = _combine_depth_bound(n, g - 1)
-    pair = 1 + max(blue, 1)
-    mid = pair + _combine_depth_bound(n - 1, n - 1)
-    return max(mid, blue, 1) + 2
-
-
 def forest_depth_bound(s: FiniteSemigroup, generators: int) -> int:
-    """Depth bound for trees built over ``s``; independent of word length."""
-    g = max(1, min(generators, len(s)))
-    return 1 + _combine_depth_bound(len(s), g)
+    """Depth bound for trees built over ``s``; independent of word length.
+
+    With n = |s| and g the generator count clamped to 1..n, the bound is 2
+    when g = 1 or n = 1, and otherwise 2 + (g-1)(C(n-1)+3), where C(1) = 1 and
+    C(m) = 1 + (m-1)(C(m-1)+3).  This follows the builder's recursion level by
+    level, so it is a loose upper bound: it grows factorially in n, far above
+    the depths that built trees reach.
+    """
+    n = len(s)
+    g = max(1, min(generators, n))
+    if g == 1 or n == 1:
+        return 2
+    c = 1
+    for m in range(2, n):
+        c = 1 + (m - 1) * (c + 3)
+    return 2 + (g - 1) * (c + 3)
 
 
 def eval_hom_via_forest(h: Homomorphism, word: Sequence[Hashable]) -> str:

@@ -19,11 +19,12 @@ sample; anything that is not an existing file is parsed as inline text or
 looked up by name.  Words are written as plain strings of one-letter symbols
 ("abab") or comma-separated ("a,b,ab").
 
-Exit codes: 0 success, 2 syntax error, 3 type or runtime error, 4 a
-cross-check found disagreeing routes.  ``--seed N`` (or the ``LISTFN_SEED``
-environment variable) fixes the randomized checks; reports repeat the seed
-they used.  ``--format json-lines`` switches every command to one JSON
-record per result with keys ``kind``, ``input``, ``output``, ``status``.
+Exit codes: 0 success, 2 syntax error, 3 type or runtime error (input
+nested too deeply included), 4 a cross-check found disagreeing routes.
+``--seed N`` (or the ``LISTFN_SEED`` environment variable) fixes the
+randomized checks; reports repeat the seed they used.  ``--format
+json-lines`` switches every command to one JSON record per result with keys
+``kind``, ``input``, ``output``, ``status``.
 """
 from __future__ import annotations
 
@@ -40,7 +41,6 @@ from .algebra import (
     FactTree,
     Homomorphism,
     Leaf,
-    NotAperiodicError,
     build_factorisation,
     eval_hom_via_forest,
     forest_depth_bound,
@@ -49,7 +49,6 @@ from .algebra import (
     validate_factorisation,
 )
 from .logic import (
-    LogicError,
     apply_transduction,
     builtin_fot,
     builtin_names,
@@ -62,7 +61,6 @@ from .logic import (
 )
 from .rational import compile_rational, eval_pipeline, eval_rational_direct
 from .registers import (
-    UpdateError,
     homogeneous_product,
     normalise,
     product_list_updates,
@@ -82,7 +80,6 @@ from .stdlib import CATALOG
 from .syntax import _split_args, parse_term
 from .terms import EvalError, TermTypeError, infer_type, eval_term
 from .types import (
-    EncodingError,
     ParseError,
     TypeMismatch,
     enumerate_values,
@@ -96,6 +93,9 @@ from .types import (
 DEFAULT_COUNT = 1000
 
 _FOREST_HOMS = {"u1": {"a": "1", "b": "0"}, "contains-ab": {"a": "a", "b": "b"}}
+# (monoid, letter map) per sample, the shape that load_monoid returns
+_FOREST_SAMPLES = {name: (m, _FOREST_HOMS[name])
+                   for name, m in SAMPLE_MONOIDS.items()}
 
 
 class Reporter:
@@ -152,34 +152,14 @@ def _term_arg(text: str):
     return parse_term(text)
 
 
-def _monoid_arg(text: str):
-    """Returns (monoid, letter map or None)."""
-    if text in SAMPLE_MONOIDS:
-        return SAMPLE_MONOIDS[text], _FOREST_HOMS.get(text)
+def _sample_or_file(text: str, samples: dict, load, what: str):
+    """A named sample, else the artifact in file ``text``."""
+    if text in samples:
+        return samples[text]
     if _is_file(text):
-        return fileio.load_monoid(text)
+        return load(text)
     raise ParseError(
-        f"{text!r} is neither a monoid file nor one of "
-        f"{', '.join(SAMPLE_MONOIDS)}")
-
-
-def _rational_arg(text: str):
-    if text in SAMPLE_RATIONALS:
-        return SAMPLE_RATIONALS[text]
-    if _is_file(text):
-        return fileio.load_rational(text)
-    raise ParseError(
-        f"{text!r} is neither a rational-function file nor one of "
-        f"{', '.join(SAMPLE_RATIONALS)}")
-
-
-def _sst_arg(text: str):
-    if text in SAMPLE_SSTS:
-        return SAMPLE_SSTS[text]
-    if _is_file(text):
-        return fileio.load_sst(text)
-    raise ParseError(
-        f"{text!r} is neither an SST file nor one of {', '.join(SAMPLE_SSTS)}")
+        f"{text!r} is neither {what} file nor one of {', '.join(samples)}")
 
 
 def _fot_arg(text: str, type_texts: list[str] | None):
@@ -257,7 +237,8 @@ def _render_tree(t: FactTree, indent: str = "") -> list[str]:
 
 
 def cmd_forest(args, rep: Reporter) -> int:
-    monoid, letters = _monoid_arg(args.monoid)
+    monoid, letters = _sample_or_file(args.monoid, _FOREST_SAMPLES,
+                                      fileio.load_monoid, "a monoid")
     if args.hom:
         letters = _hom_map(args.hom)
     if letters is None:
@@ -295,7 +276,8 @@ def cmd_forest(args, rep: Reporter) -> int:
 
 
 def cmd_compile_rational(args, rep: Reporter) -> int:
-    r = _rational_arg(args.rational)
+    r = _sample_or_file(args.rational, SAMPLE_RATIONALS, fileio.load_rational,
+                        "a rational-function")
     pipeline = compile_rational(r)
     out_path = args.output or f"{r.name}.lpipe"
     fileio.save_pipeline(out_path, pipeline)
@@ -328,7 +310,7 @@ def cmd_run_pipeline(args, rep: Reporter) -> int:
 
 
 def cmd_sst(args, rep: Reporter) -> int:
-    sst = _sst_arg(args.sst)
+    sst = _sample_or_file(args.sst, SAMPLE_SSTS, fileio.load_sst, "an SST")
     word = _word_arg(args.word)
     run = run_sst_structured if args.mode == "structured" else run_sst_naive
     out = run(sst, list(word))
@@ -483,8 +465,7 @@ def _check_forest(seed: int, count: int) -> dict:
     rng = random.Random(seed)
     cases = 0
     failures = []
-    for name, monoid in SAMPLE_MONOIDS.items():
-        letters = _FOREST_HOMS[name]
+    for name, (monoid, letters) in _FOREST_SAMPLES.items():
         hom = Homomorphism(monoid, letters)
         bound = forest_depth_bound(monoid, len(set(letters.values())))
         for i in range(count):
@@ -674,12 +655,11 @@ def main(argv=None) -> int:
     except ParseError as e:
         rep.emit(args.command, None, str(e), status="syntax-error")
         return 2
-    except (TermTypeError, TypeMismatch, EvalError, UpdateError, LogicError,
-            EncodingError, NotAperiodicError) as e:
+    except (TermTypeError, TypeMismatch, EvalError, ValueError) as e:
         rep.emit(args.command, None, str(e), status="error")
         return 3
-    except ValueError as e:
-        rep.emit(args.command, None, str(e), status="error")
+    except RecursionError:
+        rep.emit(args.command, None, "input nested too deeply", status="error")
         return 3
 
 

@@ -184,17 +184,11 @@ def save_group(path: str | Path, g: GroupSpec) -> None:
 
 def _parse_group(b: _Body) -> GroupSpec:
     b.check_keywords({"elements", "identity", "row"})
-    elements = tuple(b.take("elements"))
-    identity = b.take("identity", 1)[0]
-    by_first = {}
-    for row in b.all("row"):
-        if len(row) != len(elements) + 1:
-            raise FileFormatError(f"{b.where}: row needs 1+{len(elements)} fields")
-        by_first[row[0]] = tuple(row[1:])
-    if set(by_first) != set(elements):
+    elements, identity, rows = _parse_rows(b)
+    if set(rows) != set(elements):
         raise FileFormatError(f"{b.where}: need one row per element")
     try:
-        return GroupSpec(elements, tuple(by_first[a] for a in elements), identity)
+        return GroupSpec(elements, tuple(rows[a] for a in elements), identity)
     except ValueError as e:
         raise FileFormatError(f"{b.where}: {e}") from None
 
@@ -256,15 +250,21 @@ def _parse_rational(b: _Body, extra_keywords: set[str] = frozenset()) -> Rationa
         raise FileFormatError(f"{b.where}: {e}") from None
 
 
-def _parse_monoid_rows(b: _Body) -> FiniteMonoid:
+def _parse_rows(b: _Body) -> tuple[tuple[str, ...], str, dict[str, tuple[str, ...]]]:
+    """Elements, identity, and each row's products keyed by its first field."""
     elements = tuple(b.take("elements"))
     identity = b.take("identity", 1)[0]
-    table: dict[tuple[str, str], str] = {}
+    rows = {}
     for row in b.all("row"):
         if len(row) != len(elements) + 1:
             raise FileFormatError(f"{b.where}: row needs 1+{len(elements)} fields")
-        for y, product in zip(elements, row[1:]):
-            table[(row[0], y)] = product
+        rows[row[0]] = tuple(row[1:])
+    return elements, identity, rows
+
+
+def _parse_monoid_rows(b: _Body) -> FiniteMonoid:
+    elements, identity, rows = _parse_rows(b)
+    table = {(x, y): p for x, row in rows.items() for y, p in zip(elements, row)}
     try:
         return FiniteMonoid(elements, table, identity)
     except ValueError as e:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
 
-from .terms import Append, Block, CoAppend, Flat, Reverse, Term, eval_term, infer_type
+from .terms import BASICS, Term, eval_term, infer_type
 from .types import (
     Atom,
     Bot,
@@ -41,8 +41,8 @@ from .types import (
     Sym,
     TypeExpr,
     Value,
-    check_value,
     render_value,
+    require_value,
     type_nodes,
 )
 
@@ -642,13 +642,6 @@ def apply_transduction(t: FOTransduction, s: Structure) -> Structure:
     return apply_interpretation(t.interp, copy_k(s, t.k))
 
 
-def apply_transductions(ts, s: Structure) -> Structure:
-    """Run several transductions in sequence; composition stays semantic."""
-    for t in ts:
-        s = apply_transduction(t, s)
-    return s
-
-
 # -------------------------------------------------- lifting to copied vocabs
 #
 # The per-copy formula tables below are written over the *input* vocabulary,
@@ -657,47 +650,26 @@ def apply_transductions(ts, s: Structure) -> Structure:
 # unchanged, and bounds all quantifiers to copy 1.
 
 
-def _substitute(phi: Formula, mapping: dict[str, str]) -> Formula:
+def _on_copy1(phi: Formula, rename: dict[str, str]) -> Formula:
+    """Rename free variables by ``rename`` and bound every quantifier to copy 1."""
     if isinstance(phi, (TrueF, FalseF)):
         return phi
     if isinstance(phi, Rel):
-        return Rel(phi.name, tuple(mapping.get(v, v) for v in phi.args))
+        return Rel(phi.name, tuple(rename.get(v, v) for v in phi.args))
     if isinstance(phi, Eq):
-        return Eq(mapping.get(phi.left, phi.left), mapping.get(phi.right, phi.right))
+        return Eq(rename.get(phi.left, phi.left), rename.get(phi.right, phi.right))
     if isinstance(phi, Not):
-        return Not(_substitute(phi.body, mapping))
-    if isinstance(phi, And):
-        return And(tuple(_substitute(p, mapping) for p in phi.parts))
-    if isinstance(phi, Or):
-        return Or(tuple(_substitute(p, mapping) for p in phi.parts))
-    if isinstance(phi, Implies):
-        return Implies(_substitute(phi.left, mapping), _substitute(phi.right, mapping))
-    if isinstance(phi, Iff):
-        return Iff(_substitute(phi.left, mapping), _substitute(phi.right, mapping))
+        return Not(_on_copy1(phi.body, rename))
+    if isinstance(phi, (And, Or)):
+        return type(phi)(tuple(_on_copy1(p, rename) for p in phi.parts))
+    if isinstance(phi, (Implies, Iff)):
+        return type(phi)(_on_copy1(phi.left, rename), _on_copy1(phi.right, rename))
     if isinstance(phi, (Exists, Forall)):
-        inner = {a: b for a, b in mapping.items() if a != phi.var}
-        body = _substitute(phi.body, inner)
-        return Exists(phi.var, body) if isinstance(phi, Exists) else Forall(phi.var, body)
-    raise TypeError(f"not a formula: {phi!r}")
-
-
-def _relativise(phi: Formula, guard: str) -> Formula:
-    if isinstance(phi, (TrueF, FalseF, Rel, Eq)):
-        return phi
-    if isinstance(phi, Not):
-        return Not(_relativise(phi.body, guard))
-    if isinstance(phi, And):
-        return And(tuple(_relativise(p, guard) for p in phi.parts))
-    if isinstance(phi, Or):
-        return Or(tuple(_relativise(p, guard) for p in phi.parts))
-    if isinstance(phi, Implies):
-        return Implies(_relativise(phi.left, guard), _relativise(phi.right, guard))
-    if isinstance(phi, Iff):
-        return Iff(_relativise(phi.left, guard), _relativise(phi.right, guard))
-    if isinstance(phi, Exists):
-        return Exists(phi.var, And((Rel(guard, (phi.var,)), _relativise(phi.body, guard))))
-    if isinstance(phi, Forall):
-        return Forall(phi.var, Implies(Rel(guard, (phi.var,)), _relativise(phi.body, guard)))
+        guard = Rel("copy1", (phi.var,))
+        body = _on_copy1(phi.body, {a: b for a, b in rename.items() if a != phi.var})
+        if isinstance(phi, Exists):
+            return Exists(phi.var, And((guard, body)))
+        return Forall(phi.var, Implies(guard, body))
     raise TypeError(f"not a formula: {phi!r}")
 
 
@@ -718,7 +690,7 @@ def _twin_first(v: str, w: str, k: int) -> Formula:
 
 def _lift(phi: Formula, roles: tuple[str, ...], k: int) -> Formula:
     avatars = {v: v + "__c" for v in roles}
-    body = _relativise(_substitute(phi, avatars), "copy1")
+    body = _on_copy1(phi, avatars)
     for v in reversed(roles):
         body = Exists(avatars[v], And((_twin_first(v, avatars[v], k), body)))
     return body
@@ -797,7 +769,7 @@ def encode_value(v: Value, t: TypeExpr) -> Structure:
     Sum injections do not get nodes of their own: descending through them
     only accumulates extra type predicates on the node underneath.
     """
-    check_value(v, t)
+    require_value(v, t)
     vocab = encoding_vocabulary(t)
     pare: set[tuple[int, int]] = set()
     sib: set[tuple[int, int]] = set()
@@ -1312,47 +1284,40 @@ def fot_ab_example() -> FOTransduction:
 
 
 _BUILTINS = {
-    "reverse": 1,
-    "append": 1,
-    "coappend": 1,
-    "flat": 1,
-    "block": 2,
-    "ab_example": 0,
+    "reverse": (1, fot_reverse),
+    "append": (1, fot_append),
+    "coappend": (1, fot_coappend),
+    "flat": (1, fot_flat),
+    "block": (2, fot_block),
+    "ab_example": (0, fot_ab_example),
 }
 
 
 def builtin_names() -> dict[str, int]:
     """Built-in transduction names mapped to their type-argument counts."""
-    return dict(_BUILTINS)
+    return {name: arity for name, (arity, _) in _BUILTINS.items()}
+
+
+def _check_arity(name: str, types: tuple[TypeExpr, ...]) -> None:
+    arity = _BUILTINS[name][0]
+    if len(types) != arity:
+        raise LogicError(f"{name} takes {arity} type argument(s)")
 
 
 def builtin_fot(name: str, *types: TypeExpr) -> FOTransduction:
     """A named built-in transduction; type arguments are the element types."""
     if name not in _BUILTINS:
         raise LogicError(f"unknown builtin transduction {name}")
-    if len(types) != _BUILTINS[name]:
-        raise LogicError(f"{name} takes {_BUILTINS[name]} type argument(s)")
-    if name == "reverse":
-        return fot_reverse(*types)
-    if name == "append":
-        return fot_append(*types)
-    if name == "coappend":
-        return fot_coappend(*types)
-    if name == "flat":
-        return fot_flat(*types)
-    if name == "block":
-        return fot_block(*types)
-    return fot_ab_example()
+    _check_arity(name, types)
+    return _BUILTINS[name][1](*types)
 
 
 def builtin_term(name: str, *types: TypeExpr) -> Term:
     """The combinator that a built-in transduction must agree with."""
-    makers = {"reverse": Reverse, "append": Append, "coappend": CoAppend, "flat": Flat, "block": Block}
-    if name not in makers:
+    if name not in _BUILTINS or name not in BASICS:
         raise LogicError(f"no combinator is paired with {name}")
-    if len(types) != _BUILTINS[name]:
-        raise LogicError(f"{name} takes {_BUILTINS[name]} type argument(s)")
-    return makers[name](*types)
+    _check_arity(name, types)
+    return BASICS[name](*types)
 
 
 # ------------------------------------------------------------ commuting runs

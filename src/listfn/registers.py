@@ -194,57 +194,6 @@ def t_k_monoid(k: int) -> tuple[FiniteMonoid, dict[str, RegUpdate]]:
 
 # ------------------------------------------------- homogeneous products
 
-def leftsub(eta: RegUpdate) -> list:
-    """Literals before the read of register 1 in a 1-register update."""
-    return _around_reg1(eta)[0]
-
-
-def rightsub(eta: RegUpdate) -> list:
-    return _around_reg1(eta)[1]
-
-
-def _around_reg1(eta: RegUpdate) -> tuple[list, list]:
-    if len(eta) != 1:
-        raise UpdateError("leftsub/rightsub apply to 1-register updates")
-    rhs = eta[0]
-    positions = [p for p, item in enumerate(rhs) if isinstance(item, Reg)]
-    if len(positions) != 1 or rhs[positions[0]].index != 1:
-        raise UpdateError("right-hand side must read register 1 exactly once")
-    p = positions[0]
-    return ([i.value for i in rhs[:p]], [i.value for i in rhs[p + 1:]])
-
-
-def _require_homogeneous(etas: Sequence[RegUpdate], tau: RegUpdate) -> None:
-    for eta in etas:
-        if abstraction(eta) != tau:
-            raise UpdateError("sequence is not homogeneous for the given "
-                              "abstraction")
-
-
-def homogeneous_product_1reg(etas: Sequence[RegUpdate],
-                             tau: RegUpdate, monoid=FREE) -> RegUpdate:
-    """Product of same-abstraction 1-register updates.
-
-    Keep case: literals to the left of the register pile up in reverse order,
-    literals to the right in forward order.  Discard case: the last update
-    wins outright.
-    """
-    if not etas:
-        raise UpdateError("empty homogeneous product")
-    _require_homogeneous(etas, tau)
-    if tau == ((),):
-        return normalise(etas[-1], monoid)
-    if tau != ((Reg(1),),):
-        raise UpdateError("not a 1-register abstraction")
-    items: list[Item] = []
-    for eta in reversed(etas):
-        items.extend(Lit(v) for v in leftsub(eta))
-    items.append(Reg(1))
-    for eta in etas:
-        items.extend(Lit(v) for v in rightsub(eta))
-    return normalise((tuple(items),), monoid)
-
-
 def dependency_graph(tau: RegUpdate) -> set[tuple[int, int]]:
     """Edges (i, j) meaning the i-th side reads register j."""
     return {(i + 1, item.index)
@@ -270,25 +219,6 @@ def _window_products(etas: Sequence[RegUpdate], k: int,
     return out
 
 
-def prefix_products_temporary(etas: Sequence[RegUpdate],
-                              monoid=FREE) -> list[RegUpdate]:
-    """For all-temporary abstractions each prefix product is a window product.
-
-    Entry i equals the product of the first i+1 updates: only the last k
-    matter because temporary content is rewritten from scratch within any k
-    consecutive steps.
-    """
-    if not etas:
-        return []
-    tau = abstraction(etas[0])
-    _require_homogeneous(etas, tau)
-    if temporary_registers(tau) != set(range(1, len(tau) + 1)):
-        raise UpdateError("an update feeds a register back into itself")
-    k = len(etas[0])
-    windows = _window_products(etas, k, monoid)
-    return windows[1:]
-
-
 def homogeneous_product(etas: Sequence[RegUpdate], tau: RegUpdate | None = None,
                         monoid=FREE) -> RegUpdate:
     """Product of a same-abstraction sequence using k-bounded windows.
@@ -302,7 +232,9 @@ def homogeneous_product(etas: Sequence[RegUpdate], tau: RegUpdate | None = None,
         raise UpdateError("empty homogeneous product")
     if tau is None:
         tau = abstraction(etas[0])
-    _require_homogeneous(etas, tau)
+    if any(abstraction(eta) != tau for eta in etas):
+        raise UpdateError("sequence is not homogeneous for the given "
+                          "abstraction")
     k = len(tau)
     n = len(etas)
     temps = temporary_registers(tau)

@@ -1,7 +1,7 @@
 """Named example algebras and transducers shared by tests and the CLI."""
 from __future__ import annotations
 
-from .algebra import FiniteMonoid, FiniteSemigroup, Homomorphism
+from .algebra import FiniteMonoid, Homomorphism
 from .rational import RationalFn
 from .registers import Lit, Reg, SSTSpec
 from .terms import GroupSpec
@@ -37,10 +37,6 @@ CONTAINS_AB = FiniteMonoid(
     ("1", "a", "b", "ab", "ba"),
     _table(("1", "a", "b", "ab", "ba"), _contains_ab_mult),
     "1")
-
-CONTAINS_AB_SEMIGROUP = FiniteSemigroup(
-    ("a", "b", "ab", "ba"),
-    _table(("a", "b", "ab", "ba"), _contains_ab_mult))
 
 
 def hom_u1_keep_a() -> Homomorphism:

@@ -15,8 +15,8 @@ from .terms import (
     TermTypeError, Union, eval_term, infer_type,
 )
 from .types import (
-    BOT, BOT_T, Atom, Bot, FinSet, InL, InR, List, ListV, PairV, Prod, Sum,
-    Sym, TypeExpr, Value, default_value, parse_type, parse_value,
+    BOT, BOT_T, Atom, Bot, FinSet, InL, InR, List, ListV, PairV, ParseError,
+    Prod, Sum, Sym, TypeExpr, Value, default_value, parse_type, parse_value,
 )
 
 MARK = Atom("mark")
@@ -436,7 +436,10 @@ def catalog_term(name: str, arg_texts: list[str]) -> Term:
     args: list = []
     for kind, text in zip(entry.cli_args, arg_texts):
         if kind == "nat":
-            args.append(int(text))
+            try:
+                args.append(int(text))
+            except ValueError:
+                raise ParseError(f"{name} expects a number, got {text!r}") from None
         elif kind == "type":
             args.append(parse_type(text))
         elif kind == "value":

@@ -15,28 +15,20 @@ mapping passed to the parser, which defaults to the built-in sample groups.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from dataclasses import fields
 
 from .samples import SAMPLE_GROUPS
 from .stdlib import catalog_term
 from .terms import (
-    Append,
-    Block,
-    CoAppend,
-    CoProjL,
-    CoProjR,
+    BASICS,
     Compose,
     Const,
-    Distribute,
     FinSplit,
-    Flat,
     GroupSpec,
     Guarded,
     Map,
     Pair,
     PrefixGroupMult,
-    Proj1,
-    Proj2,
-    Reverse,
     Term,
     TermTypeError,
     Union,
@@ -126,37 +118,19 @@ def _finset(text: str, what: str) -> FinSet:
     return t
 
 
-def _leaf(tok: str, groups: Mapping[str, GroupSpec]) -> Term:
+def _leaf(tok: str) -> Term:
     if tok.startswith("std:"):
         name, args = _annotated(tok[4:])
         return catalog_term(name, args)
     name, args = _annotated(tok)
-    if name == "reverse":
-        _need(args, 1, name)
-        return Reverse(parse_type(args[0]))
-    if name == "flat":
-        _need(args, 1, name)
-        return Flat(parse_type(args[0]))
-    if name == "append":
-        _need(args, 1, name)
-        return Append(parse_type(args[0]))
-    if name == "coappend":
-        _need(args, 1, name)
-        return CoAppend(parse_type(args[0]))
-    if name == "block":
-        _need(args, 2, name)
-        return Block(parse_type(args[0]), parse_type(args[1]))
-    if name in ("proj1", "proj2", "coprojl", "coprojr"):
-        _need(args, 2, name)
-        cls = {"proj1": Proj1, "proj2": Proj2, "coprojl": CoProjL, "coprojr": CoProjR}[name]
-        return cls(parse_type(args[0]), parse_type(args[1]))
-    if name == "dist":
-        _need(args, 3, name)
-        return Distribute(*(parse_type(a) for a in args))
     if name == "finsplit":
         _need(args, 2, name)
         return FinSplit(_finset(args[0], name).names, _finset(args[1], name).names)
-    raise ParseError(f"unknown basic term {tok!r}")
+    if name not in BASICS:
+        raise ParseError(f"unknown basic term {tok!r}")
+    cls = BASICS[name]
+    _need(args, len(fields(cls)), name)
+    return cls(*(parse_type(a) for a in args))
 
 
 class _TermParser:
@@ -176,7 +150,7 @@ class _TermParser:
         if tok == ")":
             raise ParseError("unexpected ')'")
         if tok != "(":
-            return _leaf(tok, self.groups)
+            return _leaf(tok)
         head = self.take()
         if head == "compose":
             parts = self.terms_until_close()
@@ -235,36 +209,19 @@ def parse_term(text: str, groups: Mapping[str, GroupSpec] | None = None) -> Term
     return out
 
 
+_BASIC_NAMES = {cls: name for name, cls in BASICS.items()}
+
+
 def render_term(t: Term, groups: Mapping[str, GroupSpec] | None = None) -> str:
     """Surface syntax for a term; round trips through parse_term.
 
     Derived terms render as their expansion into basics, not as std: calls.
     """
     named_groups = SAMPLE_GROUPS if groups is None else groups
-
-    def ty(x) -> str:
-        return render_type(x)
-
-    if isinstance(t, Reverse):
-        return f"reverse@{ty(t.elem)}"
-    if isinstance(t, Flat):
-        return f"flat@{ty(t.elem)}"
-    if isinstance(t, Append):
-        return f"append@{ty(t.elem)}"
-    if isinstance(t, CoAppend):
-        return f"coappend@{ty(t.elem)}"
-    if isinstance(t, Block):
-        return f"block@{ty(t.left)},{ty(t.right)}"
-    if isinstance(t, Proj1):
-        return f"proj1@{ty(t.left)},{ty(t.right)}"
-    if isinstance(t, Proj2):
-        return f"proj2@{ty(t.left)},{ty(t.right)}"
-    if isinstance(t, CoProjL):
-        return f"coprojl@{ty(t.left)},{ty(t.right)}"
-    if isinstance(t, CoProjR):
-        return f"coprojr@{ty(t.left)},{ty(t.right)}"
-    if isinstance(t, Distribute):
-        return f"dist@{ty(t.left)},{ty(t.right)},{ty(t.factor)}"
+    ty = render_type
+    if type(t) in _BASIC_NAMES:
+        args = ",".join(ty(getattr(t, f.name)) for f in fields(t))
+        return f"{_BASIC_NAMES[type(t)]}@{args}"
     if isinstance(t, FinSplit):
         return f"finsplit@{ty(FinSet(t.left_names))},{ty(FinSet(t.right_names))}"
     if isinstance(t, Compose):

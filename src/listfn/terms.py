@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .types import (
-    BOT, BOT_T, Bot, FinSet, InL, InR, List, ListV, PairV, Prod, Sum, Sym,
+    BOT, BOT_T, FinSet, InL, InR, List, ListV, PairV, Prod, Sum, Sym,
     TypeExpr, Value, check_value, render_type, render_value,
 )
 
@@ -187,6 +187,13 @@ class Guarded:
 Term = (Const | Proj1 | Proj2 | CoProjL | CoProjR | Distribute | Reverse | Flat
         | Append | CoAppend | Block | FinSplit | Compose | Map | Pair | Union
         | PrefixGroupMult | Guarded)
+
+# Surface name of each basic whose fields are all element types.
+BASICS: dict[str, type] = {
+    "reverse": Reverse, "flat": Flat, "append": Append, "coappend": CoAppend,
+    "block": Block, "proj1": Proj1, "proj2": Proj2, "coprojl": CoProjL,
+    "coprojr": CoProjR, "dist": Distribute,
+}
 
 BOOL_T = FinSet(("0", "1"))
 TRUE = Sym("1")
@@ -417,22 +424,3 @@ def subterms(t: Term):
 def is_first_order(t: Term) -> bool:
     """True unless some node is a group-prefix multiplication."""
     return not any(isinstance(s, PrefixGroupMult) for s in subterms(t))
-
-
-@dataclass(frozen=True)
-class SubsetSpec:
-    """A subset of a type's values, given by a characteristic term."""
-    typ: TypeExpr
-    pred: Term
-
-    def contains(self, v: Value) -> bool:
-        return eval_term(self.pred, v) == TRUE
-
-
-def characteristic_subset(pred: Term) -> SubsetSpec:
-    """Package a {0,1}-valued term as the subset it carves out."""
-    dom, cod = infer_type(pred)
-    if not _is_bool(cod):
-        raise TermTypeError(
-            f"characteristic term must land in {{0,1}}, got {render_type(cod)}")
-    return SubsetSpec(dom, pred)

@@ -109,40 +109,15 @@ Value = Sym | PairV | InL | InR | ListV | BotV
 BOT = BotV()
 
 
-def list_of(*items: Value) -> ListV:
-    return ListV(tuple(items))
-
-
 def check_value(v: Value, t: TypeExpr) -> bool:
     """Does ``v`` inhabit ``t``?"""
-    if isinstance(t, Atom):
-        return isinstance(v, Sym) and v.name == t.name
-    if isinstance(t, FinSet):
-        return isinstance(v, Sym) and v.name in t.names
-    if isinstance(t, Sum):
-        if isinstance(v, InL):
-            return check_value(v.value, t.left)
-        if isinstance(v, InR):
-            return check_value(v.value, t.right)
-        return False
-    if isinstance(t, Prod):
-        return (isinstance(v, PairV) and check_value(v.fst, t.left)
-            and check_value(v.snd, t.right))
-    if isinstance(t, List):
-        return isinstance(v, ListV) and all(check_value(x, t.elem) for x in v.items)
-    if isinstance(t, Bot):
-        return isinstance(v, BotV)
-    raise TypeError(f"not a type expression: {t!r}")
+    return first_mismatch(v, t) is None
 
 
 def first_mismatch(v: Value, t: TypeExpr) -> tuple[Value, TypeExpr] | None:
     """Leftmost innermost subvalue that fails its expected type, or None."""
-    if isinstance(t, Sum):
-        if isinstance(v, InL):
-            return first_mismatch(v.value, t.left)
-        if isinstance(v, InR):
-            return first_mismatch(v.value, t.right)
-        return (v, t)
+    if isinstance(t, Sum) and isinstance(v, (InL, InR)):
+        return first_mismatch(v.value, t.left if isinstance(v, InL) else t.right)
     if isinstance(t, Prod) and isinstance(v, PairV):
         return first_mismatch(v.fst, t.left) or first_mismatch(v.snd, t.right)
     if isinstance(t, List) and isinstance(v, ListV):
@@ -151,9 +126,17 @@ def first_mismatch(v: Value, t: TypeExpr) -> tuple[Value, TypeExpr] | None:
             if bad is not None:
                 return bad
         return None
-    if check_value(v, t):
-        return None
-    return (v, t)
+    if isinstance(t, Atom):
+        ok = isinstance(v, Sym) and v.name == t.name
+    elif isinstance(t, FinSet):
+        ok = isinstance(v, Sym) and v.name in t.names
+    elif isinstance(t, Bot):
+        ok = isinstance(v, BotV)
+    elif isinstance(t, (Sum, Prod, List)):
+        ok = False
+    else:
+        raise TypeError(f"not a type expression: {t!r}")
+    return None if ok else (v, t)
 
 
 def require_value(v: Value, t: TypeExpr) -> Value:
@@ -194,15 +177,9 @@ def type_nodes(t: TypeExpr) -> list[TypeNode]:
     return out
 
 
-def type_depth(t: TypeExpr) -> int:
-    kids = type_children(t)
-    return 1 + max((type_depth(c) for c in kids), default=0)
-
-
 # ------------------------------------------------------------------- parsing
 
 _IDENT_RE = re.compile(r"[A-Za-z0-9_#'.]+")
-_RESERVED_TYPE = {"bot"}
 _RESERVED_VALUE = {"bot", "inl", "inr"}
 
 
@@ -231,14 +208,13 @@ def _tokenize(text: str, symbols: tuple[str, ...]) -> list[tuple[str, str, int]]
     return toks
 
 
-_TYPE_SYMBOLS = ("^*", "{", "}", ",", "+", "*", "×", "[", "]", "(", ")")
-_TYPE_STARTERS = {"{", "(", "["}
+class _Cursor:
+    """Token cursor shared by the type and value parsers."""
 
-
-class _TypeParser:
-    def __init__(self, text: str) -> None:
-        self.toks = _tokenize(text, _TYPE_SYMBOLS)
+    def __init__(self, text: str, symbols: tuple[str, ...], what: str) -> None:
+        self.toks = _tokenize(text, symbols)
         self.i = 0
+        self.what = what  # "type" or "value", for messages
 
     def peek(self, ahead: int = 0) -> str | None:
         j = self.i + ahead
@@ -246,7 +222,7 @@ class _TypeParser:
 
     def next(self) -> tuple[str, str, int]:
         if self.i >= len(self.toks):
-            raise ParseError("unexpected end of type")
+            raise ParseError(f"unexpected end of {self.what}")
         tok = self.toks[self.i]
         self.i += 1
         return tok
@@ -256,13 +232,19 @@ class _TypeParser:
         if tok[0] != kind:
             raise ParseError(f"expected {kind!r} at position {tok[2]}, got {tok[1]!r}")
 
-    def parse(self) -> TypeExpr:
-        t = self.sum()
+    def finish(self, result):
+        """``result``, once every token has been consumed."""
         if self.i != len(self.toks):
             tok = self.toks[self.i]
             raise ParseError(f"trailing {tok[1]!r} at position {tok[2]}")
-        return t
+        return result
 
+
+_TYPE_SYMBOLS = ("^*", "{", "}", ",", "+", "*", "×", "[", "]", "(", ")")
+_TYPE_STARTERS = {"{", "(", "["}
+
+
+class _TypeParser(_Cursor):
     def sum(self) -> TypeExpr:
         t = self.prod()
         while self.peek() == "+":
@@ -304,7 +286,10 @@ class _TypeParser:
                 names.append(tok[1])
                 tok = self.next()
                 if tok[0] == "}":
-                    return FinSet(tuple(names))
+                    try:
+                        return FinSet(tuple(names))
+                    except ValueError as e:
+                        raise ParseError(str(e)) from None
                 if tok[0] != ",":
                     raise ParseError(f"expected ',' or '}}' at position {tok[2]}")
         if kind == "(":
@@ -325,7 +310,8 @@ class _TypeParser:
 
 
 def parse_type(text: str) -> TypeExpr:
-    return _TypeParser(text).parse()
+    p = _TypeParser(text, _TYPE_SYMBOLS, "type")
+    return p.finish(p.sum())
 
 
 def render_type(t: TypeExpr, prec: int = 0) -> str:
@@ -350,33 +336,7 @@ def render_type(t: TypeExpr, prec: int = 0) -> str:
 _VALUE_SYMBOLS = ("(", ")", "[", "]", ",")
 
 
-class _ValueParser:
-    def __init__(self, text: str) -> None:
-        self.toks = _tokenize(text, _VALUE_SYMBOLS)
-        self.i = 0
-
-    def peek(self) -> str | None:
-        return self.toks[self.i][0] if self.i < len(self.toks) else None
-
-    def next(self) -> tuple[str, str, int]:
-        if self.i >= len(self.toks):
-            raise ParseError("unexpected end of value")
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str) -> None:
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r} at position {tok[2]}, got {tok[1]!r}")
-
-    def parse(self) -> Value:
-        v = self.value()
-        if self.i != len(self.toks):
-            tok = self.toks[self.i]
-            raise ParseError(f"trailing {tok[1]!r} at position {tok[2]}")
-        return v
-
+class _ValueParser(_Cursor):
     def value(self) -> Value:
         kind, text, pos = self.next()
         if kind == "id":
@@ -410,7 +370,8 @@ class _ValueParser:
 
 def parse_value(text: str, t: TypeExpr | None = None) -> Value:
     """Parse a value; when a type is given, check the value against it."""
-    v = _ValueParser(text).parse()
+    p = _ValueParser(text, _VALUE_SYMBOLS, "value")
+    v = p.finish(p.value())
     if t is not None:
         require_value(v, t)
     return v

@@ -1,5 +1,6 @@
 """Semigroups, homomorphisms, and bounded-depth factorisation trees."""
 import random
+import sys
 
 import pytest
 
@@ -20,6 +21,7 @@ from listfn.algebra import (
     tree_yield,
     validate_factorisation,
 )
+from listfn.registers import t_k_monoid
 from listfn.samples import U1, CONTAINS_AB, hom_contains_ab, hom_u1_keep_a
 
 Z2 = FiniteMonoid(("0", "1"), {
@@ -84,6 +86,18 @@ def test_factorisation_is_valid_and_bounded(make_hom):
         assert validate_factorisation(h, t)
         assert "".join(tree_yield(t)) == w
         assert tree_depth(t) <= bound
+
+
+def test_forest_depth_bound_closed_form():
+    assert forest_depth_bound(U1, 2) == 6
+    assert forest_depth_bound(CONTAINS_AB, 2) == 66
+    t_2, t_3 = t_k_monoid(2)[0], t_k_monoid(3)[0]
+    assert (len(t_2), len(t_3)) == (8, 38)
+    assert forest_depth_bound(t_2, 8) == 54798
+    # T_3 at the default recursion limit: the bound takes no deep recursion
+    assert sys.getrecursionlimit() <= 1000
+    assert (forest_depth_bound(t_3, 38)
+            == 149655039677110341005845709760671787704080278)
 
 
 def test_factorisation_rejects_empty_word():

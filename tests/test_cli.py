@@ -4,6 +4,8 @@ import json
 import pytest
 
 from listfn.cli import main
+from listfn.fileio import save_monoid
+from listfn.registers import t_k_monoid
 
 
 def run(capsys, *argv):
@@ -167,3 +169,30 @@ def test_missing_file_exits_2(capsys, tmp_path):
                        str(tmp_path / "nope.lpipe"), "ab")
     assert code == 2
     assert err
+
+
+def test_forest_on_a_large_monoid_file(capsys, tmp_path):
+    t_3 = t_k_monoid(3)[0]
+    p = tmp_path / "t3.lmonoid"
+    save_monoid(p, t_3, {"a": t_3.elements[1], "b": t_3.elements[2]})
+    code, out, _ = run(capsys, "forest", str(p), "abab")
+    assert code == 0
+    assert "valid: yes" in out
+
+
+DEEP = 1200
+
+
+@pytest.mark.parametrize("fmt", ["text", "json-lines"])
+@pytest.mark.parametrize("argv", [
+    ["typecheck", "reverse@" + "[" * DEEP + "{a}" + "]" * DEEP],
+    ["eval", "reverse@{a}", "[" * DEEP + "a" + "]" * DEEP],
+], ids=["typecheck", "eval"])
+def test_over_deep_input_exits_3(capsys, argv, fmt):
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert code == 3
+    if fmt == "json-lines":
+        (record,) = [json.loads(ln) for ln in out.splitlines()]
+        assert record["status"] == "error"
+    else:
+        assert len(err.strip().splitlines()) == 1

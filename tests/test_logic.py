@@ -30,6 +30,8 @@ from listfn.terms import eval_term, infer_type
 from listfn.types import (
     FinSet,
     List,
+    Sym,
+    TypeMismatch,
     enumerate_values,
     parse_value,
     random_value,
@@ -139,6 +141,12 @@ def test_next_sibling_is_the_order_successor():
     s = encode_value(sym_list("abab"), t)
     nxt = sorted(derived_next_sibling(s))
     assert nxt == [(1, 2), (2, 3), (3, 4)]
+
+
+@pytest.mark.parametrize("v", [Sym("z"), sym_list("ab")], ids=["symbol", "list"])
+def test_encode_value_rejects_ill_typed_values(v):
+    with pytest.raises(TypeMismatch):
+        encode_value(v, AB)
 
 
 def test_builtin_catalog_is_complete():

@@ -63,6 +63,8 @@ def test_parse_reports_errors():
         parse_term("(gprefix z99)")  # unknown group name
     with pytest.raises(ParseError):
         parse_term("")
+    with pytest.raises(ParseError):
+        parse_term("std:len_upto@x,{a}")  # catalog number argument
 
 
 def test_custom_group_table():

@@ -73,7 +73,7 @@ def test_parse_type_whitespace_and_nesting():
 
 
 @pytest.mark.parametrize(
-    "text", ["", "{a", "{}", "{a,b}^", "{a}+", "{a}++{b}", "{a,}", "()*"])
+    "text", ["", "{a", "{}", "{a,b}^", "{a}+", "{a}++{b}", "{a,}", "()*", "{a,a}"])
 def test_parse_type_rejects(text):
     with pytest.raises(ParseError):
         parse_type(text)
