@@ -548,6 +548,19 @@ def cmd_check(args, rep: Reporter) -> int:
 
 # -------------------------------------------------------------------- main
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """Lets an optional positional follow options: ``fot T --type X FILE``."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        if getattr(self, "_mixing", False):
+            return super().parse_known_args(args, namespace)
+        self._mixing = True
+        try:
+            return self.parse_known_intermixed_args(args, namespace)
+        finally:
+            self._mixing = False
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["text", "json-lines"],
@@ -561,7 +574,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="First-order and regular list functions: evaluation, "
                     "factorisation forests, rational-function compilation, "
                     "streaming transducers, and logic transductions.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_SubcommandParser)
 
     p = sub.add_parser("typecheck", parents=[common],
                        help="infer a term's type")

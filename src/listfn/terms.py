@@ -1,12 +1,15 @@
 """Combinator terms denoting functions between nested-list types.
 
 A term is a tree of basic functions and combinators.  ``infer_type`` gives its
-unique (domain, codomain); ``eval_term`` applies it to a value.  Terms without
+unique (domain, codomain); ``eval_term`` applies it to a value by the closure
+``compile_term`` builds once per term object and caches on it.  Terms without
 group-prefix nodes denote first-order list functions; with them, regular ones.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, groupby
+from typing import Callable
 
 from .types import (
     BOT, BOT_T, FinSet, InL, InR, List, ListV, PairV, Prod, Sum, Sym,
@@ -66,38 +69,44 @@ class GroupSpec:
 
 # -------------------------------------------------------------------- terms
 
-@dataclass(frozen=True)
+def _term(cls: type) -> type:
+    """A frozen dataclass whose pickled state leaves out the cached closure."""
+    cls.__getstate__ = lambda t: {k: v for k, v in vars(t).items() if k != "_fn"}
+    return dataclass(frozen=True)(cls)
+
+
+@_term
 class Const:
     value: Value
     dom: TypeExpr
     cod: TypeExpr
 
 
-@dataclass(frozen=True)
+@_term
 class Proj1:
     left: TypeExpr
     right: TypeExpr
 
 
-@dataclass(frozen=True)
+@_term
 class Proj2:
     left: TypeExpr
     right: TypeExpr
 
 
-@dataclass(frozen=True)
+@_term
 class CoProjL:
     left: TypeExpr
     right: TypeExpr
 
 
-@dataclass(frozen=True)
+@_term
 class CoProjR:
     left: TypeExpr
     right: TypeExpr
 
 
-@dataclass(frozen=True)
+@_term
 class Distribute:
     """(left + right) × factor  →  (left × factor) + (right × factor)."""
     left: TypeExpr
@@ -105,37 +114,37 @@ class Distribute:
     factor: TypeExpr
 
 
-@dataclass(frozen=True)
+@_term
 class Reverse:
     elem: TypeExpr
 
 
-@dataclass(frozen=True)
+@_term
 class Flat:
     """Concatenate one level of list nesting."""
     elem: TypeExpr
 
 
-@dataclass(frozen=True)
+@_term
 class Append:
     """(x0, [x1..xn]) → [x0, x1, .., xn]."""
     elem: TypeExpr
 
 
-@dataclass(frozen=True)
+@_term
 class CoAppend:
     """[x0, x1..] → inl (x0, [x1..]);  [] → inr bot."""
     elem: TypeExpr
 
 
-@dataclass(frozen=True)
+@_term
 class Block:
     """Split a list of sum values into maximal same-side runs."""
     left: TypeExpr
     right: TypeExpr
 
 
-@dataclass(frozen=True)
+@_term
 class FinSplit:
     """Retype a flat finite set as the sum of two finite sets.
 
@@ -146,37 +155,37 @@ class FinSplit:
     right_names: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@_term
 class Compose:
     after: "Term"
     before: "Term"
 
 
-@dataclass(frozen=True)
+@_term
 class Map:
     fn: "Term"
 
 
-@dataclass(frozen=True)
+@_term
 class Pair:
     fst: "Term"
     snd: "Term"
 
 
-@dataclass(frozen=True)
+@_term
 class Union:
     """Case analysis on a sum: apply ``left`` to inl values, ``right`` to inr."""
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
+@_term
 class PrefixGroupMult:
     """[g1..gn] → [h1..hn] with hi the product of the first i elements."""
     group: GroupSpec
 
 
-@dataclass(frozen=True)
+@_term
 class Guarded:
     """A term restricted to the subsets carved out by two 0/1 predicates."""
     inner: "Term"
@@ -281,124 +290,160 @@ def infer_type(t: Term) -> tuple[TypeExpr, TypeExpr]:
 
 
 def eval_term(t: Term, v: Value) -> Value:
-    """Apply the function denoted by ``t`` to ``v``.
+    """Apply the function denoted by ``t`` to ``v``.  Recursion depth follows
+    the term tree and the type nesting, never the length of any input list."""
+    return compile_term(t)(v)
 
-    Recursion depth follows the term tree and the type nesting, never the
-    length of any list in the input.
-    """
+
+def compile_term(t: Term) -> Callable[[Value], Value]:
+    """The function denoted by ``t`` as a closure, built once per term object
+    and kept in its ``__dict__``: ``==``, ``hash`` and ``repr`` ignore it."""
+    cache = getattr(t, "__dict__", {})
+    if "_fn" not in cache:
+        cache["_fn"] = _compile(t)
+    return cache["_fn"]
+
+
+def _compile(t: Term) -> Callable[[Value], Value]:
+    if type(t) in _BASIC_FNS:
+        return _BASIC_FNS[type(t)]
     if isinstance(t, Const):
-        return t.value
-    if isinstance(t, Proj1):
-        if not isinstance(v, PairV):
-            raise EvalError(f"projection applied to {render_value(v)}")
-        return v.fst
-    if isinstance(t, Proj2):
-        if not isinstance(v, PairV):
-            raise EvalError(f"projection applied to {render_value(v)}")
-        return v.snd
-    if isinstance(t, CoProjL):
-        return InL(v)
-    if isinstance(t, CoProjR):
-        return InR(v)
-    if isinstance(t, Distribute):
-        if isinstance(v, PairV) and isinstance(v.fst, InL):
-            return InL(PairV(v.fst.value, v.snd))
-        if isinstance(v, PairV) and isinstance(v.fst, InR):
-            return InR(PairV(v.fst.value, v.snd))
-        raise EvalError(f"distribute applied to {render_value(v)}")
-    if isinstance(t, Reverse):
-        if not isinstance(v, ListV):
-            raise EvalError(f"reverse applied to {render_value(v)}")
-        return ListV(v.items[::-1])
-    if isinstance(t, Flat):
-        if not isinstance(v, ListV):
-            raise EvalError(f"flat applied to {render_value(v)}")
-        out: list[Value] = []
-        for row in v.items:
-            if not isinstance(row, ListV):
-                raise EvalError(f"flat applied to {render_value(v)}")
-            out.extend(row.items)
-        return ListV(tuple(out))
-    if isinstance(t, Append):
-        if not (isinstance(v, PairV) and isinstance(v.snd, ListV)):
-            raise EvalError(f"append applied to {render_value(v)}")
-        return ListV((v.fst,) + v.snd.items)
-    if isinstance(t, CoAppend):
-        if not isinstance(v, ListV):
-            raise EvalError(f"co-append applied to {render_value(v)}")
-        if not v.items:
-            return InR(BOT)
-        return InL(PairV(v.items[0], ListV(v.items[1:])))
-    if isinstance(t, Block):
-        return _eval_block(v)
-    if isinstance(t, FinSplit):
-        if not isinstance(v, Sym):
-            raise EvalError(f"finite-set split applied to {render_value(v)}")
-        if v.name in t.left_names:
-            return InL(v)
-        if v.name in t.right_names:
-            return InR(v)
-        raise EvalError(f"symbol {v.name} outside split names")
-    if isinstance(t, Compose):
-        return eval_term(t.after, eval_term(t.before, v))
+        value = t.value
+        return lambda v: value
+    if isinstance(t, (FinSplit, Compose)):
+        table = _split_table(t)
+        if table is not None:
+            def lookup(v: Value) -> Value:
+                if not isinstance(v, Sym):
+                    raise EvalError(f"finite-set split applied to {render_value(v)}")
+                out = table.get(v.name)
+                if out is None:
+                    raise EvalError(f"symbol {v.name} outside split names")
+                return out
+            return lookup
+        after, before = compile_term(t.after), compile_term(t.before)
+        return lambda v: after(before(v))
     if isinstance(t, Map):
-        if not isinstance(v, ListV):
-            raise EvalError(f"map applied to {render_value(v)}")
-        return ListV(tuple(eval_term(t.fn, x) for x in v.items))
+        fn = compile_term(t.fn)
+
+        def map_fn(v: Value) -> Value:
+            if not isinstance(v, ListV):
+                raise EvalError(f"map applied to {render_value(v)}")
+            return ListV(tuple(map(fn, v.items)))
+        return map_fn
     if isinstance(t, Pair):
-        return PairV(eval_term(t.fst, v), eval_term(t.snd, v))
+        fst, snd = compile_term(t.fst), compile_term(t.snd)
+        return lambda v: PairV(fst(v), snd(v))
     if isinstance(t, Union):
-        if isinstance(v, InL):
-            return eval_term(t.left, v.value)
-        if isinstance(v, InR):
-            return eval_term(t.right, v.value)
-        raise EvalError(f"union applied to {render_value(v)}")
+        left, right = compile_term(t.left), compile_term(t.right)
+
+        def union(v: Value) -> Value:
+            if isinstance(v, InL):
+                return left(v.value)
+            if isinstance(v, InR):
+                return right(v.value)
+            raise EvalError(f"union applied to {render_value(v)}")
+        return union
     if isinstance(t, PrefixGroupMult):
-        if not isinstance(v, ListV):
-            raise EvalError(f"group prefix applied to {render_value(v)}")
-        acc = t.group.identity
-        out = []
-        for x in v.items:
-            if not isinstance(x, Sym):
+        g = t.group
+        times = {(a, b): Sym(g.mult(a, b)) for a in g.elements for b in g.elements}
+
+        def prefix(v: Value) -> Value:
+            if not isinstance(v, ListV):
                 raise EvalError(f"group prefix applied to {render_value(v)}")
-            acc = t.group.mult(acc, x.name)
-            out.append(Sym(acc))
-        return ListV(tuple(out))
+            acc, out = Sym(g.identity), []
+            for x in v.items:
+                acc = times.get((acc.name, x.name)) if isinstance(x, Sym) else None
+                if acc is None:
+                    raise EvalError(f"group prefix applied to {render_value(v)}")
+                out.append(acc)
+            return ListV(tuple(out))
+        return prefix
     if isinstance(t, Guarded):
-        if eval_term(t.dom_pred, v) != TRUE:
-            raise GuardViolation(
-                f"argument {render_value(v)} outside the guarded domain")
-        result = eval_term(t.inner, v)
-        if __debug__ and eval_term(t.cod_pred, result) != TRUE:
-            raise GuardViolation(
-                f"result {render_value(result)} outside the guarded codomain")
-        return result
+        inner, dom_ok, cod_ok = map(compile_term, (t.inner, t.dom_pred, t.cod_pred))
+
+        def guarded(v: Value) -> Value:
+            if dom_ok(v) != TRUE:
+                raise GuardViolation(
+                    f"argument {render_value(v)} outside the guarded domain")
+            result = inner(v)
+            if __debug__ and cod_ok(result) != TRUE:
+                raise GuardViolation(
+                    f"result {render_value(result)} outside the guarded codomain")
+            return result
+        return guarded
     raise TypeError(f"not a term: {t!r}")
 
 
-def _eval_block(v: Value) -> Value:
+def _split_table(t: Term) -> dict[str, Value] | None:
+    """Name → result of a split, or of a split tree with constant leaves as
+    ``stdlib.finite_function`` builds (left names win, as in the tree)."""
+    if isinstance(t, FinSplit):
+        return {**{n: InR(Sym(n)) for n in t.right_names},
+                **{n: InL(Sym(n)) for n in t.left_names}}
+    if not (isinstance(t, Compose) and isinstance(t.after, Union)
+            and isinstance(t.before, FinSplit)):
+        return None
+    table: dict[str, Value] = {}
+    for names, branch in ((t.before.right_names, t.after.right),
+                          (t.before.left_names, t.after.left)):
+        sub = (dict.fromkeys(names, branch.value) if isinstance(branch, Const)
+               else _split_table(branch))
+        if sub is None:
+            return None
+        table.update((n, sub[n]) for n in names if n in sub)
+    return table
+
+
+def _pair(v: Value) -> PairV:
+    if not isinstance(v, PairV):
+        raise EvalError(f"projection applied to {render_value(v)}")
+    return v
+
+
+def _distribute(v: Value) -> Value:
+    if not (isinstance(v, PairV) and isinstance(v.fst, (InL, InR))):
+        raise EvalError(f"distribute applied to {render_value(v)}")
+    return type(v.fst)(PairV(v.fst.value, v.snd))
+
+
+def _reverse(v: Value) -> Value:
     if not isinstance(v, ListV):
+        raise EvalError(f"reverse applied to {render_value(v)}")
+    return ListV(v.items[::-1])
+
+
+def _flat(v: Value) -> Value:
+    if not (isinstance(v, ListV) and all(isinstance(r, ListV) for r in v.items)):
+        raise EvalError(f"flat applied to {render_value(v)}")
+    return ListV(tuple(chain.from_iterable([row.items for row in v.items])))
+
+
+def _append(v: Value) -> Value:
+    if not (isinstance(v, PairV) and isinstance(v.snd, ListV)):
+        raise EvalError(f"append applied to {render_value(v)}")
+    return ListV((v.fst,) + v.snd.items)
+
+
+def _coappend(v: Value) -> Value:
+    if not isinstance(v, ListV):
+        raise EvalError(f"co-append applied to {render_value(v)}")
+    return InL(PairV(v.items[0], ListV(v.items[1:]))) if v.items else InR(BOT)
+
+
+def _block(v: Value) -> Value:
+    if not (isinstance(v, ListV) and all(isinstance(x, (InL, InR)) for x in v.items)):
         raise EvalError(f"block applied to {render_value(v)}")
-    runs: list[Value] = []
-    side: type | None = None
-    current: list[Value] = []
+    return ListV(tuple(side(ListV(tuple(x.value for x in run)))
+                       for side, run in groupby(v.items, type)))
 
-    def close() -> None:
-        if side is InL:
-            runs.append(InL(ListV(tuple(current))))
-        elif side is InR:
-            runs.append(InR(ListV(tuple(current))))
 
-    for x in v.items:
-        if not isinstance(x, (InL, InR)):
-            raise EvalError(f"block applied to {render_value(v)}")
-        if type(x) is not side:
-            close()
-            side = type(x)
-            current = []
-        current.append(x.value)
-    close()
-    return ListV(tuple(runs))
+_BASIC_FNS: dict[type, Callable[[Value], Value]] = {
+    Proj1: lambda v: _pair(v).fst, Proj2: lambda v: _pair(v).snd,
+    CoProjL: InL, CoProjR: InR,
+    Distribute: _distribute, Reverse: _reverse, Flat: _flat, Append: _append,
+    CoAppend: _coappend, Block: _block,
+}
 
 
 def subterms(t: Term):

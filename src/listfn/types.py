@@ -73,33 +73,33 @@ BOT_T = Bot()
 
 # ------------------------------------------------------------------- values
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sym:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairV:
     fst: "Value"
     snd: "Value"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InL:
     value: "Value"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InR:
     value: "Value"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ListV:
     items: tuple["Value", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BotV:
     pass
 
@@ -520,15 +520,18 @@ def min_size(t: TypeExpr) -> int:
     raise TypeError(f"not a type expression: {t!r}")
 
 
+@lru_cache(maxsize=None)
+def _symbols(t: Atom | FinSet) -> tuple[Sym, ...]:
+    """One shared symbol per name, so generated values share their leaves."""
+    return tuple(map(Sym, t.names if isinstance(t, FinSet) else (t.name,)))
+
+
 def enumerate_values(t: TypeExpr, max_size: int) -> Iterator[Value]:
     """All values of ``t`` up to the given size, in a fixed order."""
     if max_size < 1:
         return
-    if isinstance(t, Atom):
-        yield Sym(t.name)
-    elif isinstance(t, FinSet):
-        for name in t.names:
-            yield Sym(name)
+    if isinstance(t, (Atom, FinSet)):
+        yield from _symbols(t)
     elif isinstance(t, Bot):
         yield BOT
     elif isinstance(t, Sum):
@@ -562,10 +565,8 @@ def _enumerate_seqs(elem: TypeExpr, budget: int) -> Iterator[tuple[Value, ...]]:
 
 def default_value(t: TypeExpr) -> Value:
     """Some inhabitant of ``t``; every type expression has one."""
-    if isinstance(t, Atom):
-        return Sym(t.name)
-    if isinstance(t, FinSet):
-        return Sym(t.names[0])
+    if isinstance(t, (Atom, FinSet)):
+        return _symbols(t)[0]
     if isinstance(t, Bot):
         return BOT
     if isinstance(t, Sum):
@@ -580,9 +581,9 @@ def default_value(t: TypeExpr) -> Value:
 def random_value(t: TypeExpr, budget: int, rng) -> Value:
     """Random inhabitant of ``t`` with size roughly bounded by ``budget``."""
     if isinstance(t, Atom):
-        return Sym(t.name)
+        return _symbols(t)[0]
     if isinstance(t, FinSet):
-        return Sym(rng.choice(t.names))
+        return rng.choice(_symbols(t))
     if isinstance(t, Bot):
         return BOT
     if isinstance(t, Sum):

@@ -1,15 +1,21 @@
 """Term layer: typing, evaluation against definitional oracles, guards."""
+import pickle
 import random
 
 import pytest
 
-from helpers import AB, BASICS, CD, sym_list
-from listfn.stdlib import is_nonempty
+from helpers import ABC, AB, BASICS, CD, HASH, _oracle_block, mixed_list, sym_list
+from listfn.stdlib import CATALOG, finite_function, is_nonempty
+from listfn.syntax import render_term
 from listfn.terms import (
+    BOOL_T,
+    FALSE,
+    Append,
     Block,
     CoAppend,
     Compose,
     Const,
+    Distribute,
     EvalError,
     FinSplit,
     Flat,
@@ -20,9 +26,11 @@ from listfn.terms import (
     Pair,
     PrefixGroupMult,
     Proj1,
+    Proj2,
     Reverse,
     TermTypeError,
     Union,
+    compile_term,
     eval_term,
     infer_type,
     is_first_order,
@@ -30,8 +38,11 @@ from listfn.terms import (
 )
 from listfn.samples import SAMPLE_GROUPS
 from listfn.types import (
+    FinSet,
+    InL,
     List,
     ListV,
+    PairV,
     Prod,
     Sum,
     Sym,
@@ -137,3 +148,102 @@ def test_subterms_walks_the_tree():
     assert names.count("Map") == 1
     assert names.count("Flat") == 1
     assert names.count("Compose") == 1
+
+
+Z2 = SAMPLE_GROUPS["z2"]
+TABLE = finite_function(ABC, {"a": Sym("b"), "b": Sym("a"), "c": Sym("a")}, AB)
+# Ill-typed on purpose: "a" is on both sides of the outer split, where the
+# left side wins, and the inner split lacks "c"; the lookup must agree.
+RAGGED = Compose(
+    Union(Const(Sym("b"), FinSet(("a",)), AB),
+          Compose(Union(Const(Sym("b"), FinSet(("b",)), AB),
+                        Const(Sym("a"), FinSet(("a", "d")), AB)),
+                  FinSplit(("b",), ("a", "d")))),
+    FinSplit(("a",), ("a", "b", "c")))
+
+
+@pytest.mark.parametrize("term,value,error,message", [
+    (Proj1(AB, CD), sym_list("ab"), EvalError, "projection applied to [a,b]"),
+    (Proj2(AB, CD), Sym("a"), EvalError, "projection applied to a"),
+    (Distribute(AB, CD, AB), PairV(Sym("a"), Sym("b")), EvalError,
+     "distribute applied to (a,b)"),
+    (Reverse(AB), Sym("a"), EvalError, "reverse applied to a"),
+    (Flat(AB), ListV((sym_list("ab"), Sym("a"))), EvalError,
+     "flat applied to [[a,b],a]"),
+    (Append(AB), PairV(Sym("a"), Sym("b")), EvalError, "append applied to (a,b)"),
+    (CoAppend(AB), Sym("a"), EvalError, "co-append applied to a"),
+    (Block(AB, CD), ListV((InL(Sym("a")), Sym("c"))), EvalError,
+     "block applied to [inl a,c]"),
+    (FinSplit(("a",), ("b",)), sym_list("a"), EvalError,
+     "finite-set split applied to [a]"),
+    (FinSplit(("a",), ("b",)), Sym("c"), EvalError, "symbol c outside split names"),
+    (Map(Reverse(AB)), Sym("a"), EvalError, "map applied to a"),
+    (Union(Reverse(AB), Reverse(AB)), sym_list("a"), EvalError,
+     "union applied to [a]"),
+    (PrefixGroupMult(Z2), Sym("a"), EvalError, "group prefix applied to a"),
+    (PrefixGroupMult(Z2), ListV((sym_list("a"),)), EvalError,
+     "group prefix applied to [[a]]"),
+    (PrefixGroupMult(Z2), sym_list("z"), EvalError, "group prefix applied to [z]"),
+    (TABLE, sym_list("a"), EvalError, "finite-set split applied to [a]"),
+    (TABLE, Sym("d"), EvalError, "symbol d outside split names"),
+    (RAGGED, Sym("c"), EvalError, "symbol c outside split names"),
+    (RAGGED, Sym("d"), EvalError, "symbol d outside split names"),
+    (Guarded(Reverse(AB), is_nonempty(AB), is_nonempty(AB)), ListV(()),
+     GuardViolation, "argument [] outside the guarded domain"),
+    (Guarded(Reverse(AB), is_nonempty(AB), Const(FALSE, List(AB), BOOL_T)),
+     sym_list("ab"), GuardViolation, "result [b,a] outside the guarded codomain"),
+], ids=["proj1", "proj2", "distribute", "reverse", "flat-row", "append",
+        "coappend", "block", "finsplit-value", "finsplit-name", "map", "union",
+        "gprefix-value", "gprefix-element", "gprefix-name", "table-value",
+        "table-name", "table-inner-name", "table-outer-name",
+        "guard-domain", "guard-codomain"])
+def test_eval_errors_name_the_node(term, value, error, message):
+    with pytest.raises(EvalError) as caught:
+        eval_term(term, value)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
+def test_split_tables_agree_with_their_trees():
+    assert [eval_term(TABLE, Sym(n)) for n in "abc"] == [Sym("b"), Sym("a"), Sym("a")]
+    assert [eval_term(RAGGED, Sym(n)) for n in "ab"] == [Sym("b"), Sym("b")]
+
+
+def _z2_fold(v):
+    acc, out = Z2.identity, []
+    for x in v.items:
+        acc = Z2.mult(acc, x.name)
+        out.append(Sym(acc))
+    return ListV(tuple(out))
+
+
+N = 100_000
+COMMA = CATALOG["comma"]
+
+
+@pytest.mark.parametrize("term,value,oracle", [
+    (Reverse(AB), sym_list("ab" * (N // 2)), lambda v: ListV(v.items[::-1])),
+    (Flat(AB), ListV((sym_list("a"),) * N), lambda v: sym_list("a" * N)),
+    (Block(AB, CD), mixed_list("ac" * (N // 2), "a"), _oracle_block),
+    (Map(Reverse(AB)), ListV((sym_list("ab"),) * N),
+     lambda v: ListV((sym_list("ba"),) * N)),
+    (COMMA.build(AB, HASH), mixed_list("ab#" * (N // 3), "ab"), COMMA.oracle(AB, HASH)),
+    (PrefixGroupMult(Z2), ListV(tuple(Sym(Z2.elements[i % 2]) for i in range(N))),
+     _z2_fold),
+], ids=["reverse", "flat", "block", "map", "comma", "gprefix"])
+def test_long_lists_do_not_deepen_recursion(term, value, oracle):
+    assert eval_term(term, value) == oracle(value)
+
+
+def test_compiling_leaves_the_term_unchanged():
+    term, twin = CATALOG["windows"].build(4, AB), CATALOG["windows"].build(4, AB)
+    assert term is not twin
+    before = (repr(term), hash(term), render_term(term))
+    values = list(enumerate_values(List(AB), 6))
+    results = [eval_term(term, v) for v in values]
+    assert compile_term(term) is compile_term(term)
+    assert (repr(term), hash(term), render_term(term)) == before
+    assert term == twin and hash(term) == hash(twin)
+    assert [eval_term(twin, v) for v in values] == results
+    thawed = pickle.loads(pickle.dumps(term))
+    assert thawed == term and [eval_term(thawed, v) for v in values] == results

@@ -132,6 +132,18 @@ def test_fot_builtin_on_structure_file(capsys, tmp_path):
     assert (code, out.strip()) == (0, "[a,b,b]")
 
 
+@pytest.mark.parametrize("file_first", [True, False],
+                         ids=["file-then-type", "type-then-file"])
+def test_fot_builtin_takes_its_file_before_or_after_type(capsys, tmp_path,
+                                                         file_first):
+    f = tmp_path / "v.lstruct"
+    run(capsys, "encode", "[a,b,b]", "{a,b}^*", "-o", str(f))
+    types = ["--type", "{a,b}"]
+    args = [str(f), *types] if file_first else [*types, str(f)]
+    code, out, _ = run(capsys, "fot", "reverse", *args, "--decode", "{a,b}^*")
+    assert (code, out.strip()) == (0, "[b,b,a]")
+
+
 def test_check_passes_and_reports_json(capsys):
     code, out, _ = run(capsys, "check", "sst", "--count", "20",
                        "--format", "json-lines")
