@@ -11,9 +11,13 @@ side by side through encode/decode.
 
 Two formula evaluators coexist on purpose.  ``eval_formula`` is the plain
 recursive definition of truth and is kept free of any cleverness so it can
-serve as the reference.  ``apply_interpretation`` instead computes satisfying
-assignments bottom-up as relations, which is what makes running whole
-transductions affordable; the two are played against each other in tests.
+serve as the reference.  ``sat_rows``, which ``apply_interpretation`` runs,
+computes whole sets of satisfying assignments from a plan compiled once per
+formula: negations pushed inward, conjuncts joined in a connected order,
+smallest first, and negated or fully bound conjuncts applied as anti-joins
+and semi-joins instead of complements over the universe.  That is what makes
+running whole transductions affordable; the two evaluators are played
+against each other in tests.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
+from operator import itemgetter
 
 from .terms import BASICS, Term, eval_term, infer_type
 from .types import (
@@ -170,7 +175,7 @@ class Structure:
             if arity < 1:
                 raise LogicError(f"arity of {name} must be at least 1")
             for row in self.relations[name]:
-                if len(row) != arity or any(e not in elems for e in row):
+                if len(row) != arity or not elems.issuperset(row):
                     raise LogicError(f"bad tuple {row} in relation {name}")
 
 
@@ -229,6 +234,10 @@ def _lookup(asg: dict[str, int], var: str) -> int:
 _F_TOKEN = re.compile(r"<->|->|!=|[(),=.&|!]|[A-Za-z0-9_#']+")
 _F_IDENT = re.compile(r"[A-Za-z0-9_#']+")
 _F_RESERVED = {"E", "A", "true", "false"}
+# Parentheses, negations, quantifiers, `->` and `<->` each nest a level; the
+# cap keeps the parser and every recursive walk over formulas far below
+# Python's recursion limit.
+_F_MAX_NESTING = 100
 
 
 def parse_formula(text: str) -> Formula:
@@ -259,6 +268,19 @@ class _FormulaParser:
     def __init__(self, tokens: list[str]) -> None:
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
+
+    def deeper(self) -> None:
+        self.depth += 1
+        if self.depth > _F_MAX_NESTING:
+            raise ParseError("formula nested too deeply")
+
+    def nested(self, parse) -> Formula:
+        """``parse()`` one level deeper."""
+        self.deeper()
+        phi = parse()
+        self.depth -= 1
+        return phi
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -276,16 +298,19 @@ class _FormulaParser:
 
     def iff(self) -> Formula:
         phi = self.implies()
+        outer = self.depth
         while self.peek() == "<->":
             self.take()
+            self.deeper()
             phi = Iff(phi, self.implies())
+        self.depth = outer
         return phi
 
     def implies(self) -> Formula:
         phi = self.disjunction()
         if self.peek() == "->":
             self.take()
-            return Implies(phi, self.implies())
+            return Implies(phi, self.nested(self.implies))
         return phi
 
     def disjunction(self) -> Formula:
@@ -306,21 +331,21 @@ class _FormulaParser:
         tok = self.peek()
         if tok == "!":
             self.take()
-            return Not(self.unary())
+            return Not(self.nested(self.unary))
         if tok in ("E", "A"):
             self.take()
             var = self.take()
             if not _F_IDENT.fullmatch(var) or var in _F_RESERVED:
                 raise ParseError(f"bad variable {var!r}")
             self.expect(".")
-            body = self.iff()
+            body = self.nested(self.iff)
             return Exists(var, body) if tok == "E" else Forall(var, body)
         return self.atom()
 
     def atom(self) -> Formula:
         tok = self.take()
         if tok == "(":
-            phi = self.iff()
+            phi = self.nested(self.iff)
             self.expect(")")
             return phi
         if tok == "true":
@@ -389,118 +414,356 @@ def _render(phi: Formula, ctx: int) -> str:
 
 
 # -------------------------------------------------- satisfying-set evaluator
-
-
-@lru_cache(maxsize=None)
-def _desugar(phi: Formula) -> Formula:
-    """Rewrite into true/false, Rel, Eq, Not, And, Or, Exists only."""
-    if isinstance(phi, (TrueF, FalseF, Rel, Eq)):
-        return phi
-    if isinstance(phi, Not):
-        return Not(_desugar(phi.body))
-    if isinstance(phi, And):
-        return And(tuple(_desugar(p) for p in phi.parts))
-    if isinstance(phi, Or):
-        return Or(tuple(_desugar(p) for p in phi.parts))
-    if isinstance(phi, Implies):
-        return Or((Not(_desugar(phi.left)), _desugar(phi.right)))
-    if isinstance(phi, Iff):
-        a, b = _desugar(phi.left), _desugar(phi.right)
-        return Or((And((a, b)), And((Not(a), Not(b)))))
-    if isinstance(phi, Exists):
-        return Exists(phi.var, _desugar(phi.body))
-    if isinstance(phi, Forall):
-        return Not(Exists(phi.var, Not(_desugar(phi.body))))
-    raise TypeError(f"not a formula: {phi!r}")
-
+#
+# ``_plan`` compiles a formula once into a tree of plan nodes: negation is
+# pushed inward through Not, Or, Implies, Iff and Forall, nested And and Or
+# nodes are flattened, constants are folded, and each node keeps its free
+# variables.  ``_extend`` solves a node under rows binding some of its free
+# variables and returns the rows' extensions that satisfy it.  A node whose
+# variables the rows all bind is a filter, checked row by row by the closure
+# ``node.test``: a semi-join, an anti-join when negated, and for an
+# existential a search that stops at the first witness.  Any other node
+# extends the rows with ``node.sat``.  A conjunction grows its rows one
+# conjunct at a time: bound conjuncts first, then the one sharing a variable
+# with the rows that adds the fewest rows per row, and a cross product only
+# when none shares one.  Only a negation with unbound variables enumerates
+# the universe.
 
 Rows = set  # of tuples, aligned with a variable order
 
 
-def _sat(s: Structure, phi: Formula) -> tuple[tuple[str, ...], Rows]:
-    """Variable order and the set of satisfying rows; order lists free(phi)."""
-    univ = s.universe
-    if isinstance(phi, TrueF):
-        return (), {()}
-    if isinstance(phi, FalseF):
-        return (), set()
-    if isinstance(phi, Rel):
-        if phi.name not in s.relations:
-            raise LogicError(f"unknown relation {phi.name}")
-        rows = s.relations[phi.name]
-        order = tuple(dict.fromkeys(phi.args))
-        if order == phi.args:
-            return order, set(rows)
-        keep = [phi.args.index(v) for v in order]
-        out = set()
-        for row in rows:
-            if all(row[i] == row[phi.args.index(v)] for i, v in enumerate(phi.args)):
-                out.add(tuple(row[i] for i in keep))
-        return order, out
-    if isinstance(phi, Eq):
-        if phi.left == phi.right:
-            return (phi.left,), {(u,) for u in univ}
-        return (phi.left, phi.right), {(u, u) for u in univ}
-    if isinstance(phi, Not):
-        order, rows = _sat(s, phi.body)
-        return order, set(iproduct(univ, repeat=len(order))) - rows
-    if isinstance(phi, And):
-        order: tuple[str, ...] = ()
-        rows = {()}
-        for part in phi.parts:
-            order, rows = _join(order, rows, *_sat(s, part))
-            if not rows:
-                break
-        return order, rows
-    if isinstance(phi, Or):
-        parts = [_sat(s, p) for p in phi.parts]
-        order = tuple(dict.fromkeys(v for o, _ in parts for v in o))
+def _getter(positions: list[int]):
+    """Row -> tuple of its entries at ``positions``."""
+    if len(positions) == 1:
+        i = positions[0]
+        return lambda row: (row[i],)
+    return itemgetter(*positions) if positions else lambda row: ()
+
+
+def _both(a, b):
+    return lambda row: a(row) and b(row)
+
+
+def _either(a, b):
+    return lambda row: a(row) or b(row)
+
+
+class _Ctx:
+    """One structure under evaluation, with relation indexes built on demand."""
+
+    def __init__(self, s: Structure) -> None:
+        self.univ = s.universe
+        self.structure = s
+        self.indexes: dict[tuple, dict[tuple, set[tuple]]] = {}
+
+    def rows(self, name: str, arity: int) -> frozenset:
+        s = self.structure
+        if name not in s.relations:
+            raise LogicError(f"unknown relation {name}")
+        return s.relations[name] if s.vocabulary[name] == arity else frozenset()
+
+    def index(self, name: str, args: tuple[str, ...], known: tuple[str, ...]):
+        """Relation ``name`` read as ``args``: values of ``known`` -> the others'."""
+        index = self.indexes.get((name, args, known))
+        if index is None:  # atoms alike up to variable names share one index
+            keys = [args.index(v) for v in known]
+            keep = [args.index(v) for v in dict.fromkeys(args) if v not in known]
+            dups = [(i, args.index(v)) for i, v in enumerate(args) if args.index(v) != i]
+            shape = (name, len(args), tuple(keys), tuple(keep), tuple(dups))
+            index = self.indexes.get(shape)
+            if index is None:
+                index = self.indexes[shape] = {}
+                key, rest = _getter(keys), _getter(keep)
+                for row in self.rows(name, len(args)):
+                    if all(row[i] == row[j] for i, j in dups):
+                        index.setdefault(key(row), set()).add(rest(row))
+            self.indexes[name, args, known] = index
+        return index
+
+
+class _Node:
+    """Plan node; ``free`` lists its free variables, ``fset`` holds them."""
+
+    direct = False  # sat takes rows with columns beyond the node's variables
+
+    def __init__(self, free) -> None:
+        self.free = tuple(dict.fromkeys(free))
+        self.fset = frozenset(self.free)
+
+    def rank(self, ctx: _Ctx, bound: set[str]) -> tuple[int, float]:
+        """Sort key at a conjunction whose rows bind ``bound``; least goes next.
+
+        Bound conjuncts come first, then those sharing a variable with the
+        rows, atoms by the rows they add per row; cross products come last.
+        """
+        if self.fset <= bound:
+            return (0, 0 if self.direct else 1)
+        shares = not bound.isdisjoint(self.fset)
+        if self.direct:
+            return (1 if shares else 3, self.fanout(ctx, bound))
+        return (2 if shares else 4, 0)
+
+
+class _Const(_Node):
+    def __init__(self, value: bool) -> None:
+        super().__init__(())
+        self.value = value
+
+    def test(self, ctx, cols):
+        return lambda row: self.value
+
+
+class _Atom(_Node):
+    direct = True
+
+    def __init__(self, name: str, args: tuple[str, ...]) -> None:
+        super().__init__(args)
+        self.name, self.args = name, args
+
+    def fanout(self, ctx: _Ctx, bound) -> float:
+        """Rows that a row binding ``bound`` gains, on average, from this atom."""
+        known = tuple(v for v in self.free if v in bound)
+        index = ctx.index(self.name, self.args, known)
+        return sum(map(len, index.values())) / max(1, len(index))
+
+    def sat(self, ctx, cols, rows):
+        known = tuple(v for v in self.free if v in cols)
+        new = tuple(v for v in self.free if v not in cols)
+        get = ctx.index(self.name, self.args, known).get
+        if known == cols:
+            return cols + new, {r + e for r in rows for e in get(r, ())}
+        key = _getter([cols.index(v) for v in known])
+        return cols + new, {r + e for r in rows for e in get(key(r), ())}
+
+    def test(self, ctx, cols):
+        rel = ctx.rows(self.name, len(self.args))
+        if len(self.args) == 1:
+            i = cols.index(self.args[0])
+            return lambda row: (row[i],) in rel
+        key = itemgetter(*[cols.index(v) for v in self.args])
+        return lambda row: key(row) in rel
+
+
+class _Same(_Node):
+    direct = True
+
+    def fanout(self, ctx, bound):
+        return len(ctx.univ) if bound.isdisjoint(self.fset) else 1
+
+    def sat(self, ctx, cols, rows):
+        known = [cols.index(v) for v in self.free if v in cols]
+        new = tuple(v for v in self.free if v not in cols)
+        if known:  # copy the bound side into the other
+            i = known[0]
+            return cols + new, {r + (r[i],) for r in rows}
+        return cols + new, {r + (u,) * len(new) for r in rows for u in ctx.univ}
+
+    def test(self, ctx, cols):
+        i, j = cols.index(self.free[0]), cols.index(self.free[-1])
+        return lambda row: row[i] == row[j]
+
+
+class _Neg(_Node):
+    def __init__(self, body: _Node) -> None:
+        super().__init__(body.free)
+        self.body = body
+
+    def rank(self, ctx, bound):
+        return (0, 1) if self.fset <= bound else (5, 0)
+
+    def sat(self, ctx, cols, rows):
+        bcols, bad = self.body.sat(ctx, cols, rows)
+        exts = list(iproduct(ctx.univ, repeat=len(bcols) - len(cols)))
+        return bcols, {r + e for r in rows for e in exts} - bad
+
+    def test(self, ctx, cols):
+        body = self.body.test(ctx, cols)
+        return lambda row: not body(row)
+
+
+class _Some(_Node):
+    def __init__(self, var: str, body: _Node) -> None:
+        super().__init__(v for v in body.free if v != var)
+        self.var, self.body = var, body
+
+    def sat(self, ctx, cols, rows):
+        bcols, brows = self.body.sat(ctx, cols, rows)
+        if self.var not in bcols:
+            return bcols, (brows if ctx.univ else set())
+        i = bcols.index(self.var)
+        return bcols[:i] + bcols[i + 1 :], {r[:i] + r[i + 1 :] for r in brows}
+
+    def test(self, ctx, cols):
+        """A witness search per row.  The body's atoms on the variable give
+        candidate sets to intersect; its other conjuncts on the variable check
+        the candidates left, and those without it are checked once per row."""
+        var = self.var
+        parts = self.body.parts if isinstance(self.body, _All) else (self.body,)
+        bound = set(cols) - {var}
+        atoms = [p for p in parts if isinstance(p, _Atom) and var in p.fset]
+        lookups = []
+        for atom in sorted(atoms, key=lambda p: p.fanout(ctx, bound)):
+            known = tuple(v for v in atom.free if v != var)
+            index = ctx.index(atom.name, atom.args, known)
+            lookups.append((_getter([cols.index(v) for v in known]), index.get))
+        rest = [p for p in parts if var in p.fset and not isinstance(p, _Atom)]
+        inner = tuple(None if v == var else v for v in cols) + (var,)  # var may shadow
+        check = _tests(ctx, inner, rest, _both) if rest else None
+        everything = None if lookups else {(u,) for u in ctx.univ}
+
+        def witness(row: tuple) -> bool:
+            found = everything
+            for key, get in lookups:
+                hits = get(key(row), _NONE)
+                found = hits if found is None else found & hits
+                if not found:
+                    return False
+            return bool(found) if check is None else any(check(row + e) for e in found)
+
+        outside = [p for p in parts if var not in p.fset]
+        if outside:
+            first = _tests(ctx, cols, outside, _both)
+            return lambda row: first(row) and witness(row)
+        return witness
+
+
+_NONE: frozenset = frozenset()
+
+
+def _tests(ctx: _Ctx, cols: tuple[str, ...], parts, join):
+    """One row test for ``parts`` joined by ``join``: atoms first, sparsest first."""
+
+    def cost(p: _Node) -> tuple[int, float]:
+        if isinstance(p, _Atom):
+            return (0, len(ctx.rows(p.name, len(p.args))) / max(1, len(ctx.univ)) ** len(p.args))
+        return (0 if p.direct else 1, 0)
+
+    tests = [p.test(ctx, cols) for p in sorted(parts, key=cost)]
+    out = tests.pop()
+    for t in reversed(tests):
+        out = join(t, out)
+    return out
+
+
+class _All(_Node):
+    def __init__(self, parts: list[_Node]) -> None:
+        super().__init__(v for p in parts for v in p.free)
+        self.parts = tuple(parts)
+
+    def sat(self, ctx, cols, rows):
+        todo = list(self.parts)
+        while todo and rows:
+            bound = set(cols)
+            part = min(todo, key=lambda p: p.rank(ctx, bound))
+            todo.remove(part)
+            cols, rows = _extend(part, ctx, cols, rows)
+        return cols + tuple(v for v in self.free if v not in cols), rows
+
+    def test(self, ctx, cols):
+        return _tests(ctx, cols, self.parts, _both)
+
+
+class _Any(_Node):
+    def __init__(self, parts: list[_Node]) -> None:
+        super().__init__(v for p in parts for v in p.free)
+        self.parts = tuple(parts)
+
+    def sat(self, ctx, cols, rows):
+        target = cols + tuple(v for v in self.free if v not in cols)
         out: Rows = set()
-        for o, rows in parts:
-            out |= _cylindrify(o, rows, order, univ)
-        return order, out
-    if isinstance(phi, Exists):
-        order, rows = _sat(s, phi.body)
-        if phi.var not in order:
-            return order, (rows if univ else set())
-        i = order.index(phi.var)
-        keep = order[:i] + order[i + 1 :]
-        return keep, {row[:i] + row[i + 1 :] for row in rows}
-    raise TypeError(f"not desugared: {phi!r}")
+        for part in self.parts:
+            out |= _cylindrify(*_extend(part, ctx, cols, rows), target, ctx.univ)
+        return target, out
+
+    def test(self, ctx, cols):
+        return _tests(ctx, cols, self.parts, _either)
 
 
-def _join(
-    avars: tuple[str, ...], arows: Rows, bvars: tuple[str, ...], brows: Rows
-) -> tuple[tuple[str, ...], Rows]:
-    shared = [v for v in bvars if v in avars]
-    extra = [v for v in bvars if v not in avars]
-    akey = [avars.index(v) for v in shared]
-    bkey = [bvars.index(v) for v in shared]
-    bext = [bvars.index(v) for v in extra]
+def _extend(node: _Node, ctx: _Ctx, cols: tuple[str, ...], rows: Rows):
+    """Rows over ``cols`` extended by ``node``'s other free variables, where it holds.
+
+    Unless ``node`` reads the rows directly, it is solved under their
+    projection onto its own variables and joined back on them.
+    """
+    if not rows:
+        return cols + tuple(v for v in node.free if v not in cols), set()
+    shared = tuple(v for v in cols if v in node.fset)
+    bound = len(shared) == len(node.free)
+    if node.direct or shared == cols:
+        return (cols, set(filter(node.test(ctx, cols), rows))) if bound else node.sat(ctx, cols, rows)
+    key = _getter([cols.index(v) for v in shared])
+    part = {key(r) for r in rows}
+    if bound:
+        good = set(filter(node.test(ctx, shared), part))
+        return cols, {r for r in rows if key(r) in good}
+    ncols, nrows = node.sat(ctx, shared, part)
+    k = len(shared)
     index: dict[tuple, list[tuple]] = {}
-    for row in brows:
-        index.setdefault(tuple(row[i] for i in bkey), []).append(tuple(row[i] for i in bext))
-    out = set()
-    for row in arows:
-        for ext in index.get(tuple(row[i] for i in akey), ()):
-            out.add(row + ext)
-    return avars + tuple(extra), out
+    for row in nrows:
+        index.setdefault(row[:k], []).append(row[k:])
+    return cols + ncols[k:], {r + e for r in rows for e in index.get(key(r), ())}
 
 
 def _cylindrify(
     order: tuple[str, ...], rows: Rows, target: tuple[str, ...], univ: tuple[int, ...]
 ) -> Rows:
+    """Rows over ``order`` as rows over ``target``, any value in the other places."""
     if order == target:
         return set(rows)
-    missing = [v for v in target if v not in order]
-    slots = []
-    for v in target:
-        slots.append(("r", order.index(v)) if v in order else ("e", missing.index(v)))
-    out = set()
-    for row in rows:
-        for ext in iproduct(univ, repeat=len(missing)):
-            out.add(tuple(row[i] if kind == "r" else ext[i] for kind, i in slots))
-    return out
+    missing = tuple(v for v in target if v not in order)
+    pick = _getter([(order + missing).index(v) for v in target])
+    exts = list(iproduct(univ, repeat=len(missing)))
+    return {pick(r + e) for r in rows for e in exts}
+
+
+def _junction(kind: type, parts: list[_Node]) -> _Node:
+    """``kind`` (_All or _Any) of ``parts``, flattened, with constants folded."""
+    unit = kind is _All  # the constant that drops out; the other one absorbs
+    flat: list[_Node] = []
+    for p in parts:
+        if isinstance(p, _Const):
+            if p.value != unit:
+                return p
+        else:
+            flat.extend(p.parts if isinstance(p, kind) else (p,))
+    return kind(flat) if len(flat) > 1 else (flat[0] if flat else _Const(unit))
+
+
+def _negate(node: _Node) -> _Node:
+    return _Const(not node.value) if isinstance(node, _Const) else _Neg(node)
+
+
+@lru_cache(maxsize=None)
+def _plan(phi: Formula, positive: bool) -> _Node:
+    """Plan for ``phi``, or for its negation when ``positive`` is false."""
+    if isinstance(phi, (TrueF, FalseF)):
+        return _Const(isinstance(phi, TrueF) == positive)
+    if isinstance(phi, (Rel, Eq)):
+        atom = _Atom(phi.name, phi.args) if isinstance(phi, Rel) else _Same((phi.left, phi.right))
+        return atom if positive else _Neg(atom)
+    if isinstance(phi, Not):
+        return _plan(phi.body, not positive)
+    if isinstance(phi, And):
+        both = _junction(_All, [_plan(p, True) for p in phi.parts])
+        return both if positive else _negate(both)
+    either = _Any if positive else _All
+    if isinstance(phi, Or):
+        return _junction(either, [_plan(p, positive) for p in phi.parts])
+    if isinstance(phi, Implies):
+        return _junction(either, [_plan(phi.left, not positive), _plan(phi.right, positive)])
+    if isinstance(phi, Iff):
+        a, na = _plan(phi.left, True), _plan(phi.left, False)
+        b, nb = _plan(phi.right, positive), _plan(phi.right, not positive)
+        return _junction(_Any, [_junction(_All, [a, b]), _junction(_All, [na, nb])])
+    if isinstance(phi, (Exists, Forall)):
+        some = _Some(phi.var, _plan(phi.body, isinstance(phi, Exists)))
+        return some if positive == isinstance(phi, Exists) else _negate(some)
+    raise TypeError(f"not a formula: {phi!r}")
+
+
+def _solve(ctx: _Ctx, phi: Formula, want: tuple[str, ...]) -> Rows:
+    cols, rows = _extend(_plan(phi, True), ctx, (), {()})
+    return _cylindrify(cols, rows, want, ctx.univ)
 
 
 def sat_rows(s: Structure, phi: Formula, want: tuple[str, ...]) -> Rows:
@@ -508,8 +771,7 @@ def sat_rows(s: Structure, phi: Formula, want: tuple[str, ...]) -> Rows:
     frees = free_vars(phi)
     if not frees <= set(want):
         raise LogicError(f"free variables {sorted(frees - set(want))} not among {want}")
-    order, rows = _sat(s, _desugar(phi))
-    return _cylindrify(order, rows, want, s.universe)
+    return _solve(_Ctx(s), phi, want)
 
 
 # ----------------------------------------------------------- word structures
@@ -620,12 +882,12 @@ def apply_interpretation(interp: Interpretation1D, s: Structure) -> Structure:
     for name, arity in interp.input_vocab.items():
         if s.vocabulary.get(name) != arity:
             raise LogicError(f"vocabulary mismatch: input needs {name}/{arity}")
-    var = interp.universe_var
-    universe = sorted(u for (u,) in sat_rows(s, interp.universe_formula, (var,)))
+    ctx = _Ctx(s)
+    universe = sorted(u for (u,) in _solve(ctx, interp.universe_formula, (interp.universe_var,)))
     inside = set(universe)
     rels: dict[str, frozenset] = {}
     for name, (phi, order) in interp.relation_formulas.items():
-        rows = sat_rows(s, phi, order)
+        rows = _solve(ctx, phi, order)
         rels[name] = frozenset(r for r in rows if all(e in inside for e in r))
     return Structure(tuple(universe), dict(interp.output_vocab), rels)
 

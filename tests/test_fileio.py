@@ -1,9 +1,12 @@
 """On-disk formats: round trips, tamper detection, and the workspace index."""
+import shlex
+
 import pytest
 
 from helpers import AB, CD, DEEP_MIX_TYPE, sym_list
 from listfn.fileio import (
     FileFormatError,
+    _fields,
     Workspace,
     format_structure,
     load_artifact,
@@ -177,3 +180,13 @@ def test_workspace_indexes_by_stem(tmp_path):
     save_type(tmp_path / "rev.ltype", CD)
     with pytest.raises(FileFormatError):
         ws.add_file(tmp_path / "rev.ltype")  # duplicate stem
+
+
+def test_field_splitting_matches_shlex():
+    corpus = [
+        "", "   ", "a b c", "\ta\t b \t", "a\rb\nc", "12 7 3", "x\xa0y z",
+        "a\x0bb\x0cc d", "a#b # c", "# a comment", "\u00e9 \u00fc\u2003v \u3000w",
+        "'a b' c", '"a b" c', "a\\ b", "it\\'s", "p 'q\tq' \"r\\\"s\"", "''", '"" x',
+    ]
+    for line in corpus:
+        assert _fields(line, "corpus") == shlex.split(line, comments=False), line

@@ -3,8 +3,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import AB, DEEP_MIX_TYPE, sym_list
+from helpers import AB, CD, DEEP_MIX_TYPE, sym_list
 from listfn.logic import (
     Structure,
     apply_transduction,
@@ -30,6 +32,7 @@ from listfn.terms import eval_term, infer_type
 from listfn.types import (
     FinSet,
     List,
+    ParseError,
     Sym,
     TypeMismatch,
     enumerate_values,
@@ -46,6 +49,13 @@ FORMULAS = [
     "A x. (Q_a(x) -> E y. (S(x,y) & Q_b(y)))",
     "(E x. Q_a(x)) <-> !(A x. Q_b(x))",
     "E x. E y. x != y",
+    "lt(x,y) & !(E z. lt(x,z) & lt(z,y))",
+    "x = y & E x. Q_a(x)",
+    "lt(x,y) & (Q_a(x) | E x. S(y,x) & !Q_a(x))",
+    "!!Q_a(x)",
+    "!Q_a(x) <-> !S(x,y)",
+    "lt(x,x) | S(x,x) | Q_b(x)",
+    "A x. false",
 ]
 
 
@@ -53,6 +63,38 @@ FORMULAS = [
 def test_formula_text_round_trip(text):
     f = parse_formula(text)
     assert parse_formula(render_formula(f)) == f
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 2000 + "true" + ")" * 2000,
+    "!" * 5000 + "true",
+    "E x. " * 3000 + "true",
+    "true -> " * 3000 + "true",
+    "true <-> " * 3000 + "true",
+], ids=["parens", "negations", "quantifiers", "implies", "iff"])
+def test_parse_formula_rejects_deep_nesting(text):
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_formula(text)
+
+
+_FORMULA_PIECES = ["(", ")", "!", "E", "A", "x", "y", ".", ",", "&", "|", "->",
+                   "<->", "=", "!=", "Q_a", "true", " "]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.one_of(
+    st.text(),
+    st.lists(st.sampled_from(_FORMULA_PIECES), max_size=600).map("".join),
+    st.builds(lambda prefix, n, rest: prefix * n + rest,
+              st.sampled_from(["(", "!", "E x. ", "true -> ", "true <-> "]),
+              st.integers(0, 3000), st.text(max_size=30)),
+))
+def test_parse_formula_raises_only_parse_errors(text):
+    try:
+        phi = parse_formula(text)
+    except ParseError:
+        return
+    assert isinstance(render_formula(phi), str)
 
 
 def test_free_vars():
@@ -89,6 +131,31 @@ def test_sat_rows_agrees_with_pointwise_evaluation(text):
             tup for tup in itertools.product(s.universe, repeat=len(wanted))
             if eval_formula(s, f, dict(zip(wanted, tup)))}
         assert rows == brute, (text, w)
+
+
+_FOT_CASES = [("reverse", (AB,)), ("append", (AB,)), ("coappend", (AB,)),
+              ("flat", (AB,)), ("block", (AB, CD)), ("ab_example", ())]
+
+
+@pytest.mark.parametrize("name,types", _FOT_CASES, ids=[c[0] for c in _FOT_CASES])
+def test_transduction_formulas_agree_with_pointwise_evaluation(name, types):
+    fot = builtin_fot(name, *types)
+    if types:
+        dom = infer_type(builtin_term(name, *types))[0]
+        inputs = [encode_value(v, dom) for v in enumerate_values(dom, 5)]
+    else:
+        inputs = [word_structure("".join(w))
+                  for n in range(6) for w in itertools.product("ab", repeat=n)]
+    interp = fot.interp
+    formulas = [(interp.universe_formula, (interp.universe_var,)),
+                *interp.relation_formulas.values()]
+    for s in inputs:
+        s = copy_k(s, fot.k)
+        for phi, order in formulas:
+            brute = {
+                tup for tup in itertools.product(s.universe, repeat=len(order))
+                if eval_formula(s, phi, dict(zip(order, tup)))}
+            assert sat_rows(s, phi, order) == brute, (name, render_formula(phi))
 
 
 def test_copy_k_duplicates_the_universe():
