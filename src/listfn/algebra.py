@@ -5,6 +5,14 @@ semigroups: a single generator gives one flat node, otherwise a strict
 one-sided ideal is used to colour the word, pair adjacent runs and recurse in
 a smaller semigroup.  The achieved depth depends on the semigroup only, never
 on the length of the word.
+
+Each semigroup numbers its elements once (``index``) and keeps the integer
+Cayley table that its associativity check builds (``table``) and its
+aperiodicity index.  The builder works on element numbers and turns them into
+names only for node labels.  Which one-sided ideal splits a word depends only
+on the set of its letters' images, so that choice is memoised per generator
+set on the semigroup object itself, filled on first use: a long-lived
+semigroup such as the cached T_k computes each closure once.
 """
 from __future__ import annotations
 
@@ -17,18 +25,28 @@ class NotAperiodicError(ValueError):
 
 
 class FiniteSemigroup:
-    """Finite set of named elements with an associative product table."""
+    """Finite set of named elements with an associative product table.
+
+    ``index`` numbers the elements, ``table[i][j]`` is the number of the
+    product of elements i and j, and ``aperiodicity`` is the aperiodicity
+    index (None when some powers cycle).
+    """
 
     def __init__(self, elements: Sequence[str], mult: dict[tuple[str, str], str]):
         self.elements = tuple(elements)
         if len(set(self.elements)) != len(self.elements) or not self.elements:
             raise ValueError("elements must be distinct and nonempty")
         self._mult = dict(mult)
-        self._check_table()
+        self.index = {e: i for i, e in enumerate(self.elements)}
+        self.table = self._check_table()
+        self.aperiodicity = _aperiodicity(self.table)
+        # generator set (element indices, ascending) -> (g, right) split choice
+        self._splits: dict[tuple[int, ...], tuple[int, bool]] = {}
 
-    def _check_table(self) -> None:
+    def _check_table(self) -> list[list[int]]:
+        """Integer Cayley table: ``table[i][j]`` indexes element i·j."""
         els = self.elements
-        index = {e: i for i, e in enumerate(els)}
+        index = self.index
         n = len(els)
         table = [[0] * n for _ in range(n)]
         for a in els:
@@ -50,6 +68,7 @@ class FiniteSemigroup:
                         raise ValueError(
                             "associativity fails at "
                             f"({els[i]},{els[j]},{els[k]})")
+        return table
 
     def mult(self, a: str, b: str) -> str:
         return self._mult[(a, b)]
@@ -96,14 +115,13 @@ class FiniteMonoid(FiniteSemigroup):
         return acc
 
 
-def aperiodicity_index(s: FiniteSemigroup) -> int | None:
-    """Least n with mⁿ = mⁿ⁺¹ for every m, or None when powers keep cycling."""
+def _aperiodicity(table: list[list[int]]) -> int | None:
     worst = 1
-    for m in s.elements:
+    for m in range(len(table)):
         power = m
         n = 1
-        while n <= len(s):
-            nxt = s.mult(power, m)
+        while n <= len(table):
+            nxt = table[power][m]
             if nxt == power:
                 break
             power = nxt
@@ -112,6 +130,11 @@ def aperiodicity_index(s: FiniteSemigroup) -> int | None:
             return None
         worst = max(worst, n)
     return worst
+
+
+def aperiodicity_index(s: FiniteSemigroup) -> int | None:
+    """Least n with mⁿ = mⁿ⁺¹ for every m, or None when powers keep cycling."""
+    return s.aperiodicity
 
 
 def is_aperiodic(s: FiniteSemigroup) -> bool:
@@ -212,65 +235,79 @@ def validate_factorisation(h: Homomorphism, t: FactTree) -> ValidationResult:
 
 # ------------------------------------------------------------------- builder
 
-def _closure(s: FiniteSemigroup, gens: Iterable[str]) -> frozenset[str]:
-    seen = set(gens)
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(seen):
-                for c in (s.mult(a, b), s.mult(b, a)):
-                    if c not in seen:
-                        seen.add(c)
-                        nxt.append(c)
-        frontier = nxt
-    return frozenset(seen)
-
-
 def build_factorisation(h: Homomorphism, word: Sequence[Hashable]) -> FactTree:
     """Bounded-depth factorisation tree of a nonempty word under ``h``."""
     s = h.target
-    if aperiodicity_index(s) is None:
+    if s.aperiodicity is None:
         raise NotAperiodicError("factorisation trees need an aperiodic target")
     if not word:
         raise ValueError("cannot factorise the empty word")
-    items = [(Node(h(a), (Leaf(a),)), h(a)) for a in word]
+    index = s.index
+    items = []
+    for a in word:
+        name = h(a)
+        if name not in index:
+            raise ValueError(f"letter {a!r} maps to {name!r}, not an element")
+        items.append((Node(name, (Leaf(a),)), index[name]))
     tree, _ = _combine(s, items)
     return tree
 
 
-def _order_key(s: FiniteSemigroup):
-    index = {e: i for i, e in enumerate(s.elements)}
-    return lambda e: index[e]
-
+# Items below carry (tree, index of its label in s.elements).
 
 def _combine(s: FiniteSemigroup,
-             items: list[tuple[FactTree, str]]) -> tuple[FactTree, str]:
+             items: list[tuple[FactTree, int]]) -> tuple[FactTree, int]:
     if len(items) == 1:
         return items[0]
-    gens = sorted({v for _, v in items}, key=_order_key(s))
+    gens = tuple(sorted({v for _, v in items}))
     if len(gens) == 1:
-        label = s.power(gens[0], len(items))
-        return (Node(label, tuple(t for t, _ in items)), label)
-    active = _closure(s, gens)
-    for right in (True, False):
+        label = gens[0]
+        row = s.table[label]
+        for _ in range(min(len(items), s.aperiodicity) - 1):
+            label = row[label]
+        return (Node(s.elements[label], tuple(t for t, _ in items)), label)
+    choice = s._splits.get(gens)
+    if choice is None:
+        choice = s._splits[gens] = _split_choice(s.table, gens)
+    return _split(s, items, *choice)
+
+
+def _split_choice(table: list[list[int]],
+                  gens: tuple[int, ...]) -> tuple[int, bool]:
+    """First (g, right) whose ideal is strict in the closure of ``gens``.
+
+    Right ideals (closure·g) are tried before left ones (g·closure), each
+    with the generators in element order.
+    """
+    active = set(gens)
+    work = list(gens)
+    while work:
+        row = table[work.pop()]
         for g in gens:
-            ideal = frozenset(s.mult(t, g) if right else s.mult(g, t)
-                              for t in active)
-            if ideal < active:
-                return _split(s, items, g, right)
+            c = row[g]
+            if c not in active:
+                active.add(c)
+                work.append(c)
+    size = len(active)
+    for g in gens:
+        if len({table[t][g] for t in active}) < size:
+            return g, True
+    for g in gens:
+        row = table[g]
+        if len({row[t] for t in active}) < size:
+            return g, False
     raise AssertionError("no strict ideal found; semigroup is not aperiodic")
 
 
-def _binary(s: FiniteSemigroup, a: tuple[FactTree, str],
-            b: tuple[FactTree, str]) -> tuple[FactTree, str]:
-    label = s.mult(a[1], b[1])
-    return (Node(label, (a[0], b[0])), label)
+def _binary(s: FiniteSemigroup, a: tuple[FactTree, int],
+            b: tuple[FactTree, int]) -> tuple[FactTree, int]:
+    label = s.table[a[1]][b[1]]
+    return (Node(s.elements[label], (a[0], b[0])), label)
 
 
-def _split(s: FiniteSemigroup, items: list[tuple[FactTree, str]],
-           g: str, right: bool) -> tuple[FactTree, str]:
-    runs: list[list[tuple[FactTree, str]]] = []
+def _split(s: FiniteSemigroup, items: list[tuple[FactTree, int]],
+           g: int, right: bool) -> tuple[FactTree, int]:
+    runs: list[list[tuple[FactTree, int]]] = []
     for item in items:
         red = item[1] == g
         if runs and (runs[-1][0][1] == g) == red:
@@ -281,7 +318,6 @@ def _split(s: FiniteSemigroup, items: list[tuple[FactTree, str]],
     # a pair is blue·red for a right ideal, red·blue for a left one
     pre = post = None
     first_is_red = runs[0][0][1] == g
-    last_is_red = runs[-1][0][1] == g
     if right:
         if first_is_red:
             pre = runs.pop(0)

@@ -382,8 +382,10 @@ def render_formula(phi: Formula) -> str:
     return _render(phi, 0)
 
 
-def _render(phi: Formula, ctx: int) -> str:
-    # precedence levels: 0 quantifier body, 1 iff, 2 implies, 3 or, 4 and, 5 unary
+def _render(phi: Formula, ctx: int, tail: bool = True) -> str:
+    # precedence levels: 0 quantifier body, 1 iff, 2 implies, 3 or, 4 and, 5 unary;
+    # ``tail``: no text follows phi's before its context closes, so a
+    # quantifier there may stay bare (it scopes to the end of its context)
     def wrap(text: str, level: int) -> str:
         return f"({text})" if level < ctx else text
 
@@ -398,15 +400,22 @@ def _render(phi: Formula, ctx: int) -> str:
     if isinstance(phi, Not):
         if isinstance(phi.body, Eq):
             return wrap(f"{phi.body.left} != {phi.body.right}", 5)
-        return wrap(f"!{_render(phi.body, 5)}", 5)
-    if isinstance(phi, And):
-        return wrap(" & ".join(_render(p, 5) for p in phi.parts), 4)
-    if isinstance(phi, Or):
-        return wrap(" | ".join(_render(p, 4) for p in phi.parts), 3)
+        if tail and isinstance(phi.body, (Exists, Forall)):
+            return f"!{_render(phi.body, 0)}"
+        return wrap(f"!{_render(phi.body, 5, tail)}", 5)
+    if isinstance(phi, (And, Or)):
+        level = 4 if isinstance(phi, And) else 3
+        inner = tail or level < ctx
+        last = len(phi.parts) - 1
+        return wrap((" & " if level == 4 else " | ").join(
+            _render(p, level + 1, inner and i == last)
+            for i, p in enumerate(phi.parts)), level)
     if isinstance(phi, Implies):
-        return wrap(f"{_render(phi.left, 3)} -> {_render(phi.right, 2)}", 2)
+        return wrap(f"{_render(phi.left, 3, False)} -> "
+                    f"{_render(phi.right, 2, tail or 2 < ctx)}", 2)
     if isinstance(phi, Iff):
-        return wrap(f"{_render(phi.left, 2)} <-> {_render(phi.right, 2)}", 1)
+        return wrap(f"{_render(phi.left, 2, False)} <-> "
+                    f"{_render(phi.right, 2, tail or 1 < ctx)}", 1)
     if isinstance(phi, (Exists, Forall)):
         q = "E" if isinstance(phi, Exists) else "A"
         return wrap(f"{q} {phi.var}. {_render(phi.body, 0)}", 0)

@@ -202,8 +202,8 @@ def dependency_graph(tau: RegUpdate) -> set[tuple[int, int]]:
 
 def temporary_registers(tau: RegUpdate) -> set[int]:
     """Registers without a self-loop: their content never feeds back."""
-    return {i for i in range(1, len(tau) + 1)
-            if (i, i) not in dependency_graph(tau)}
+    edges = dependency_graph(tau)
+    return {i for i in range(1, len(tau) + 1) if (i, i) not in edges}
 
 
 def _window_products(etas: Sequence[RegUpdate], k: int,
@@ -215,7 +215,7 @@ def _window_products(etas: Sequence[RegUpdate], k: int,
         acc = identity_update(len(etas[0]))
         for eta in window:
             acc = update_product(acc, eta, monoid)
-        out.append(normalise(acc, monoid))
+        out.append(acc)
     return out
 
 

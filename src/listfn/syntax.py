@@ -74,6 +74,8 @@ def _tokenize(text: str) -> list[str]:
             i += 1
         if depth != 0:
             raise ParseError(f"unbalanced brackets in {text[start:i]!r}")
+        if i == start:
+            raise ParseError(f"unmatched {text[i]!r}")
         tokens.append(text[start:i])
     return tokens
 

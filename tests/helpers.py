@@ -5,6 +5,9 @@ Python, independently of the evaluator, so agreement checks are two-sided.
 """
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
+
 from listfn.terms import (
     Append,
     Block,
@@ -35,6 +38,30 @@ from listfn.types import (
     Sum,
     Sym,
 )
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the body once ``seconds`` of wall time pass.
+
+    Hypothesis' ``deadline`` only judges an example after it returns, so a
+    parser that loops forever would stall the suite without this.
+    """
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
 
 AB = FinSet(("a", "b"))
 CD = FinSet(("c", "d"))

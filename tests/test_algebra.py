@@ -100,9 +100,43 @@ def test_forest_depth_bound_closed_form():
             == 149655039677110341005845709760671787704080278)
 
 
+def _fresh_copy(m: FiniteMonoid) -> FiniteMonoid:
+    els = m.elements
+    return FiniteMonoid(els, {(a, b): m.mult(a, b) for a in els for b in els},
+                        m.identity)
+
+
+@pytest.mark.parametrize("name", ["contains-ab", "T_2", "T_3", "T_4"])
+def test_memoised_builder_matches_a_cold_one(name):
+    m = CONTAINS_AB if name == "contains-ab" else t_k_monoid(int(name[2:]))[0]
+    h = Homomorphism(m, {e: e for e in m.elements})
+    rng = random.Random(f"memo-{name}")
+
+    def word(n):
+        alphabet = rng.sample(m.elements, min(len(m), rng.randint(2, 6)))
+        return [rng.choice(alphabet) for _ in range(n)]
+
+    for _ in range(30):  # fill the split memo from other words first
+        build_factorisation(h, word(200))
+    for n in (1, 2, 3, 8, 40, 250, 1000):
+        w = word(n)
+        tree = build_factorisation(h, w)
+        cold = _fresh_copy(m)
+        assert tree == build_factorisation(
+            Homomorphism(cold, {e: e for e in cold.elements}), w)
+        assert validate_factorisation(h, tree)
+        assert tree_yield(tree) == w
+        assert tree_depth(tree) <= forest_depth_bound(m, len(set(w)))
+
+
 def test_factorisation_rejects_empty_word():
     with pytest.raises(ValueError):
         build_factorisation(hom_u1_keep_a(), "")
+
+
+def test_factorisation_rejects_letters_outside_the_semigroup():
+    with pytest.raises(ValueError, match="not an element"):
+        build_factorisation(Homomorphism(CONTAINS_AB, {"a": "zz"}), "a")
 
 
 def test_validator_rejects_wrong_labels_and_unequal_runs():

@@ -33,6 +33,13 @@ def test_syntax_errors_exit_2(capsys):
     assert err
 
 
+@pytest.mark.parametrize("text", ["}", ":}<9"])
+def test_stray_closing_brace_exits_2(capsys, text):
+    code, _, err = run(capsys, "typecheck", text)
+    assert code == 2
+    assert err
+
+
 def test_eval_basic_term(capsys):
     code, out, _ = run(capsys, "eval", "reverse@{a,b}", "[a,b]")
     assert code == 0

@@ -66,6 +66,20 @@ def test_formula_text_round_trip(text):
 
 
 @pytest.mark.parametrize("text", [
+    "!E x. " * 40 + "Q_a(x)",
+    "!A x. " * 49 + "Q_a(x)",
+    "Q_b(y) & " + "!E x. " * 40 + "Q_a(x)",
+    "(!E x. Q_a(x)) & Q_b(y)",
+    "Q_b(y) -> !A x. Q_a(x) | S(x,y)",
+    "!E x. Q_a(x) <-> !E y. Q_b(y)",
+], ids=["negated-exists", "negated-forall-99", "after-and", "before-and",
+        "after-implies", "scope-to-end"])
+def test_negated_quantifiers_render_to_text_that_parses(text):
+    f = parse_formula(text)
+    assert parse_formula(render_formula(f)) == f
+
+
+@pytest.mark.parametrize("text", [
     "(" * 2000 + "true" + ")" * 2000,
     "!" * 5000 + "true",
     "E x. " * 3000 + "true",
@@ -94,7 +108,7 @@ def test_parse_formula_raises_only_parse_errors(text):
         phi = parse_formula(text)
     except ParseError:
         return
-    assert isinstance(render_formula(phi), str)
+    assert parse_formula(render_formula(phi)) == phi
 
 
 def test_free_vars():

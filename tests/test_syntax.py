@@ -1,7 +1,9 @@
 """Concrete term syntax: parse/render round trips and error reporting."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import AB, BASICS, CD
+from helpers import AB, BASICS, CD, time_limit
 from listfn.samples import SAMPLE_GROUPS
 from listfn.stdlib import comma, filter_left, len_upto, list_to_pair
 from listfn.syntax import parse_term, render_term
@@ -10,10 +12,11 @@ from listfn.terms import (
     Map,
     PrefixGroupMult,
     Reverse,
+    TermTypeError,
     eval_term,
     infer_type,
 )
-from listfn.types import FinSet, ParseError, Sym, enumerate_values
+from listfn.types import FinSet, ParseError, Sym, TypeMismatch, enumerate_values
 
 ROUND_TRIP_TERMS = (
     [t for _, t, _ in BASICS]
@@ -65,6 +68,10 @@ def test_parse_reports_errors():
         parse_term("")
     with pytest.raises(ParseError):
         parse_term("std:len_upto@x,{a}")  # catalog number argument
+    with pytest.raises(ParseError):
+        parse_term("}")  # a bare atom cannot start at a closing brace
+    with pytest.raises(ParseError):
+        parse_term(":}<9")
 
 
 def test_custom_group_table():
@@ -73,3 +80,28 @@ def test_custom_group_table():
     assert term == PrefixGroupMult(SAMPLE_GROUPS["z2"])
     with pytest.raises(ParseError):
         parse_term("(gprefix z2)", groups=groups)
+
+
+# No digit pieces: std:len_upto@N and std:windows@N build terms whose size
+# grows with N, so a long run of digits would exhaust memory, not the parser.
+_TERM_PIECES = ["(", ")", "{", "}", "[", "]", ",", "@", '"', " ", "\n", "a",
+                "b", "#", ":", "<", "^*", "+", "*", "reverse", "compose",
+                "map", "union", "pair", "const", "gprefix", "z2", "std:",
+                "comma", "len_upto"]
+
+
+@settings(derandomize=True, max_examples=300, deadline=1000)
+@given(st.one_of(
+    st.text(max_size=120),
+    st.lists(st.sampled_from(_TERM_PIECES), max_size=120).map("".join),
+))
+def test_parse_term_raises_only_parse_errors(text):
+    """Malformed text is a ParseError; text whose parts do not fit together
+    (an unknown std: entry, a constant outside its codomain) raises the
+    typing errors that the CLI reports with exit 3."""
+    with time_limit(2):
+        try:
+            term = parse_term(text)
+        except (ParseError, TermTypeError, TypeMismatch):
+            return
+    assert parse_term(render_term(term)) == term

@@ -2,8 +2,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import AB, CD, DEEP_MIX_TYPE, sym_list
+from helpers import AB, CD, DEEP_MIX_TYPE, sym_list, time_limit
 from listfn.types import (
     BOT,
     Bot,
@@ -169,3 +171,36 @@ def test_string_encoding_rejects_corrupt_text():
         string_decode(good + good, t)
     with pytest.raises(EncodingError):
         string_decode(good[:-1], t)
+
+
+# Bracket-heavy text.  At most 120 pieces, so brackets nest far less deep
+# than the ~250 levels where parse_type runs out of Python stack (deeper
+# input is a RecursionError, which the CLI reports as exit 3).
+_TEXT_PIECES = ["{", "}", "[", "]", "(", ")", ",", "+", "*", "×", "^*", "^",
+                "a", "b", "#", "@", '"', " ", "inl", "inr", "bot", ":", "9"]
+_FUZZ_TEXT = st.one_of(
+    st.text(max_size=120),
+    st.lists(st.sampled_from(_TEXT_PIECES), max_size=120).map("".join),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=1000)
+@given(_FUZZ_TEXT)
+def test_parse_type_raises_only_parse_errors(text):
+    with time_limit(2):
+        try:
+            t = parse_type(text)
+        except ParseError:
+            return
+    assert parse_type(render_type(t)) == t
+
+
+@settings(derandomize=True, max_examples=300, deadline=1000)
+@given(_FUZZ_TEXT)
+def test_parse_value_raises_only_parse_errors(text):
+    with time_limit(2):
+        try:
+            v = parse_value(text)
+        except ParseError:
+            return
+    assert parse_value(render_value(v)) == v
