@@ -27,7 +27,6 @@ from .logic import (
     EncodingError,
     FOTransduction,
     Formula,
-    Interpretation1D,
     LogicError,
     Structure,
     apply_transduction,

@@ -501,40 +501,42 @@ def _check_stdlib(seed: int, count: int) -> dict:
     return {"entries": len(CATALOG), "cases": cases, "failures": failures}
 
 
-_CHECKS = ["rational", "registers-fold", "fot-commute", "sst", "forest",
-           "stdlib"]
+def _check_fot_builtins(seed: int, count: int, args) -> dict:
+    """fot-commute over ``args.target``, or over every builtin; failures name theirs."""
+    targets = [args.target] if args.target else list(builtin_names())
+    report = {"cases": 0, "failures": []}
+    for name in targets:
+        sub = _check_fot_commute(name, seed, count, args.types)
+        report["cases"] += sub["cases"]
+        report["failures"].extend(f"{name}: {f}" for f in sub["failures"])
+    report["builtins"] = ", ".join(targets)
+    return report
+
+
+# name -> check(seed, count, parsed arguments) -> report with "failures"
+_CHECKS = {
+    "rational": lambda seed, count, args: _check_rational(seed, count),
+    "registers-fold": lambda seed, count, args: _check_registers_fold(seed, count),
+    "fot-commute": _check_fot_builtins,
+    "sst": lambda seed, count, args: _check_sst(seed, count),
+    "forest": lambda seed, count, args: _check_forest(seed, count),
+    "stdlib": lambda seed, count, args: _check_stdlib(seed, count),
+}
 
 
 def cmd_check(args, rep: Reporter) -> int:
     seed = _resolve_seed(args)
     count = args.count
-    which = _CHECKS if args.which == "all" else [args.which]
+    if count < 1:
+        raise ParseError(f"--count must be at least 1, got {count}")
+    which = list(_CHECKS) if args.which == "all" else [args.which]
     if args.which == "fot-commute" and args.target is None:
         raise ParseError(
             f"check fot-commute needs a builtin name: "
             f"{', '.join(builtin_names())}")
     worst = 0
     for check in which:
-        if check == "rational":
-            report = _check_rational(seed, count)
-        elif check == "registers-fold":
-            report = _check_registers_fold(seed, count)
-        elif check == "fot-commute":
-            targets = ([args.target] if args.target
-                       else list(builtin_names()))
-            report = {"cases": 0, "failures": []}
-            for target in targets:
-                sub = _check_fot_commute(target, seed, count, args.types)
-                report["cases"] += sub["cases"]
-                report["failures"].extend(
-                    f"{target}: {f}" for f in sub["failures"])
-            report["builtins"] = ", ".join(targets)
-        elif check == "sst":
-            report = _check_sst(seed, count)
-        elif check == "forest":
-            report = _check_forest(seed, count)
-        else:
-            report = _check_stdlib(seed, count)
+        report = _CHECKS[check](seed, count, args)
         failures = report.pop("failures")
         status = "pass" if not failures else "fail"
         output = {"check": check, **report, "seed": seed,
@@ -613,11 +615,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", parents=[common],
                        help="randomized equivalence checks")
-    p.add_argument("which", choices=_CHECKS + ["all"])
+    p.add_argument("which", choices=[*_CHECKS, "all"])
     p.add_argument("target", nargs="?",
                    help="builtin name for fot-commute")
     p.add_argument("--count", type=int, default=DEFAULT_COUNT,
-                   help="cases per check (sizes ramp linearly)")
+                   help="cases per check, at least 1 (sizes ramp linearly)")
     p.add_argument("--type", dest="types", action="append",
                    help="element type(s) for fot-commute")
     p.set_defaults(func=cmd_check)

@@ -10,18 +10,21 @@ A pipeline file stores both the source rational function and the compiled
 position-class table.  Loading rebuilds the pipeline around the stored table,
 so a hand-edited table row changes what the pipeline computes and is caught
 when its output is compared against direct evaluation.
+
+A transduction file (``listfn-fot 2``) holds one formula per line over the
+input vocabulary: ``universe COPY FORMULA`` per kept copy, ``rel NAME VARS...``
+fixing each output relation's variable order, and ``case NAME COPIES...
+FORMULA`` per tuple of copies; a missing case holds for nothing.
 """
 from __future__ import annotations
 
 import re
 import shlex
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .algebra import FiniteMonoid
 from .logic import (
     FOTransduction,
-    Interpretation1D,
     Structure,
     parse_formula,
     render_formula,
@@ -44,7 +47,12 @@ class FileFormatError(ParseError):
 
 
 _HEADER_PREFIX = "listfn-"
-_VERSION = "1"
+# a format's version goes up when its old files would be misread
+_VERSIONS = {"fot": "2"}
+
+
+def _header(kind: str) -> str:
+    return f"{_HEADER_PREFIX}{kind} {_VERSIONS.get(kind, '1')}"
 
 
 _PLAIN_FIELD = re.compile(r"[^ \t\r\n]+")  # shlex's whitespace only
@@ -63,9 +71,8 @@ def _line(*fields: object) -> str:
     return " ".join(shlex.quote(str(f)) for f in fields)
 
 
-def _read_body(path: str | Path, kind: str | None,
-               raw: bool = False) -> tuple[str, list[str]]:
-    """Check the header, return (kind, body lines); raw keeps comment lines."""
+def _read_body(path: str | Path, kind: str, raw: bool = False) -> list[str]:
+    """Check the header, return the body lines; raw keeps comment lines."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
@@ -76,21 +83,20 @@ def _read_body(path: str | Path, kind: str | None,
     header = lines[0].split()
     if len(header) != 2 or not header[0].startswith(_HEADER_PREFIX):
         raise FileFormatError(f"{path}: missing listfn format header")
-    found = header[0][len(_HEADER_PREFIX):]
-    if kind is not None and found != kind:
+    if header[0] != _HEADER_PREFIX + kind:
         raise FileFormatError(
             f"{path}: expected {_HEADER_PREFIX}{kind}, found {header[0]}")
-    if header[1] != _VERSION:
+    if " ".join(header) != _header(kind):
         raise FileFormatError(f"{path}: unsupported version {header[1]}")
     body = lines[1:]
     if not raw:
         body = [ln for ln in body
                 if ln.strip() and not ln.lstrip().startswith("#")]
-    return found, body
+    return body
 
 
 def _write(path: str | Path, kind: str, body: list[str]) -> None:
-    text = "\n".join([f"{_HEADER_PREFIX}{kind} {_VERSION}", *body]) + "\n"
+    text = "\n".join([_header(kind), *body]) + "\n"
     Path(path).write_text(text, encoding="utf-8")
 
 
@@ -130,7 +136,7 @@ def save_type(path: str | Path, t: TypeExpr) -> None:
 
 
 def load_type(path: str | Path) -> TypeExpr:
-    _, body = _read_body(path, "type")
+    body = _read_body(path, "type")
     if len(body) != 1:
         raise FileFormatError(f"{path}: a type file holds one line")
     return parse_type(body[0].strip())
@@ -143,7 +149,7 @@ def save_term(path: str | Path, t: Term) -> None:
 
 
 def load_term(path: str | Path, groups=None) -> Term:
-    _, body = _read_body(path, "term", raw=True)
+    body = _read_body(path, "term", raw=True)
     text = "\n".join(body).strip()
     if not text:
         raise FileFormatError(f"{path}: term file has no term")
@@ -175,7 +181,7 @@ def _parse_monoid(b: _Body) -> tuple[FiniteMonoid, dict[str, str] | None]:
 
 
 def load_monoid(path: str | Path) -> tuple[FiniteMonoid, dict[str, str] | None]:
-    _, body = _read_body(path, "monoid")
+    body = _read_body(path, "monoid")
     return _parse_monoid(_Body(body, str(path)))
 
 
@@ -200,7 +206,7 @@ def _parse_group(b: _Body) -> GroupSpec:
 
 
 def load_group(path: str | Path) -> GroupSpec:
-    _, body = _read_body(path, "group")
+    body = _read_body(path, "group")
     return _parse_group(_Body(body, str(path)))
 
 
@@ -278,7 +284,7 @@ def _parse_monoid_rows(b: _Body) -> FiniteMonoid:
 
 
 def load_rational(path: str | Path) -> RationalFn:
-    _, body = _read_body(path, "rational")
+    body = _read_body(path, "rational")
     return _parse_rational(_Body(body, str(path)))
 
 
@@ -294,7 +300,7 @@ def save_pipeline(path: str | Path, p: Pipeline) -> None:
 
 
 def load_pipeline(path: str | Path) -> Pipeline:
-    _, body = _read_body(path, "pipeline")
+    body = _read_body(path, "pipeline")
     b = _Body(body, str(path))
     r = _parse_rational(b, extra_keywords={"bound", "table"})
     if not b.take("bound", 1)[0].isdigit():
@@ -357,7 +363,7 @@ def _parse_sst(b: _Body) -> SSTSpec:
 
 
 def load_sst(path: str | Path) -> SSTSpec:
-    _, body = _read_body(path, "sst")
+    body = _read_body(path, "sst")
     return _parse_sst(_Body(body, str(path)))
 
 
@@ -374,8 +380,7 @@ def _structure_body(s: Structure) -> list[str]:
 
 def format_structure(s: Structure) -> str:
     """The full file text for a structure, header included."""
-    return "\n".join([f"{_HEADER_PREFIX}structure {_VERSION}",
-                      *_structure_body(s)]) + "\n"
+    return "\n".join([_header("structure"), *_structure_body(s)]) + "\n"
 
 
 def save_structure(path: str | Path, s: Structure) -> None:
@@ -429,113 +434,68 @@ def _parse_structure(b: _Body) -> Structure:
 
 
 def load_structure(path: str | Path) -> Structure:
-    _, body = _read_body(path, "structure")
+    body = _read_body(path, "structure")
     return _parse_structure(_Body(body, str(path)))
 
 
 # ------------------------------------------------------------ transductions
 
 def save_fot(path: str | Path, t: FOTransduction) -> None:
-    interp = t.interp
     body = [_line("copies", t.k)]
-    for name in sorted(interp.input_vocab):
-        body.append(_line("input", name, interp.input_vocab[name]))
-    for name in sorted(interp.output_vocab):
-        body.append(_line("output", name, interp.output_vocab[name]))
-    body.append(_line("universe", interp.universe_var,
-                      render_formula(interp.universe_formula)))
-    for name in sorted(interp.relation_formulas):
-        phi, order = interp.relation_formulas[name]
-        body.append(_line("rel", name, *order, render_formula(phi)))
+    for name in sorted(t.input_vocab):
+        body.append(_line("input", name, t.input_vocab[name]))
+    for name in sorted(t.output_vocab):
+        body.append(_line("output", name, t.output_vocab[name]))
+    for i in sorted(t.universe):
+        body.append(_line("universe", i, render_formula(t.universe[i])))
+    for name in sorted(t.relations):
+        order, table = t.relations[name]
+        body.append(_line("rel", name, *order))
+        for key in sorted(table):
+            body.append(_line("case", name, *key, render_formula(table[key])))
     _write(path, "fot", body)
 
 
 def _vocab(rows: list[list[str]], where: str, keyword: str) -> dict[str, int]:
     vocab = {}
     for row in rows:
-        if len(row) != 2 or not row[1].isdigit():
+        if len(row) != 2 or not row[1].isdecimal():
             raise FileFormatError(f"{where}: {keyword} lines take name, arity")
         vocab[row[0]] = int(row[1])
     return vocab
 
 
 def _parse_fot(b: _Body) -> FOTransduction:
-    b.check_keywords({"copies", "input", "output", "universe", "rel"})
+    b.check_keywords({"copies", "input", "output", "universe", "rel", "case"})
     copies = b.take("copies", 1)[0]
-    if not copies.isdigit() or int(copies) < 1:
+    if not copies.isdecimal() or int(copies) < 1:
         raise FileFormatError(f"{b.where}: copies must be a positive number")
-    input_vocab = _vocab(b.all("input"), b.where, "input")
-    output_vocab = _vocab(b.all("output"), b.where, "output")
-    uni = b.take("universe", 2)
-    tables: dict[str, tuple] = {}
-    for row in b.all("rel"):
-        if len(row) < 2:
+    universe = {}
+    for row in b.all("universe"):
+        if len(row) != 2 or not row[0].isdecimal() or int(row[0]) in universe:
             raise FileFormatError(
-                f"{b.where}: rel lines take name, variables, formula")
-        tables[row[0]] = (parse_formula(row[-1]), tuple(row[1:-1]))
+                f"{b.where}: universe lines take a new copy number, formula")
+        universe[int(row[0])] = parse_formula(row[1])
+    relations: dict[str, tuple] = {}
+    for row in b.all("rel"):
+        if not row or row[0] in relations:
+            raise FileFormatError(
+                f"{b.where}: rel lines take a new name, variables")
+        relations[row[0]] = (tuple(row[1:]), {})
+    for row in b.all("case"):
+        key = tuple(int(c) for c in row[1:-1] if c.isdecimal())
+        if (len(row) < 2 or row[0] not in relations or len(key) != len(row) - 2
+                or key in relations[row[0]][1]):
+            raise FileFormatError(
+                f"{b.where}: case lines take a rel name, new copy numbers, formula")
+        relations[row[0]][1][key] = parse_formula(row[-1])
     try:
-        interp = Interpretation1D(input_vocab, output_vocab, uni[0],
-                                  parse_formula(uni[1]), tables)
+        return FOTransduction(int(copies), _vocab(b.all("input"), b.where, "input"),
+                              _vocab(b.all("output"), b.where, "output"),
+                              universe, relations)
     except ValueError as e:
         raise FileFormatError(f"{b.where}: {e}") from None
-    return FOTransduction(int(copies), interp)
 
 
 def load_fot(path: str | Path) -> FOTransduction:
-    _, body = _read_body(path, "fot")
-    return _parse_fot(_Body(body, str(path)))
-
-
-# --------------------------------------------------------------- workspace
-
-_LOADERS = {
-    "type": load_type,
-    "term": load_term,
-    "monoid": load_monoid,
-    "group": load_group,
-    "rational": load_rational,
-    "pipeline": load_pipeline,
-    "sst": load_sst,
-    "structure": load_structure,
-    "fot": load_fot,
-}
-
-
-def load_artifact(path: str | Path) -> tuple[str, object]:
-    """Load any artifact file, dispatching on its header."""
-    kind, _ = _read_body(path, None, raw=True)
-    if kind not in _LOADERS:
-        raise FileFormatError(f"{path}: unknown format listfn-{kind}")
-    return kind, _LOADERS[kind](path)
-
-
-@dataclass
-class Workspace:
-    """Artifacts loaded from files, keyed by file stem; names are unique."""
-
-    artifacts: dict[str, tuple[str, object]] = field(default_factory=dict)
-
-    @classmethod
-    def load(cls, paths) -> "Workspace":
-        ws = cls()
-        for path in paths:
-            ws.add_file(path)
-        return ws
-
-    def add_file(self, path: str | Path) -> str:
-        name = Path(path).stem
-        if name in self.artifacts:
-            raise FileFormatError(f"duplicate artifact name {name!r}")
-        self.artifacts[name] = load_artifact(path)
-        return name
-
-    def get(self, kind: str, name: str):
-        if name not in self.artifacts:
-            raise FileFormatError(f"no artifact named {name!r}")
-        found, obj = self.artifacts[name]
-        if found != kind:
-            raise FileFormatError(f"{name!r} is a {found}, not a {kind}")
-        return obj
-
-    def names(self, kind: str) -> list[str]:
-        return sorted(n for n, (k, _) in self.artifacts.items() if k == kind)
+    return _parse_fot(_Body(_read_body(path, "fot"), str(path)))

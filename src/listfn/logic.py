@@ -3,15 +3,17 @@
 Values of the nested-list types are encoded as relational structures: one
 element per parse-tree node, a parent relation ``pare``, the strict sibling
 order ``sib`` (stored transitively closed), and a unary predicate per node of
-the type's own parse tree.  A transduction copies the input structure a fixed
-number of times and then carves the output out of the copies, one formula per
-output relation.  ``builtin_fot`` builds the transductions matching the basic
-list combinators; ``check_commutes`` runs a combinator and its transduction
-side by side through encode/decode.
+the type's own parse tree.  A transduction keeps up to k copies of each input
+element and is given by per-copy formula tables over the *input*
+vocabulary: one formula per copy for the universe, and one per tuple of
+copies for each output relation.  Each formula is solved once on the input
+structure.  ``builtin_fot`` builds the transductions matching the basic list
+combinators; ``check_commutes`` runs a combinator and its transduction side
+by side through encode/decode.
 
 Two formula evaluators coexist on purpose.  ``eval_formula`` is the plain
 recursive definition of truth and is kept free of any cleverness so it can
-serve as the reference.  ``sat_rows``, which ``apply_interpretation`` runs,
+serve as the reference.  ``sat_rows``, whose planner ``apply_transduction`` runs,
 computes whole sets of satisfying assignments from a plan compiled once per
 formula: negations pushed inward, conjuncts joined in a connected order,
 smallest first, and negated or fully bound conjuncts applied as anti-joins
@@ -827,179 +829,77 @@ def decode_word_structure(s: Structure) -> str:
     return "".join(letters)
 
 
-# ------------------------------------------------------------------- copying
-
-
-def copy_k(s: Structure, k: int) -> Structure:
-    """k disjoint copies plus a k-ary same-origin predicate in copy order."""
-    if k < 1:
-        raise LogicError("copy count must be at least 1")
-    names = ["copy"] + [f"copy{i}" for i in range(1, k + 1)]
-    clash = [n for n in names if n in s.vocabulary]
-    if clash:
-        raise LogicError(f"vocabulary already uses {clash}")
-    n = len(s.universe)
-    pos = {u: p for p, u in enumerate(s.universe)}
-
-    def cid(u: int, i: int) -> int:
-        return (i - 1) * n + pos[u]
-
-    vocab = dict(s.vocabulary)
-    vocab["copy"] = k
-    rels: dict[str, frozenset] = {}
-    for name, rows in s.relations.items():
-        rels[name] = frozenset(
-            tuple(cid(u, i) for u in row) for row in rows for i in range(1, k + 1)
-        )
-    rels["copy"] = frozenset(tuple(cid(u, i) for i in range(1, k + 1)) for u in s.universe)
-    for i in range(1, k + 1):
-        vocab[f"copy{i}"] = 1
-        rels[f"copy{i}"] = frozenset((cid(u, i),) for u in s.universe)
-    return Structure(tuple(range(k * n)), vocab, rels)
-
-
-# ------------------------------------------------------------ interpretation
-
-
-@dataclass(frozen=True)
-class Interpretation1D:
-    """One formula per output relation; elements come straight from the input.
-
-    ``relation_formulas`` maps each output name to (formula, variable order);
-    the order fixes which free variable is which argument position.
-    """
-
-    input_vocab: dict[str, int]
-    output_vocab: dict[str, int]
-    universe_var: str
-    universe_formula: Formula
-    relation_formulas: dict[str, tuple[Formula, tuple[str, ...]]]
-
-    def __post_init__(self) -> None:
-        if not free_vars(self.universe_formula) <= {self.universe_var}:
-            raise LogicError("universe formula must have one designated free variable")
-        if set(self.relation_formulas) != set(self.output_vocab):
-            raise LogicError("relation formulas must cover the output vocabulary")
-        for name, (phi, order) in self.relation_formulas.items():
-            if len(order) != self.output_vocab[name] or len(set(order)) != len(order):
-                raise LogicError(f"variable order for {name} must match its arity")
-            if not free_vars(phi) <= set(order):
-                raise LogicError(f"formula for {name} uses undeclared variables")
-
-
-def apply_interpretation(interp: Interpretation1D, s: Structure) -> Structure:
-    for name, arity in interp.input_vocab.items():
-        if s.vocabulary.get(name) != arity:
-            raise LogicError(f"vocabulary mismatch: input needs {name}/{arity}")
-    ctx = _Ctx(s)
-    universe = sorted(u for (u,) in _solve(ctx, interp.universe_formula, (interp.universe_var,)))
-    inside = set(universe)
-    rels: dict[str, frozenset] = {}
-    for name, (phi, order) in interp.relation_formulas.items():
-        rows = _solve(ctx, phi, order)
-        rels[name] = frozenset(r for r in rows if all(e in inside for e in r))
-    return Structure(tuple(universe), dict(interp.output_vocab), rels)
+# ------------------------------------------------------------ transductions
 
 
 @dataclass(frozen=True)
 class FOTransduction:
-    """Copy the input ``k`` times, then apply a one-dimensional interpretation."""
+    """A k-copying transduction given by per-copy formulas over the input.
+
+    The output element (i, u) is copy i of input element u.  ``universe[i]``,
+    free in ``x``, keeps (i, u) where it holds at u.  ``relations[name]`` is
+    (variable order, table): ``table[(i1, ..., ir)]`` puts ((i1, u1), ...,
+    (ir, ur)) into ``name`` where it holds at u1, ..., ur, read in that
+    order.  A missing entry holds for nothing.
+    """
 
     k: int
-    interp: Interpretation1D
+    input_vocab: dict[str, int]
+    output_vocab: dict[str, int]
+    universe: dict[int, Formula]
+    relations: dict[str, tuple[tuple[str, ...], dict[tuple[int, ...], Formula]]]
+
+    def __post_init__(self) -> None:
+        if self.k < 1:
+            raise LogicError("copy count must be at least 1")
+        copies = range(1, self.k + 1)
+        for i, phi in self.universe.items():
+            if i not in copies:
+                raise LogicError(f"universe copy {i} is not in 1..{self.k}")
+            if not free_vars(phi) <= {"x"}:
+                raise LogicError(f"universe formula of copy {i} may only use x")
+        if set(self.relations) != set(self.output_vocab):
+            raise LogicError("relation formulas must cover the output vocabulary")
+        for name, (order, table) in self.relations.items():
+            arity = self.output_vocab[name]
+            if len(order) != arity or len(set(order)) != arity:
+                raise LogicError(f"variable order for {name} must match its arity")
+            for key, phi in table.items():
+                if len(key) != arity or not all(i in copies for i in key):
+                    raise LogicError(f"copies {key} of {name} must be {arity} of 1..{self.k}")
+                if not free_vars(phi) <= set(order):
+                    raise LogicError(f"formula for {name} uses undeclared variables")
 
 
 def apply_transduction(t: FOTransduction, s: Structure) -> Structure:
-    return apply_interpretation(t.interp, copy_k(s, t.k))
+    """Solve every formula once on ``s``; (i, u) gets id (i-1)*n + position of u."""
+    for name, arity in t.input_vocab.items():
+        if s.vocabulary.get(name) != arity:
+            raise LogicError(f"vocabulary mismatch: input needs {name}/{arity}")
+    n = len(s.universe)
+    pos = {u: p for p, u in enumerate(s.universe)}
+    ctx = _Ctx(s)
+    universe = sorted((i - 1) * n + pos[u]
+                      for i, phi in t.universe.items() for (u,) in _solve(ctx, phi, ("x",)))
+    inside = set(universe)
+    rels: dict[str, frozenset] = {}
+    for name, (order, table) in t.relations.items():
+        rows = set()
+        for key, phi in table.items():
+            offsets = [(i - 1) * n for i in key]
+            for r in _solve(ctx, phi, order):
+                row = tuple(o + pos[u] for o, u in zip(offsets, r))
+                if inside.issuperset(row):
+                    rows.add(row)
+        rels[name] = frozenset(rows)
+    return Structure(tuple(universe), dict(t.output_vocab), rels)
 
 
-# -------------------------------------------------- lifting to copied vocabs
-#
-# The per-copy formula tables below are written over the *input* vocabulary,
-# with role variables naming elements of particular copies.  Lifting replaces
-# each role variable by its twin in copy 1, where every input relation lives
-# unchanged, and bounds all quantifiers to copy 1.
-
-
-def _on_copy1(phi: Formula, rename: dict[str, str]) -> Formula:
-    """Rename free variables by ``rename`` and bound every quantifier to copy 1."""
-    if isinstance(phi, (TrueF, FalseF)):
-        return phi
-    if isinstance(phi, Rel):
-        return Rel(phi.name, tuple(rename.get(v, v) for v in phi.args))
-    if isinstance(phi, Eq):
-        return Eq(rename.get(phi.left, phi.left), rename.get(phi.right, phi.right))
-    if isinstance(phi, Not):
-        return Not(_on_copy1(phi.body, rename))
-    if isinstance(phi, (And, Or)):
-        return type(phi)(tuple(_on_copy1(p, rename) for p in phi.parts))
-    if isinstance(phi, (Implies, Iff)):
-        return type(phi)(_on_copy1(phi.left, rename), _on_copy1(phi.right, rename))
-    if isinstance(phi, (Exists, Forall)):
-        guard = Rel("copy1", (phi.var,))
-        body = _on_copy1(phi.body, {a: b for a, b in rename.items() if a != phi.var})
-        if isinstance(phi, Exists):
-            return Exists(phi.var, And((guard, body)))
-        return Forall(phi.var, Implies(guard, body))
-    raise TypeError(f"not a formula: {phi!r}")
-
-
-def _twin_first(v: str, w: str, k: int) -> Formula:
-    """w is the copy-1 element with the same origin as v."""
-    if k == 1:
-        return Eq(v, w)
-    parts: list[Formula] = [And((Rel("copy1", (v,)), Eq(v, w)))]
-    for i in range(2, k + 1):
-        args = [w] + [v if p == i else f"{w}_o{p}" for p in range(2, k + 1)]
-        others = [a for a in args if a not in (v, w)]
-        atom: Formula = Rel("copy", tuple(args))
-        for o in reversed(others):
-            atom = Exists(o, atom)
-        parts.append(And((Rel(f"copy{i}", (v,)), atom)))
-    return Or(tuple(parts))
-
-
-def _lift(phi: Formula, roles: tuple[str, ...], k: int) -> Formula:
-    avatars = {v: v + "__c" for v in roles}
-    body = _on_copy1(phi, avatars)
-    for v in reversed(roles):
-        body = Exists(avatars[v], And((_twin_first(v, avatars[v], k), body)))
-    return body
-
-
-_ROLES = ("x", "y")
-
-
-def _assemble(
-    k: int,
-    in_vocab: dict[str, int],
-    out_vocab: dict[str, int],
-    universe: dict[int, Formula],
-    tables: dict[str, dict[tuple[int, ...], Formula]],
-) -> FOTransduction:
-    """Build a transduction from per-copy formula tables over ``in_vocab``."""
-    copied = dict(in_vocab)
-    copied["copy"] = k
-    for i in range(1, k + 1):
-        copied[f"copy{i}"] = 1
-    uf = _disj(
-        *(
-            _conj(Rel(f"copy{i}", ("x",)), _lift(phi, ("x",), k))
-            for i, phi in sorted(universe.items())
-        )
-    )
-    rel_formulas: dict[str, tuple[Formula, tuple[str, ...]]] = {}
-    for name, arity in out_vocab.items():
-        if arity > len(_ROLES):
-            raise LogicError(f"output relation {name} has unsupported arity {arity}")
-        roles = _ROLES[:arity]
-        parts = []
-        for key in sorted(tables.get(name, {})):
-            guards = [Rel(f"copy{key[j]}", (roles[j],)) for j in range(arity)]
-            parts.append(_conj(*guards, _lift(tables[name][key], roles, k)))
-        rel_formulas[name] = (_disj(*parts), roles)
-    interp = Interpretation1D(copied, dict(out_vocab), "x", uf, rel_formulas)
-    return FOTransduction(k, interp)
+def _assemble(k: int, in_vocab: dict[str, int], out_vocab: dict[str, int],
+              universe: dict[int, Formula], tables: dict[str, dict]) -> FOTransduction:
+    """A transduction from per-copy tables whose role variables are x, then y."""
+    relations = {r: (("x", "y")[:a], tables.get(r, {})) for r, a in out_vocab.items()}
+    return FOTransduction(k, in_vocab, out_vocab, universe, relations)
 
 
 # ------------------------------------------------------- encoding of values

@@ -108,7 +108,7 @@ def nat_set(n: int) -> FinSet:
 def len_upto(n: int, t: TypeExpr) -> Term:
     """Length of a list, capped at ``n``, as an element of {0..n}."""
     if n < 0:
-        raise ValueError("cap must be at least 0")
+        raise TermTypeError("cap must be at least 0")
     cod = nat_set(n)
     if n == 0:
         return Const(Sym("0"), List(t), cod)
@@ -218,7 +218,7 @@ def _windows2(t: TypeExpr) -> Term:
 def windows(k: int, t: TypeExpr) -> Term:
     """Sliding windows of width k, each window a right-nested k-tuple."""
     if k < 2:
-        raise ValueError("window width must be at least 2")
+        raise TermTypeError("window width must be at least 2")
     if k == 2:
         return _windows2(t)
     prev_t = tuple_type(k - 1, t)

@@ -69,6 +69,10 @@ ABC = FinSet(("a", "b", "c"))
 DE = FinSet(("d", "e"))
 HASH = FinSet(("#",))
 
+# each built-in transduction with the element types it is tested at
+FOT_CASES = [("reverse", (AB,)), ("append", (AB,)), ("coappend", (AB,)),
+             ("flat", (AB,)), ("block", (AB, CD)), ("ab_example", ())]
+
 DEEP_MIX_TYPE = Prod(
     List(Sum(List(AB), FinSet(("c",)))),
     List(Prod(FinSet(("a",)), List(FinSet(("b",))))),

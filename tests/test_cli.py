@@ -169,6 +169,15 @@ def test_check_families_pass_at_small_counts(capsys, which):
     assert "pass" in out
 
 
+@pytest.mark.parametrize("argv", [("rational", "--count", "-1"),
+                                  ("all", "--count", "0")], ids=["negative", "zero"])
+def test_check_count_below_one_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, "check", *argv)
+    assert code == 2
+    assert "--count must be at least 1" in err
+    assert "pass" not in out
+
+
 def test_check_seed_env_is_deterministic(capsys, monkeypatch):
     monkeypatch.setenv("LISTFN_SEED", "99")
     _, out1, _ = run(capsys, "check", "rational", "--count", "10",

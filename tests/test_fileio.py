@@ -1,15 +1,13 @@
-"""On-disk formats: round trips, tamper detection, and the workspace index."""
+"""On-disk formats: round trips and tamper detection."""
 import shlex
 
 import pytest
 
-from helpers import AB, CD, DEEP_MIX_TYPE, sym_list
+from helpers import AB, DEEP_MIX_TYPE, FOT_CASES, sym_list
 from listfn.fileio import (
     FileFormatError,
     _fields,
-    Workspace,
     format_structure,
-    load_artifact,
     load_monoid,
     load_pipeline,
     load_rational,
@@ -29,7 +27,13 @@ from listfn.fileio import (
     load_fot,
     load_group,
 )
-from listfn.logic import encode_value, fot_ab_example
+from listfn.logic import (
+    apply_transduction,
+    builtin_fot,
+    builtin_term,
+    encode_value,
+    word_structure,
+)
 from listfn.rational import compile_rational, eval_pipeline, eval_rational_direct
 from listfn.samples import (
     CONTAINS_AB,
@@ -137,11 +141,51 @@ def test_structure_file_round_trip(tmp_path):
 
 
 def test_fot_file_round_trip(tmp_path):
-    t = fot_ab_example()
-    p = tmp_path / "sort.lfot"
-    save_fot(p, t)
-    back = load_fot(p)
-    assert back == t
+    for name, types in FOT_CASES:
+        t = builtin_fot(name, *types)
+        p = tmp_path / f"{name}.lfot"
+        save_fot(p, t)
+        back = load_fot(p)
+        assert back == t, name
+        if types:
+            dom = infer_type(builtin_term(name, *types))[0]
+            inputs = [encode_value(v, dom) for v in enumerate_values(dom, 3)]
+        else:
+            inputs = [word_structure(w) for w in ("", "ab", "babba")]
+        for s in inputs:
+            assert apply_transduction(back, s) == apply_transduction(t, s), name
+
+
+def test_fot_file_in_the_version_1_format_is_rejected(tmp_path):
+    p = tmp_path / "old.lfot"
+    p.write_text(
+        "listfn-fot 1\ncopies 1\ninput Q_a 1\noutput Q_a 1\n"
+        "universe x true\nrel Q_a x Q_a(x)\n")
+    with pytest.raises(FileFormatError, match="version"):
+        load_fot(p)
+    # the same lines under the current header do not parse either
+    p.write_text(p.read_text().replace("listfn-fot 1", "listfn-fot 2"))
+    with pytest.raises(FileFormatError):
+        load_fot(p)
+
+
+@pytest.mark.parametrize("line", [
+    "universe 1 true\nuniverse 1 true",
+    "universe x true",
+    "case Q_a 1 true\ncase Q_a 1 true",
+    "case Q_a x true",
+    "case Q_b 1 true",
+    "case Q_a 2 true",
+    "case Q_a 1 1 true",
+    "rel Q_a x",
+], ids=["repeated-universe", "universe-var", "repeated-case", "case-copy-name",
+        "case-undeclared", "case-copy-range", "case-arity", "repeated-rel"])
+def test_malformed_fot_files_are_rejected(tmp_path, line):
+    p = tmp_path / "bad.lfot"
+    p.write_text("listfn-fot 2\ncopies 1\ninput Q_a 1\noutput Q_a 1\n"
+                 f"rel Q_a x\n{line}\n")
+    with pytest.raises(FileFormatError):
+        load_fot(p)
 
 
 def test_header_and_kind_mismatch_are_rejected(tmp_path):
@@ -155,31 +199,6 @@ def test_header_and_kind_mismatch_are_rejected(tmp_path):
         load_term(q)
     with pytest.raises(FileFormatError):
         load_type(tmp_path / "missing.ltype")
-
-
-def test_load_artifact_dispatches_on_header(tmp_path):
-    save_type(tmp_path / "t.ltype", AB)
-    save_group(tmp_path / "g.lgroup", SAMPLE_GROUPS["z2"])
-    kind, obj = load_artifact(tmp_path / "t.ltype")
-    assert (kind, obj) == ("type", AB)
-    kind, obj = load_artifact(tmp_path / "g.lgroup")
-    assert kind == "group"
-
-
-def test_workspace_indexes_by_stem(tmp_path):
-    save_type(tmp_path / "ab.ltype", AB)
-    save_sst(tmp_path / "rev.lsst", SAMPLE_SSTS["reverse"])
-    ws = Workspace.load([tmp_path / "ab.ltype", tmp_path / "rev.lsst"])
-    assert ws.get("type", "ab") == AB
-    assert ws.get("sst", "rev") == SAMPLE_SSTS["reverse"]
-    assert ws.names("type") == ["ab"]
-    with pytest.raises(FileFormatError):
-        ws.get("term", "ab")  # wrong kind
-    with pytest.raises(FileFormatError):
-        ws.get("type", "zz")  # unknown name
-    save_type(tmp_path / "rev.ltype", CD)
-    with pytest.raises(FileFormatError):
-        ws.add_file(tmp_path / "rev.ltype")  # duplicate stem
 
 
 def test_field_splitting_matches_shlex():

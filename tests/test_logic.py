@@ -1,4 +1,5 @@
 """Formulas, word and parse-tree structures, and transductions."""
+import dataclasses
 import itertools
 import random
 
@@ -6,15 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import AB, CD, DEEP_MIX_TYPE, sym_list
+from helpers import AB, DEEP_MIX_TYPE, FOT_CASES, sym_list
 from listfn.logic import (
+    LogicError,
     Structure,
+    TrueF,
     apply_transduction,
     builtin_fot,
     builtin_names,
     builtin_term,
     check_commutes,
-    copy_k,
     decode_structure,
     decode_word_structure,
     derived_next_sibling,
@@ -147,11 +149,7 @@ def test_sat_rows_agrees_with_pointwise_evaluation(text):
         assert rows == brute, (text, w)
 
 
-_FOT_CASES = [("reverse", (AB,)), ("append", (AB,)), ("coappend", (AB,)),
-              ("flat", (AB,)), ("block", (AB, CD)), ("ab_example", ())]
-
-
-@pytest.mark.parametrize("name,types", _FOT_CASES, ids=[c[0] for c in _FOT_CASES])
+@pytest.mark.parametrize("name,types", FOT_CASES, ids=[c[0] for c in FOT_CASES])
 def test_transduction_formulas_agree_with_pointwise_evaluation(name, types):
     fot = builtin_fot(name, *types)
     if types:
@@ -160,11 +158,10 @@ def test_transduction_formulas_agree_with_pointwise_evaluation(name, types):
     else:
         inputs = [word_structure("".join(w))
                   for n in range(6) for w in itertools.product("ab", repeat=n)]
-    interp = fot.interp
-    formulas = [(interp.universe_formula, (interp.universe_var,)),
-                *interp.relation_formulas.values()]
+    formulas = [(phi, ("x",)) for phi in fot.universe.values()]
+    formulas += [(phi, order) for order, table in fot.relations.values()
+                 for phi in table.values()]
     for s in inputs:
-        s = copy_k(s, fot.k)
         for phi, order in formulas:
             brute = {
                 tup for tup in itertools.product(s.universe, repeat=len(order))
@@ -172,13 +169,36 @@ def test_transduction_formulas_agree_with_pointwise_evaluation(name, types):
             assert sat_rows(s, phi, order) == brute, (name, render_formula(phi))
 
 
-def test_copy_k_duplicates_the_universe():
-    s = word_structure("aba")
-    ck = copy_k(s, 3)
-    assert len(ck.universe) == 3 * len(s.universe)
-    for i in (1, 2, 3):
-        assert f"copy{i}" in ck.vocabulary
-    assert len(ck.relations["copy1"]) == len(s.universe)
+@pytest.mark.parametrize("change", [
+    dict(universe={3: TrueF()}),
+    dict(relations={"Q_a": (("x",), {(0,): TrueF()})}),
+    dict(relations={"lt": (("x",), {(1, 1): TrueF()})}),
+    dict(relations={"lt": (("x", "y"), {(1,): TrueF()})}),
+    dict(relations={"lt": (("x", "x"), {})}),
+    dict(relations={"lt": (("x", "y"), {(1, 2): parse_formula("lt(x,z)")})}),
+    dict(universe={1: parse_formula("Q_a(y)")}),
+    dict(k=0, universe={}),
+], ids=["universe-copy", "copy-zero", "order-arity", "key-arity",
+        "repeated-var", "undeclared-var", "universe-var", "no-copies"])
+def test_malformed_transductions_raise_logic_errors(change):
+    t = fot_ab_example()
+    if "relations" in change:
+        change = {"relations": {**t.relations, **change["relations"]}}
+    with pytest.raises(LogicError):
+        dataclasses.replace(t, **change)
+
+
+def test_transduction_numbers_copy_i_of_u_after_i_minus_1_copies():
+    # ids follow the input's universe order, whatever its element names
+    t = fot_ab_example()
+    s = word_structure("ba")
+    s = Structure((7, 3), s.vocabulary, {
+        name: frozenset(tuple({0: 7, 1: 3}[u] for u in row) for row in rows)
+        for name, rows in s.relations.items()})
+    out = apply_transduction(t, s)
+    assert out.universe == (1, 2)
+    assert out.relations["lt"] == {(1, 2)}
+    assert decode_word_structure(out) == "ab"
 
 
 def _sorted_ab(word):

@@ -15,6 +15,8 @@ from listfn.stdlib import (
     pair_to_list,
     windows,
 )
+from listfn.cli import main
+from listfn.syntax import parse_term
 from listfn.terms import TermTypeError, eval_term, infer_type
 from listfn.types import (
     ListV,
@@ -108,6 +110,14 @@ def test_catalog_term_builds_from_text():
         catalog_term("len_upto", ["2"])
     with pytest.raises(TermTypeError):
         catalog_term("lift_plus", [])  # not text-constructible
+
+
+@pytest.mark.parametrize("text", ["std:len_upto@-1,{a}", "std:windows@1,{a}"],
+                         ids=["negative-cap", "narrow-window"])
+def test_out_of_range_catalog_arguments_are_type_errors(text):
+    with pytest.raises(TermTypeError):
+        parse_term(text)
+    assert main(["typecheck", text]) == 3
 
 
 def test_every_catalog_term_is_well_typed():
