@@ -379,9 +379,9 @@ def eval_hom_via_forest(h: Homomorphism, word: Sequence[Hashable]) -> str:
 
 
 def regular_membership(h: Homomorphism, accepting: Iterable[str],
-                       word: Sequence[Hashable],
-                       accept_empty: bool = False) -> int:
-    """0/1 membership of the language recognised through ``h``."""
+                       word: Sequence[Hashable]) -> int:
+    """0/1 membership of the language recognised through ``h``; the empty
+    word is never a member."""
     if not word:
-        return int(accept_empty)
+        return 0
     return int(eval_hom_via_forest(h, word) in set(accepting))

@@ -34,6 +34,7 @@ import os
 import random
 import sys
 from functools import reduce
+from itertools import islice
 from pathlib import Path
 
 from . import fileio
@@ -72,9 +73,10 @@ from .registers import (
     update_product,
 )
 from .samples import (
-    SAMPLE_MONOIDS,
     SAMPLE_RATIONALS,
     SAMPLE_SSTS,
+    hom_contains_ab,
+    hom_u1_keep_a,
 )
 from .stdlib import CATALOG
 from .syntax import _split_args, parse_term
@@ -92,10 +94,9 @@ from .types import (
 
 DEFAULT_COUNT = 1000
 
-_FOREST_HOMS = {"u1": {"a": "1", "b": "0"}, "contains-ab": {"a": "a", "b": "b"}}
 # (monoid, letter map) per sample, the shape that load_monoid returns
-_FOREST_SAMPLES = {name: (m, _FOREST_HOMS[name])
-                   for name, m in SAMPLE_MONOIDS.items()}
+_FOREST_SAMPLES = {name: (h.target, h.letter_map) for name, h in
+                   (("u1", hom_u1_keep_a()), ("contains-ab", hom_contains_ab()))}
 
 
 class Reporter:
@@ -262,9 +263,7 @@ def cmd_forest(args, rep: Reporter) -> int:
         "yield": "preserved" if tree_yield(tree) == list(word) else "changed",
     }
     if args.audit:
-        recheck = validate_factorisation(hom, tree)
-        via_forest = eval_hom_via_forest(hom, list(word))
-        agree = recheck.ok and via_forest == output["value"]
+        agree = result.ok and eval_hom_via_forest(hom, word) == output["value"]
         output["audit"] = ("revalidated, consistent" if agree
                            else "INCONSISTENT on revalidation")
     output["tree"] = "\n".join(_render_tree(tree))
@@ -372,26 +371,30 @@ def cmd_fot(args, rep: Reporter) -> int:
 
 
 # ------------------------------------------------------------------- checks
+#
+# A check family is a generator over (seed, count, parsed arguments).  It
+# first yields its report fields, with a "cases" slot that cmd_check fills,
+# then one (label, ok) pair per case.
 
-def _check_rational(seed: int, count: int) -> dict:
+def _words(rng: random.Random, letters, count: int, lo: int, hi: int):
+    """``count`` random words over ``letters``, their lengths ramping lo..hi."""
+    for i in range(count):
+        yield [rng.choice(letters) for _ in range(_ramp(i, count, lo, hi))]
+
+
+def _check_rational(seed: int, count: int, args):
+    yield {"functions": ", ".join(SAMPLE_RATIONALS), "cases": 0}
     rng = random.Random(seed)
-    cases = 0
-    failures = []
     for name, r in SAMPLE_RATIONALS.items():
         pipeline = compile_rational(r)
-        for i in range(count):
-            n = _ramp(i, count, 0, 200)
-            word = [rng.choice(r.input_letters) for _ in range(n)]
-            cases += 1
-            if eval_pipeline(pipeline, word) != eval_rational_direct(r, word):
-                failures.append(f"{name} on {_show_word(word)}")
-    return {"functions": ", ".join(SAMPLE_RATIONALS), "cases": cases,
-            "failures": failures}
+        for word in _words(rng, r.input_letters, count, 0, 200):
+            yield (f"{name} on {_show_word(word)}",
+                   eval_pipeline(pipeline, word) == eval_rational_direct(r, word))
 
 
-def _check_registers_fold(seed: int, count: int) -> dict:
+def _check_registers_fold(seed: int, count: int, args):
+    yield {"cases": 0}
     rng = random.Random(seed)
-    failures = []
     for i in range(count):
         k = rng.randint(1, 4)
         n = _ramp(i, count, 1, 200)
@@ -402,10 +405,8 @@ def _check_registers_fold(seed: int, count: int) -> dict:
         else:
             etas = [random_update(k, rng) for _ in range(n)]
             got = product_list_updates(etas, k)
-        want = normalise(reduce(update_product, etas))
-        if got != want:
-            failures.append(f"case {i} (k={k}, n={n})")
-    return {"cases": count, "failures": failures}
+        yield (f"case {i} (k={k}, n={n})",
+               got == normalise(reduce(update_product, etas)))
 
 
 def _sorted_ab(word: str) -> str:
@@ -413,79 +414,58 @@ def _sorted_ab(word: str) -> str:
             + "".join(c for c in word if c == "b"))
 
 
-def _check_fot_commute(name: str, seed: int, count: int,
-                       type_texts: list[str] | None) -> dict:
-    rng = random.Random(seed)
-    if name == "ab_example":
-        transduction = builtin_fot(name)
-        failures = []
-        for i in range(count):
-            n = _ramp(i, count, 0, 60)
-            word = "".join(rng.choice("ab") for _ in range(n))
-            got = decode_word_structure(
-                apply_transduction(transduction, word_structure(word)))
-            if got != _sorted_ab(word):
-                failures.append(f"{word} -> {got}")
-        return {"builtin": name, "cases": count, "failures": failures}
-    defaults = {"block": ["{a,b}", "{c,d}"]}
-    texts = type_texts or defaults.get(name, ["{a,b}"])
-    types = [parse_type(t) for t in texts]
-    term = builtin_term(name, *types)
-    transduction = builtin_fot(name, *types)
-    dom, _ = infer_type(term)
-    samples = []
-    for v in enumerate_values(dom, 4):
-        samples.append(v)
-        if len(samples) >= 100:
-            break
-    for i in range(count):
-        samples.append(random_value(dom, _ramp(i, count, 1, 24), rng))
-    report = check_commutes(term, transduction, samples)
-    failures = [f"input {render_value(v)}" for v, _, _ in report.failures]
-    return {"builtin": name, "types": ", ".join(texts),
-            "cases": report.total, "failures": failures}
+def _check_fot_commute(seed: int, count: int, args):
+    """The built-in ``args.target``, or every built-in, each from Random(seed)."""
+    names = [args.target] if args.target else list(builtin_names())
+    yield {"cases": 0, "builtins": ", ".join(names)}
+    for name in names:
+        rng = random.Random(seed)
+        if name == "ab_example":
+            transduction = builtin_fot(name)
+            for letters in _words(rng, "ab", count, 0, 60):
+                word = "".join(letters)
+                got = decode_word_structure(
+                    apply_transduction(transduction, word_structure(word)))
+                yield f"{name}: {word} -> {got}", got == _sorted_ab(word)
+            continue
+        texts = args.types or {"block": ["{a,b}", "{c,d}"]}.get(name, ["{a,b}"])
+        types = [parse_type(t) for t in texts]
+        term = builtin_term(name, *types)
+        transduction = builtin_fot(name, *types)
+        dom, _ = infer_type(term)
+        samples = list(islice(enumerate_values(dom, 4), 100))
+        samples += [random_value(dom, _ramp(i, count, 1, 24), rng)
+                    for i in range(count)]
+        for v in samples:
+            yield (f"{name}: input {render_value(v)}",
+                   not check_commutes(term, transduction, [v]).failures)
 
 
-def _check_sst(seed: int, count: int) -> dict:
+def _check_sst(seed: int, count: int, args):
+    yield {"ssts": ", ".join(SAMPLE_SSTS), "cases": 0}
     rng = random.Random(seed)
-    cases = 0
-    failures = []
     for name, sst in SAMPLE_SSTS.items():
-        for i in range(count):
-            n = _ramp(i, count, 0, 200)
-            word = [rng.choice(sst.input_letters) for _ in range(n)]
-            cases += 1
-            if run_sst_naive(sst, word) != run_sst_structured(sst, word):
-                failures.append(f"{name} on {_show_word(word)}")
-    return {"ssts": ", ".join(SAMPLE_SSTS), "cases": cases,
-            "failures": failures}
+        for word in _words(rng, sst.input_letters, count, 0, 200):
+            yield (f"{name} on {_show_word(word)}",
+                   run_sst_naive(sst, word) == run_sst_structured(sst, word))
 
 
-def _check_forest(seed: int, count: int) -> dict:
+def _check_forest(seed: int, count: int, args):
+    yield {"monoids": ", ".join(_FOREST_SAMPLES), "cases": 0}
     rng = random.Random(seed)
-    cases = 0
-    failures = []
     for name, (monoid, letters) in _FOREST_SAMPLES.items():
         hom = Homomorphism(monoid, letters)
         bound = forest_depth_bound(monoid, len(set(letters.values())))
-        for i in range(count):
-            n = _ramp(i, count, 1, 300)
-            word = [rng.choice(list(letters)) for _ in range(n)]
-            cases += 1
+        for word in _words(rng, list(letters), count, 1, 300):
             tree = build_factorisation(hom, word)
-            ok = (validate_factorisation(hom, tree).ok
-                  and tree_yield(tree) == word
-                  and tree_depth(tree) <= bound)
-            if not ok:
-                failures.append(f"{name} on {_show_word(word)}")
-    return {"monoids": ", ".join(SAMPLE_MONOIDS), "cases": cases,
-            "failures": failures}
+            yield (f"{name} on {_show_word(word)}",
+                   validate_factorisation(hom, tree).ok
+                   and tree_yield(tree) == word and tree_depth(tree) <= bound)
 
 
-def _check_stdlib(seed: int, count: int) -> dict:
+def _check_stdlib(seed: int, count: int, args):
+    yield {"entries": len(CATALOG), "cases": 0}
     rng = random.Random(seed)
-    cases = 0
-    failures = []
     pairs = [(entry, instance) for entry in CATALOG.values()
              for instance in entry.instances]
     per_pair = max(1, count // len(pairs))
@@ -495,40 +475,24 @@ def _check_stdlib(seed: int, count: int) -> dict:
         dom, _ = infer_type(term)
         for i in range(per_pair):
             v = random_value(dom, _ramp(i, per_pair, 1, 25), rng)
-            cases += 1
-            if eval_term(term, v) != oracle(v):
-                failures.append(f"{entry.name} on {render_value(v)}")
-    return {"entries": len(CATALOG), "cases": cases, "failures": failures}
+            yield (f"{entry.name} on {render_value(v)}",
+                   eval_term(term, v) == oracle(v))
 
 
-def _check_fot_builtins(seed: int, count: int, args) -> dict:
-    """fot-commute over ``args.target``, or over every builtin; failures name theirs."""
-    targets = [args.target] if args.target else list(builtin_names())
-    report = {"cases": 0, "failures": []}
-    for name in targets:
-        sub = _check_fot_commute(name, seed, count, args.types)
-        report["cases"] += sub["cases"]
-        report["failures"].extend(f"{name}: {f}" for f in sub["failures"])
-    report["builtins"] = ", ".join(targets)
-    return report
-
-
-# name -> check(seed, count, parsed arguments) -> report with "failures"
 _CHECKS = {
-    "rational": lambda seed, count, args: _check_rational(seed, count),
-    "registers-fold": lambda seed, count, args: _check_registers_fold(seed, count),
-    "fot-commute": _check_fot_builtins,
-    "sst": lambda seed, count, args: _check_sst(seed, count),
-    "forest": lambda seed, count, args: _check_forest(seed, count),
-    "stdlib": lambda seed, count, args: _check_stdlib(seed, count),
+    "rational": _check_rational,
+    "registers-fold": _check_registers_fold,
+    "fot-commute": _check_fot_commute,
+    "sst": _check_sst,
+    "forest": _check_forest,
+    "stdlib": _check_stdlib,
 }
 
 
 def cmd_check(args, rep: Reporter) -> int:
     seed = _resolve_seed(args)
-    count = args.count
-    if count < 1:
-        raise ParseError(f"--count must be at least 1, got {count}")
+    if args.count < 1:
+        raise ParseError(f"--count must be at least 1, got {args.count}")
     which = list(_CHECKS) if args.which == "all" else [args.which]
     if args.which == "fot-commute" and args.target is None:
         raise ParseError(
@@ -536,10 +500,15 @@ def cmd_check(args, rep: Reporter) -> int:
             f"{', '.join(builtin_names())}")
     worst = 0
     for check in which:
-        report = _CHECKS[check](seed, count, args)
-        failures = report.pop("failures")
+        family = _CHECKS[check](seed, args.count, args)
+        fields = next(family)
+        failures = []
+        for label, ok in family:
+            fields["cases"] += 1
+            if not ok:
+                failures.append(label)
         status = "pass" if not failures else "fail"
-        output = {"check": check, **report, "seed": seed,
+        output = {"check": check, **fields, "seed": seed,
                   "result": status if not failures else
                   f"fail ({len(failures)} case(s); first: {failures[0]})"}
         rep.emit("check", check, output, status=status)
@@ -596,7 +565,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("word")
     p.add_argument("--hom", help="letter images, e.g. a=1,b=0")
     p.add_argument("--audit", action="store_true",
-                   help="re-validate and cross-check the root value")
+                   help="cross-check the forest's image against the "
+                        "direct product")
     p.set_defaults(func=cmd_forest)
 
     p = sub.add_parser("compile-rational", parents=[common],

@@ -148,12 +148,12 @@ def save_term(path: str | Path, t: Term) -> None:
     _write(path, "term", [render_term(t)])
 
 
-def load_term(path: str | Path, groups=None) -> Term:
+def load_term(path: str | Path) -> Term:
     body = _read_body(path, "term", raw=True)
     text = "\n".join(body).strip()
     if not text:
         raise FileFormatError(f"{path}: term file has no term")
-    return parse_term(text, groups)
+    return parse_term(text)
 
 
 # ----------------------------------------------------------------- monoids
@@ -168,7 +168,8 @@ def save_monoid(path: str | Path, m: FiniteMonoid,
     _write(path, "monoid", body)
 
 
-def _parse_monoid(b: _Body) -> tuple[FiniteMonoid, dict[str, str] | None]:
+def load_monoid(path: str | Path) -> tuple[FiniteMonoid, dict[str, str] | None]:
+    b = _Body(_read_body(path, "monoid"), str(path))
     b.check_keywords({"elements", "identity", "row", "letter"})
     m = _parse_monoid_rows(b)
     if any(len(r) != 2 for r in b.all("letter")):
@@ -180,11 +181,6 @@ def _parse_monoid(b: _Body) -> tuple[FiniteMonoid, dict[str, str] | None]:
     return m, (letters or None)
 
 
-def load_monoid(path: str | Path) -> tuple[FiniteMonoid, dict[str, str] | None]:
-    body = _read_body(path, "monoid")
-    return _parse_monoid(_Body(body, str(path)))
-
-
 # ------------------------------------------------------------------ groups
 
 def save_group(path: str | Path, g: GroupSpec) -> None:
@@ -194,7 +190,8 @@ def save_group(path: str | Path, g: GroupSpec) -> None:
     _write(path, "group", body)
 
 
-def _parse_group(b: _Body) -> GroupSpec:
+def load_group(path: str | Path) -> GroupSpec:
+    b = _Body(_read_body(path, "group"), str(path))
     b.check_keywords({"elements", "identity", "row"})
     elements, identity, rows = _parse_rows(b)
     if set(rows) != set(elements):
@@ -203,11 +200,6 @@ def _parse_group(b: _Body) -> GroupSpec:
         return GroupSpec(elements, tuple(rows[a] for a in elements), identity)
     except ValueError as e:
         raise FileFormatError(f"{b.where}: {e}") from None
-
-
-def load_group(path: str | Path) -> GroupSpec:
-    body = _read_body(path, "group")
-    return _parse_group(_Body(body, str(path)))
 
 
 # --------------------------------------------------------------- rationals
@@ -284,8 +276,7 @@ def _parse_monoid_rows(b: _Body) -> FiniteMonoid:
 
 
 def load_rational(path: str | Path) -> RationalFn:
-    body = _read_body(path, "rational")
-    return _parse_rational(_Body(body, str(path)))
+    return _parse_rational(_Body(_read_body(path, "rational"), str(path)))
 
 
 # --------------------------------------------------------------- pipelines
@@ -300,10 +291,9 @@ def save_pipeline(path: str | Path, p: Pipeline) -> None:
 
 
 def load_pipeline(path: str | Path) -> Pipeline:
-    body = _read_body(path, "pipeline")
-    b = _Body(body, str(path))
+    b = _Body(_read_body(path, "pipeline"), str(path))
     r = _parse_rational(b, extra_keywords={"bound", "table"})
-    if not b.take("bound", 1)[0].isdigit():
+    if not b.take("bound", 1)[0].isdecimal():
         raise FileFormatError(f"{path}: bound must be a number")
     table: dict[str, tuple[str, ...]] = {}
     for row in b.all("table"):
@@ -332,7 +322,8 @@ def save_sst(path: str | Path, sst: SSTSpec) -> None:
     _write(path, "sst", body)
 
 
-def _parse_sst(b: _Body) -> SSTSpec:
+def load_sst(path: str | Path) -> SSTSpec:
+    b = _Body(_read_body(path, "sst"), str(path))
     b.check_keywords({"name", "input", "states", "initial", "registers",
                       "output-register", "trans"})
     transitions = {}
@@ -347,7 +338,7 @@ def _parse_sst(b: _Body) -> SSTSpec:
         transitions[(row[0], row[1])] = (row[2], eta)
     registers = b.take("registers", 1)[0]
     output_register = b.take("output-register", 1)[0]
-    if not (registers.isdigit() and output_register.isdigit()):
+    if not (registers.isdecimal() and output_register.isdecimal()):
         raise FileFormatError(f"{b.where}: register counts must be numbers")
     try:
         return SSTSpec(
@@ -360,11 +351,6 @@ def _parse_sst(b: _Body) -> SSTSpec:
             output_register=int(output_register))
     except UpdateError as e:
         raise FileFormatError(f"{b.where}: {e}") from None
-
-
-def load_sst(path: str | Path) -> SSTSpec:
-    body = _read_body(path, "sst")
-    return _parse_sst(_Body(body, str(path)))
 
 
 # -------------------------------------------------------------- structures
@@ -394,7 +380,8 @@ def _int_fields(row: list[str], where: str) -> tuple[int, ...]:
         raise FileFormatError(f"{where}: elements must be integers") from None
 
 
-def _parse_structure(b: _Body) -> Structure:
+def load_structure(path: str | Path) -> Structure:
+    b = _Body(_read_body(path, "structure"), str(path))
     universe: tuple[int, ...] | None = None
     vocabulary: dict[str, int] = {}
     relations: dict[str, set] = {}
@@ -407,7 +394,7 @@ def _parse_structure(b: _Body) -> Structure:
                 raise FileFormatError(f"{b.where}: repeated universe line")
             universe = _int_fields(row[1:], b.where)
         elif row[0] == "rel":
-            if len(row) != 3 or not row[2].isdigit():
+            if len(row) != 3 or not row[2].isdecimal():
                 raise FileFormatError(f"{b.where}: rel lines take name, arity")
             current = row[1]
             if current in vocabulary:
@@ -431,11 +418,6 @@ def _parse_structure(b: _Body) -> Structure:
                          {n: frozenset(rows) for n, rows in relations.items()})
     except ValueError as e:
         raise FileFormatError(f"{b.where}: {e}") from None
-
-
-def load_structure(path: str | Path) -> Structure:
-    body = _read_body(path, "structure")
-    return _parse_structure(_Body(body, str(path)))
 
 
 # ------------------------------------------------------------ transductions
@@ -465,7 +447,8 @@ def _vocab(rows: list[list[str]], where: str, keyword: str) -> dict[str, int]:
     return vocab
 
 
-def _parse_fot(b: _Body) -> FOTransduction:
+def load_fot(path: str | Path) -> FOTransduction:
+    b = _Body(_read_body(path, "fot"), str(path))
     b.check_keywords({"copies", "input", "output", "universe", "rel", "case"})
     copies = b.take("copies", 1)[0]
     if not copies.isdecimal() or int(copies) < 1:
@@ -495,7 +478,3 @@ def _parse_fot(b: _Body) -> FOTransduction:
                               universe, relations)
     except ValueError as e:
         raise FileFormatError(f"{b.where}: {e}") from None
-
-
-def load_fot(path: str | Path) -> FOTransduction:
-    return _parse_fot(_Body(_read_body(path, "fot"), str(path)))

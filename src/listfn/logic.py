@@ -788,8 +788,10 @@ def sat_rows(s: Structure, phi: Formula, want: tuple[str, ...]) -> Rows:
 # ----------------------------------------------------------- word structures
 
 
-def word_structure(word: str, alphabet: tuple[str, ...] = ("a", "b")) -> Structure:
-    """Positions 0..n-1 with successor ``S``, order ``lt`` and letter tests."""
+def word_structure(word: str) -> Structure:
+    """Positions 0..n-1 with successor ``S``, order ``lt`` and letter tests
+    ``Q_a``, ``Q_b``: words over {a, b}."""
+    alphabet = ("a", "b")
     bad = [c for c in word if c not in alphabet]
     if bad:
         raise LogicError(f"letters {bad} not in alphabet {alphabet}")

@@ -186,7 +186,6 @@ class Pipeline:
     rational: RationalFn
     stages: tuple[Stage, ...]
     bound: int
-    empty_output: tuple[str, ...]
 
     def term_stages(self) -> list[Stage]:
         return [s for s in self.stages if s.kind == "term"]
@@ -231,12 +230,12 @@ def compile_rational(r: RationalFn,
               run=lambda ann: classify_positions(r, bound, ann)),
         Stage("table", "term", term=output_table_term(r, table)),
     )
-    return Pipeline(r, stages, bound, r.empty_output)
+    return Pipeline(r, stages, bound)
 
 
 def eval_pipeline(p: Pipeline, word: Sequence[str]) -> tuple[str, ...]:
     if not word:
-        return p.empty_output
+        return p.rational.empty_output
     current: object = list(word)
     for stage in p.stages:
         if stage.kind == "opaque":

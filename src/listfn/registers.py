@@ -1,6 +1,7 @@
-"""Register updates over a monoid, their products, and streaming evaluation.
+"""Register updates over words, their products, and streaming evaluation.
 
-A k-register update rewrites every register to a word of monoid literals and
+Registers hold words, as in the paper's streaming string transducers.  A
+k-register update rewrites every register to a sequence of literal words and
 register reads.  Monotone nonduplicating updates form a monoid under
 substitution whose register-only abstractions give a finite monoid T_k, so a
 long product can be computed through a bounded-depth factorisation tree:
@@ -15,7 +16,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from typing import Hashable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .algebra import (FiniteMonoid, Homomorphism, Leaf, Node, FactTree,
                       build_factorisation)
@@ -34,33 +35,13 @@ class Reg:
 
 @dataclass(frozen=True)
 class Lit:
-    """A monoid element; for free monoids, a tuple of letters."""
-    value: Hashable
+    """A literal word: a tuple of letters, ``()`` being the empty word."""
+    value: tuple
 
 
 Item = Reg | Lit
 Rhs = tuple[Item, ...]
 RegUpdate = tuple[Rhs, ...]
-
-
-class FreeMonoid:
-    """Words with concatenation; elements are tuples of letters."""
-    identity: tuple = ()
-
-    def mult(self, a, b):
-        return tuple(a) + tuple(b)
-
-    def product(self, items):
-        out: list = []
-        for w in items:
-            out.extend(w)
-        return tuple(out)
-
-    def __contains__(self, w) -> bool:
-        return isinstance(w, tuple)
-
-
-FREE = FreeMonoid()
 
 
 def identity_update(k: int) -> RegUpdate:
@@ -76,43 +57,40 @@ def _check_update(eta: RegUpdate) -> int:
     return k
 
 
-def normalise(eta: RegUpdate, monoid=FREE) -> RegUpdate:
-    """Merge adjacent literals and drop identity literals."""
+def normalise(eta: RegUpdate) -> RegUpdate:
+    """Concatenate adjacent literals and drop empty ones."""
     out = []
     for rhs in eta:
         items: list[Item] = []
         for item in rhs:
             if isinstance(item, Lit):
-                if item.value == monoid.identity:
+                if not item.value:
                     continue
                 if items and isinstance(items[-1], Lit):
-                    items[-1] = Lit(monoid.mult(items[-1].value, item.value))
+                    items[-1] = Lit(items[-1].value + item.value)
                     continue
             items.append(item)
-        out.append(tuple(i for i in items
-                         if not (isinstance(i, Lit)
-                                 and i.value == monoid.identity)))
+        out.append(tuple(items))
     return tuple(out)
 
 
-def apply_update(v: tuple, eta: RegUpdate, monoid=FREE) -> tuple:
+def apply_update(v: tuple, eta: RegUpdate) -> tuple:
     """Right action: entry i becomes the i-th right-hand side evaluated at v."""
     k = _check_update(eta)
     if len(v) != k:
         raise UpdateError(f"valuation has {len(v)} entries, update has {k}")
-    result = []
-    for rhs in eta:
-        result.append(monoid.product(
-            v[item.index - 1] if isinstance(item, Reg) else item.value
-            for item in rhs))
-    return tuple(result)
+    return tuple(
+        tuple(letter for item in rhs
+              for letter in (v[item.index - 1] if isinstance(item, Reg)
+                             else item.value))
+        for rhs in eta)
 
 
-def empty_valuation(k: int, monoid=FREE) -> tuple:
-    return (monoid.identity,) * k
+def empty_valuation(k: int) -> tuple:
+    return ((),) * k
 
 
-def update_product(eta1: RegUpdate, eta2: RegUpdate, monoid=FREE) -> RegUpdate:
+def update_product(eta1: RegUpdate, eta2: RegUpdate) -> RegUpdate:
     """The update acting like eta1 followed by eta2."""
     if len(eta1) != len(eta2):
         raise UpdateError("register counts differ")
@@ -125,7 +103,7 @@ def update_product(eta1: RegUpdate, eta2: RegUpdate, monoid=FREE) -> RegUpdate:
             else:
                 items.append(item)
         out.append(tuple(items))
-    return normalise(tuple(out), monoid)
+    return normalise(tuple(out))
 
 
 def is_nonduplicating(eta: RegUpdate) -> bool:
@@ -152,7 +130,7 @@ def is_monotone(eta: RegUpdate) -> bool:
 
 
 def abstraction(eta: RegUpdate) -> RegUpdate:
-    """Erase all monoid literals, keeping only register reads."""
+    """Erase all literals, keeping only register reads."""
     return tuple(tuple(i for i in rhs if isinstance(i, Reg)) for rhs in eta)
 
 
@@ -194,33 +172,26 @@ def t_k_monoid(k: int) -> tuple[FiniteMonoid, dict[str, RegUpdate]]:
 
 # ------------------------------------------------- homogeneous products
 
-def dependency_graph(tau: RegUpdate) -> set[tuple[int, int]]:
-    """Edges (i, j) meaning the i-th side reads register j."""
-    return {(i + 1, item.index)
-            for i, rhs in enumerate(tau) for item in rhs}
-
-
 def temporary_registers(tau: RegUpdate) -> set[int]:
-    """Registers without a self-loop: their content never feeds back."""
-    edges = dependency_graph(tau)
-    return {i for i in range(1, len(tau) + 1) if (i, i) not in edges}
+    """Registers whose side does not read them: their content never feeds back."""
+    return {i for i, rhs in enumerate(tau, start=1)
+            if i not in {item.index for item in rhs}}
 
 
-def _window_products(etas: Sequence[RegUpdate], k: int,
-                     monoid) -> list[RegUpdate]:
+def _window_products(etas: Sequence[RegUpdate], k: int) -> list[RegUpdate]:
     """Entry i: product of the up-to-k updates before position i."""
     out = []
     for i in range(len(etas) + 1):
         window = etas[max(0, i - k):i]
         acc = identity_update(len(etas[0]))
         for eta in window:
-            acc = update_product(acc, eta, monoid)
+            acc = update_product(acc, eta)
         out.append(acc)
     return out
 
 
-def homogeneous_product(etas: Sequence[RegUpdate], tau: RegUpdate | None = None,
-                        monoid=FREE) -> RegUpdate:
+def homogeneous_product(etas: Sequence[RegUpdate],
+                        tau: RegUpdate | None = None) -> RegUpdate:
     """Product of a same-abstraction sequence using k-bounded windows.
 
     Temporary registers come straight from the final window product.  A
@@ -238,7 +209,7 @@ def homogeneous_product(etas: Sequence[RegUpdate], tau: RegUpdate | None = None,
     k = len(tau)
     n = len(etas)
     temps = temporary_registers(tau)
-    windows = _window_products(etas, k, monoid)
+    windows = _window_products(etas, k)
     final: list[Rhs] = [()] * k
 
     def resolve(items: Iterable[Item], window: RegUpdate) -> list[Item]:
@@ -268,11 +239,11 @@ def homogeneous_product(etas: Sequence[RegUpdate], tau: RegUpdate | None = None,
             body = before + body + after
         final[r - 1] = tuple(body)
 
-    return normalise(tuple(final), monoid)
+    return normalise(tuple(final))
 
 
-def product_list_updates(etas: Sequence[RegUpdate], k: int | None = None,
-                         monoid=FREE) -> RegUpdate:
+def product_list_updates(etas: Sequence[RegUpdate],
+                         k: int | None = None) -> RegUpdate:
     """Product of any update list, structured by a factorisation tree.
 
     The tree is built over T_k through the abstraction homomorphism; wide
@@ -290,7 +261,7 @@ def product_list_updates(etas: Sequence[RegUpdate], k: int | None = None,
         if not (is_nonduplicating(eta) and is_monotone(eta)):
             raise UpdateError("updates must be nonduplicating and monotone")
     if len(etas) == 1:
-        return normalise(etas[0], monoid)
+        return normalise(etas[0])
     t_k, _ = t_k_monoid(k)
     hom = Homomorphism(t_k, lambda eta: abstraction_name(abstraction(eta)))
     tree = build_factorisation(hom, list(etas))
@@ -298,20 +269,20 @@ def product_list_updates(etas: Sequence[RegUpdate], k: int | None = None,
     def evaluate(t: FactTree) -> RegUpdate:
         assert isinstance(t, Node)
         if len(t.children) == 1 and isinstance(t.children[0], Leaf):
-            return normalise(t.children[0].letter, monoid)
+            return normalise(t.children[0].letter)
         parts = [evaluate(c) for c in t.children]
         if len(parts) == 2:
-            return update_product(parts[0], parts[1], monoid)
-        return homogeneous_product(parts, None, monoid)
+            return update_product(parts[0], parts[1])
+        return homogeneous_product(parts)
 
     return evaluate(tree)
 
 
-def apply_update_sequence(etas: Sequence[RegUpdate], k: int | None = None,
-                          monoid=FREE) -> tuple:
-    """Product applied to the all-identity valuation."""
-    total = product_list_updates(etas, k, monoid)
-    return apply_update(empty_valuation(len(total), monoid), total, monoid)
+def apply_update_sequence(etas: Sequence[RegUpdate],
+                          k: int | None = None) -> tuple:
+    """Product applied to the all-empty valuation."""
+    total = product_list_updates(etas, k)
+    return apply_update(empty_valuation(len(total)), total)
 
 
 def random_abstraction(k: int, rng) -> RegUpdate:
@@ -323,12 +294,11 @@ def random_abstraction(k: int, rng) -> RegUpdate:
                  for c in range(k))
 
 
-def random_update_like(tau: RegUpdate, rng, letters=("a", "b"),
-                       max_lit: int = 3) -> RegUpdate:
-    """Random update with abstraction ``tau``: literals around each read."""
+def random_update_like(tau: RegUpdate, rng) -> RegUpdate:
+    """Random update with abstraction ``tau``: words over {a, b} of up to three
+    letters around each read."""
     def lit() -> Lit:
-        return Lit(tuple(rng.choice(letters)
-                         for _ in range(rng.randint(0, max_lit))))
+        return Lit(tuple(rng.choice("ab") for _ in range(rng.randint(0, 3))))
 
     out = []
     for rhs in tau:
@@ -340,15 +310,14 @@ def random_update_like(tau: RegUpdate, rng, letters=("a", "b"),
     return normalise(tuple(out))
 
 
-def random_update(k: int, rng, letters=("a", "b"), max_lit: int = 3) -> RegUpdate:
-    return random_update_like(random_abstraction(k, rng), rng, letters, max_lit)
+def random_update(k: int, rng) -> RegUpdate:
+    return random_update_like(random_abstraction(k, rng), rng)
 
 
-def output_first(etas: Sequence[RegUpdate], k: int | None = None,
-                 monoid=FREE) -> tuple:
+def output_first(etas: Sequence[RegUpdate], k: int | None = None) -> tuple:
     if not etas and k is None:
         raise UpdateError("register count needed for an empty sequence")
-    return apply_update_sequence(etas, k, monoid)[0]
+    return apply_update_sequence(etas, k)[0]
 
 
 # --------------------------------------------------------------- update text
@@ -357,11 +326,10 @@ _COMPONENT_RE = re.compile(r"^\s*(\d+)\s*:=\s*\[(.*)\]\s*$")
 _ITEM_RE = re.compile(r'\s*(?:\$(\d+)|"([^"]*)"|([A-Za-z0-9_#\'.]+))\s*$')
 
 
-def parse_update(text: str, monoid=FREE) -> RegUpdate:
+def parse_update(text: str) -> RegUpdate:
     """Parse `1 := ["ab", $2]; 2 := []` into an update.
 
-    Quoted literals are free-monoid words read letter by letter; bare names
-    are elements of a finite monoid.
+    Quoted literals are words read letter by letter; bare names are rejected.
     """
     rhss = []
     components = text.split(";")
@@ -386,27 +354,19 @@ def parse_update(text: str, monoid=FREE) -> RegUpdate:
                 elif quoted is not None:
                     items.append(Lit(tuple(quoted)))
                 else:
-                    if isinstance(monoid, FreeMonoid):
-                        raise UpdateError(
-                            f"free-monoid literals must be quoted: {bare!r}")
-                    items.append(Lit(bare))
+                    raise UpdateError(
+                        f"free-monoid literals must be quoted: {bare!r}")
         rhss.append(tuple(items))
     update = tuple(rhss)
     _check_update(update)
     return update
 
 
-def render_update(eta: RegUpdate, monoid=FREE) -> str:
+def render_update(eta: RegUpdate) -> str:
     parts = []
     for i, rhs in enumerate(eta, start=1):
-        items = []
-        for item in rhs:
-            if isinstance(item, Reg):
-                items.append(f"${item.index}")
-            elif isinstance(monoid, FreeMonoid):
-                items.append('"' + "".join(item.value) + '"')
-            else:
-                items.append(str(item.value))
+        items = [f"${item.index}" if isinstance(item, Reg)
+                 else '"' + "".join(item.value) + '"' for item in rhs]
         parts.append(f"{i} := [" + ", ".join(items) + "]")
     return "; ".join(parts)
 

@@ -11,6 +11,12 @@ def _table(elements, f):
     return {(a, b): f(a, b) for a in elements for b in elements}
 
 
+def _tabulate(monoid, letters, block):
+    """Context table: block(m, a, mr) for every prefix and suffix image."""
+    return {(m, a, mr): block(m, a, mr) for m in monoid.elements
+            for a in letters for mr in monoid.elements}
+
+
 # U1: multiplicative {1, 0}; recognises "no b occurs" style properties.
 U1 = FiniteMonoid(
     ("1", "0"),
@@ -56,15 +62,6 @@ Z3 = GroupSpec(
     "0")
 
 
-def _keep_a_table() -> dict[tuple[str, str, str], tuple[str, ...]]:
-    out: dict[tuple[str, str, str], tuple[str, ...]] = {}
-    for m in U1.elements:
-        for mr in U1.elements:
-            out[(m, "a", mr)] = ("a",) if m == "1" else ()
-            out[(m, "b", mr)] = ("b",)
-    return out
-
-
 # Keeps every b, and each a not preceded by any b.  keep_a("abab") = "abb".
 R_KEEP_A = RationalFn(
     name="keep-a",
@@ -72,17 +69,8 @@ R_KEEP_A = RationalFn(
     output_letters=("a", "b"),
     monoid=U1,
     h={"a": "1", "b": "0"},
-    out=_keep_a_table())
-
-
-def _mark_after_ab_table() -> dict[tuple[str, str, str], tuple[str, ...]]:
-    out: dict[tuple[str, str, str], tuple[str, ...]] = {}
-    for m in CONTAINS_AB.elements:
-        for mr in CONTAINS_AB.elements:
-            seen = m == "ab"
-            out[(m, "a", mr)] = ("A",) if seen else ("a",)
-            out[(m, "b", mr)] = ("B",) if seen else ("b",)
-    return out
+    out=_tabulate(U1, "ab", lambda m, a, mr:
+                  (a,) if a == "b" or m == "1" else ()))
 
 
 # Upper-cases every letter strictly after the first completed ab factor.
@@ -92,16 +80,8 @@ R_MARK_AFTER_AB = RationalFn(
     output_letters=("a", "b", "A", "B"),
     monoid=CONTAINS_AB,
     h={"a": "a", "b": "b"},
-    out=_mark_after_ab_table())
-
-
-def _double_b_table() -> dict[tuple[str, str, str], tuple[str, ...]]:
-    out: dict[tuple[str, str, str], tuple[str, ...]] = {}
-    for m in U1.elements:
-        for mr in U1.elements:
-            out[(m, "b", mr)] = ("b", "b") if mr == "1" else ("b",)
-            out[(m, "a", mr)] = ("a",)
-    return out
+    out=_tabulate(CONTAINS_AB, "ab", lambda m, a, mr:
+                  (a.upper(),) if m == "ab" else (a,)))
 
 
 # Doubles the final b of the word: uses the suffix image, not the prefix.
@@ -111,7 +91,8 @@ R_DOUBLE_LAST_B = RationalFn(
     output_letters=("a", "b"),
     monoid=U1,
     h={"a": "1", "b": "0"},
-    out=_double_b_table())
+    out=_tabulate(U1, "ab", lambda m, a, mr:
+                  (a, a) if a == "b" and mr == "1" else (a,)))
 
 SAMPLE_MONOIDS: dict[str, FiniteMonoid] = {
     "u1": U1,
@@ -161,18 +142,14 @@ SAMPLE_SSTS: dict[str, SSTSpec] = {
 
 
 def _constant_update_rational(name: str, letter_updates: dict[str, str]) -> RationalFn:
-    out = {}
-    for m in U1.elements:
-        for mr in U1.elements:
-            for a, text in letter_updates.items():
-                out[(m, a, mr)] = (text,)
     return RationalFn(
         name=name,
         input_letters=tuple(letter_updates),
         output_letters=tuple(set(letter_updates.values())),
         monoid=U1,
         h={a: "1" for a in letter_updates},
-        out=out)
+        out=_tabulate(U1, letter_updates,
+                      lambda m, a, mr: (letter_updates[a],)))
 
 
 # Streams of 1-register updates; multiplying them out and reading register 1
@@ -190,15 +167,6 @@ R_UPDATE_NOOP = _constant_update_rational(
     {"a": "1 := [$1]", "b": "1 := [$1]"})
 
 
-def _update_drop_last_table() -> dict[tuple[str, str, str], tuple[str, ...]]:
-    out = {}
-    for m in U1.elements:
-        for mr in U1.elements:
-            for a in ("a", "b"):
-                out[(m, a, mr)] = (f'1 := [$1, $2]; 2 := ["{a}"]',)
-    return out
-
-
 # Two-register update stream computing the word without its final letter.
 R_UPDATE_DROP_LAST = RationalFn(
     name="update-drop-last",
@@ -206,7 +174,8 @@ R_UPDATE_DROP_LAST = RationalFn(
     output_letters=('1 := [$1, $2]; 2 := ["a"]', '1 := [$1, $2]; 2 := ["b"]'),
     monoid=U1,
     h={"a": "1", "b": "1"},
-    out=_update_drop_last_table())
+    out=_tabulate(U1, "ab",
+                  lambda m, a, mr: (f'1 := [$1, $2]; 2 := ["{a}"]',)))
 
 SAMPLE_UPDATE_RATIONALS: dict[str, tuple[RationalFn, int]] = {
     "update-identity": (R_UPDATE_IDENTITY, 1),

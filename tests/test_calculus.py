@@ -6,7 +6,7 @@ import pytest
 
 from helpers import ABC, AB, BASICS, CD, HASH, _oracle_block, mixed_list, sym_list
 from listfn.stdlib import CATALOG, finite_function, is_nonempty
-from listfn.syntax import render_term
+from listfn.syntax import parse_term, render_term
 from listfn.terms import (
     BOOL_T,
     FALSE,
@@ -139,6 +139,34 @@ def test_is_first_order_flags_group_prefix():
     assert not is_first_order(reg)
     assert not is_first_order(Pair(fo, Compose(reg, Const(
         ListV(()), List(AB), List(SAMPLE_GROUPS["z2"].carrier)))))
+
+
+def test_infer_type_of_guards_and_group_prefix():
+    nonempty = "std:is_nonempty@{a,b}"
+    guard = parse_term(f"(guard reverse@{{a,b}} {nonempty} {nonempty})")
+    assert infer_type(guard) == (List(AB), List(AB))
+    z3 = List(SAMPLE_GROUPS["z3"].carrier)
+    assert infer_type(parse_term("(gprefix z3)")) == (z3, z3)
+    with pytest.raises(TermTypeError, match="guard predicate domain "
+                       r"\{a,b\}\^\* does not match \{c,d\}\^\*"):
+        infer_type(parse_term(f"(guard reverse@{{c,d}} {nonempty} {nonempty})"))
+    with pytest.raises(TermTypeError,
+                       match=r"guard predicate must land in \{0,1\}"):
+        infer_type(parse_term("(guard reverse@{a,b} reverse@{a,b} "
+                              f"{nonempty})"))
+
+
+def test_is_first_order_looks_inside_unions_and_guards():
+    z2 = SAMPLE_GROUPS["z2"].carrier
+    reg = PrefixGroupMult(SAMPLE_GROUPS["z2"])
+    fo_guard = Guarded(Reverse(AB), is_nonempty(AB), is_nonempty(AB))
+    assert is_first_order(Union(Reverse(AB), fo_guard))
+    assert not is_first_order(Union(Reverse(AB), reg))
+    assert not is_first_order(Guarded(reg, is_nonempty(z2), is_nonempty(z2)))
+    assert not is_first_order(
+        Guarded(Reverse(z2), Compose(is_nonempty(z2), reg), is_nonempty(z2)))
+    assert not is_first_order(
+        Guarded(Reverse(z2), is_nonempty(z2), Compose(is_nonempty(z2), reg)))
 
 
 def test_subterms_walks_the_tree():

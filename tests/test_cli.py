@@ -192,6 +192,72 @@ def test_check_seed_env_is_deterministic(capsys, monkeypatch):
     assert '"seed": 100' in out3
 
 
+@pytest.mark.parametrize("argv", [
+    ["reverse"], ["append"], ["coappend"], ["flat"], ["block"], ["ab_example"],
+    ["reverse", "--type", "{a,b,c}"], ["block", "--type", "{a}", "--type", "{b,c}"],
+    ["ab_example", "--type", "{a}"],
+], ids=["reverse", "append", "coappend", "flat", "block", "ab_example",
+        "reverse-type", "block-types", "ab_example-type"])
+def test_check_fot_commute_on_one_builtin(capsys, argv):
+    code, out, _ = run(capsys, "check", "fot-commute", *argv, "--count", "3",
+                       "--format", "json-lines")
+    assert code == 0
+    (record,) = [json.loads(ln) for ln in out.splitlines()]
+    assert record["output"]["builtins"] == argv[0]
+    assert record["output"]["result"] == "pass"
+
+
+def test_check_fot_commute_needs_a_builtin_name(capsys):
+    code, out, err = run(capsys, "check", "fot-commute")
+    assert (code, out) == (2, "")
+    assert "check fot-commute needs a builtin name: reverse, append" in err
+
+
+def test_check_stdlib_covers_every_catalog_entry(capsys):
+    code, out, _ = run(capsys, "check", "stdlib", "--count", "1")
+    assert code == 0
+    assert "entries: 17\ncases: 29\nseed: 0\nresult: pass" in out
+
+
+def test_check_all_records_keep_their_keys_and_counts(capsys):
+    code, out, _ = run(capsys, "check", "all", "--count", "2", "--seed", "7",
+                       "--format", "json-lines")
+    assert code == 0
+    fields = {rec["input"]: list(rec["output"].items())
+              for rec in map(json.loads, out.splitlines())}
+    tail = [("seed", 7), ("result", "pass")]
+    assert fields == {
+        "rational": [("check", "rational"),
+                     ("functions", "keep-a, mark-after-ab, double-last-b"),
+                     ("cases", 6), *tail],
+        "registers-fold": [("check", "registers-fold"), ("cases", 2), *tail],
+        "fot-commute": [("check", "fot-commute"), ("cases", 147),
+                        ("builtins", "reverse, append, coappend, flat, block, "
+                                     "ab_example"), *tail],
+        "sst": [("check", "sst"), ("ssts", "identity, reverse, drop-last"),
+                ("cases", 6), *tail],
+        "forest": [("check", "forest"), ("monoids", "u1, contains-ab"),
+                   ("cases", 4), *tail],
+        "stdlib": [("check", "stdlib"), ("entries", 17), ("cases", 29), *tail],
+    }
+
+
+def test_a_failing_check_exits_4_and_names_its_first_case(capsys, monkeypatch):
+    monkeypatch.setattr("listfn.cli.tree_depth", lambda tree: 10**9)
+    code, out, err = run(capsys, "check", "forest", "--count", "2",
+                         "--seed", "7")
+    assert (code, out) == (4, "")
+    assert "cases: 4\n" in err
+    assert "result: fail (4 case(s); first: u1 on b)" in err
+    code, out, _ = run(capsys, "check", "all", "--count", "2", "--seed", "7",
+                       "--format", "json-lines")
+    assert code == 4
+    statuses = {rec["input"]: rec["status"]
+                for rec in map(json.loads, out.splitlines())}
+    assert statuses.pop("forest") == "fail"
+    assert set(statuses.values()) == {"pass"}
+
+
 def test_missing_file_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "run-pipeline",
                        str(tmp_path / "nope.lpipe"), "ab")
@@ -206,6 +272,15 @@ def test_forest_on_a_large_monoid_file(capsys, tmp_path):
     code, out, _ = run(capsys, "forest", str(p), "abab")
     assert code == 0
     assert "valid: yes" in out
+
+
+def test_non_decimal_digit_in_a_structure_file_exits_2(capsys, tmp_path):
+    p = tmp_path / "bad.lstruct"
+    p.write_text("listfn-structure 1\nuniverse 0\nrel t \u00b2\n",
+                 encoding="utf-8")
+    code, _, err = run(capsys, "decode", str(p), "{a}")
+    assert code == 2
+    assert "rel lines take name, arity" in err
 
 
 DEEP = 1200

@@ -188,6 +188,32 @@ def test_malformed_fot_files_are_rejected(tmp_path, line):
         load_fot(p)
 
 
+def _save_drop_last(p):
+    save_sst(p, SAMPLE_SSTS["drop-last"])
+
+
+# "\u00b2" is "²": str.isdigit() accepts it but int() rejects it
+@pytest.mark.parametrize("keyword,save,load", [
+    ("rel", lambda p: save_structure(p, encode_value(sym_list("ab"), List(AB))),
+     load_structure),
+    ("bound", lambda p: save_pipeline(
+        p, compile_rational(SAMPLE_RATIONALS["keep-a"])), load_pipeline),
+    ("registers", _save_drop_last, load_sst),
+    ("output-register", _save_drop_last, load_sst),
+], ids=["structure-rel", "pipeline-bound", "sst-registers",
+        "sst-output-register"])
+def test_non_decimal_digits_in_numeric_fields_are_rejected(tmp_path, keyword,
+                                                           save, load):
+    p = tmp_path / "artifact"
+    save(p)
+    lines = p.read_text(encoding="utf-8").splitlines()
+    i = next(i for i, ln in enumerate(lines) if ln.split()[0] == keyword)
+    lines[i] = " ".join([*lines[i].split()[:-1], "\u00b2"])
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(FileFormatError):
+        load(p)
+
+
 def test_header_and_kind_mismatch_are_rejected(tmp_path):
     p = tmp_path / "x.ltype"
     p.write_text("listfn-type 99\n{a}\n")
