@@ -6,13 +6,14 @@ one-sided ideal is used to colour the word, pair adjacent runs and recurse in
 a smaller semigroup.  The achieved depth depends on the semigroup only, never
 on the length of the word.
 
-Each semigroup numbers its elements once (``index``) and keeps the integer
-Cayley table that its associativity check builds (``table``) and its
-aperiodicity index.  The builder works on element numbers and turns them into
-names only for node labels.  Which one-sided ideal splits a word depends only
-on the set of its letters' images, so that choice is memoised per generator
-set on the semigroup object itself, filled on first use: a long-lived
-semigroup such as the cached T_k computes each closure once.
+Each semigroup numbers its elements once (``index``) and keeps its product
+only as the integer Cayley table its associativity check builds (``table``;
+``mult`` on names reads it), beside its aperiodicity index.  The builder works
+on element numbers and turns them into names only for node labels.  Which
+one-sided ideal splits a word depends only on the set of its letters' images,
+so that choice is memoised per generator set on the semigroup object itself,
+filled on first use: a long-lived semigroup such as the cached T_k computes
+each closure once.
 """
 from __future__ import annotations
 
@@ -36,14 +37,13 @@ class FiniteSemigroup:
         self.elements = tuple(elements)
         if len(set(self.elements)) != len(self.elements) or not self.elements:
             raise ValueError("elements must be distinct and nonempty")
-        self._mult = dict(mult)
         self.index = {e: i for i, e in enumerate(self.elements)}
-        self.table = self._check_table()
+        self.table = self._check_table(mult)
         self.aperiodicity = _aperiodicity(self.table)
         # generator set (element indices, ascending) -> (g, right) split choice
         self._splits: dict[tuple[int, ...], tuple[int, bool]] = {}
 
-    def _check_table(self) -> list[list[int]]:
+    def _check_table(self, mult: dict[tuple[str, str], str]) -> list[list[int]]:
         """Integer Cayley table: ``table[i][j]`` indexes element i·j."""
         els = self.elements
         index = self.index
@@ -51,7 +51,7 @@ class FiniteSemigroup:
         table = [[0] * n for _ in range(n)]
         for a in els:
             for b in els:
-                c = self._mult.get((a, b))
+                c = mult.get((a, b))
                 if c is None:
                     raise ValueError(f"product {a}·{b} missing from the table")
                 if c not in index:
@@ -71,7 +71,7 @@ class FiniteSemigroup:
         return table
 
     def mult(self, a: str, b: str) -> str:
-        return self._mult[(a, b)]
+        return self.elements[self.table[self.index[a]][self.index[b]]]
 
     def product(self, items: Iterable[str]) -> str:
         """Variadic product; the empty product needs an identity."""

@@ -82,6 +82,7 @@ from .stdlib import CATALOG
 from .syntax import _split_args, parse_term
 from .terms import EvalError, TermTypeError, infer_type, eval_term
 from .types import (
+    NestingError,
     ParseError,
     TypeMismatch,
     enumerate_values,
@@ -638,14 +639,15 @@ def main(argv=None) -> int:
     rep = Reporter(args.format)
     try:
         return args.func(args, rep) or 0
+    except (NestingError, RecursionError) as e:
+        msg = str(e) if isinstance(e, NestingError) else "input nested too deeply"
+        rep.emit(args.command, None, msg, status="error")
+        return 3
     except ParseError as e:
         rep.emit(args.command, None, str(e), status="syntax-error")
         return 2
     except (TermTypeError, TypeMismatch, EvalError, ValueError) as e:
         rep.emit(args.command, None, str(e), status="error")
-        return 3
-    except RecursionError:
-        rep.emit(args.command, None, "input nested too deeply", status="error")
         return 3
 
 

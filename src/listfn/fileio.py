@@ -293,8 +293,7 @@ def save_pipeline(path: str | Path, p: Pipeline) -> None:
 def load_pipeline(path: str | Path) -> Pipeline:
     b = _Body(_read_body(path, "pipeline"), str(path))
     r = _parse_rational(b, extra_keywords={"bound", "table"})
-    if not b.take("bound", 1)[0].isdecimal():
-        raise FileFormatError(f"{path}: bound must be a number")
+    bound = b.take("bound", 1)[0]
     table: dict[str, tuple[str, ...]] = {}
     for row in b.all("table"):
         if not row:
@@ -303,7 +302,11 @@ def load_pipeline(path: str | Path) -> Pipeline:
     missing = [n for n in triple_alphabet(r).names if n not in table]
     if missing:
         raise FileFormatError(f"{path}: table misses triple {missing[0]}")
-    return compile_rational(r, table=table)
+    p = compile_rational(r, table=table)
+    if bound != str(p.bound):
+        raise FileFormatError(
+            f"{path}: bound {bound} differs from the recomputed bound {p.bound}")
+    return p
 
 
 # -------------------------------------------------------------------- SSTs

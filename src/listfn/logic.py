@@ -41,6 +41,7 @@ from .types import (
     InR,
     List,
     ListV,
+    Nesting,
     PairV,
     ParseError,
     Prod,
@@ -236,10 +237,6 @@ def _lookup(asg: dict[str, int], var: str) -> int:
 _F_TOKEN = re.compile(r"<->|->|!=|[(),=.&|!]|[A-Za-z0-9_#']+")
 _F_IDENT = re.compile(r"[A-Za-z0-9_#']+")
 _F_RESERVED = {"E", "A", "true", "false"}
-# Parentheses, negations, quantifiers, `->` and `<->` each nest a level; the
-# cap keeps the parser and every recursive walk over formulas far below
-# Python's recursion limit.
-_F_MAX_NESTING = 100
 
 
 def parse_formula(text: str) -> Formula:
@@ -266,23 +263,12 @@ def parse_formula(text: str) -> Formula:
     return phi
 
 
-class _FormulaParser:
+class _FormulaParser(Nesting):
+    what = "formula"
+
     def __init__(self, tokens: list[str]) -> None:
         self.tokens = tokens
         self.pos = 0
-        self.depth = 0
-
-    def deeper(self) -> None:
-        self.depth += 1
-        if self.depth > _F_MAX_NESTING:
-            raise ParseError("formula nested too deeply")
-
-    def nested(self, parse) -> Formula:
-        """``parse()`` one level deeper."""
-        self.deeper()
-        phi = parse()
-        self.depth -= 1
-        return phi
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None

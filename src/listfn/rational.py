@@ -4,18 +4,20 @@ A rational function reads a word and emits, at every position, an output block
 that may depend on the whole input, but only through the images of the prefix
 and suffix in a finite aperiodic monoid.  Direct evaluation uses prefix and
 suffix product arrays.  The compiler reproduces the same function as a
-pipeline: build a factorisation tree, annotate siblings with saturated power
-profiles, read off each position's ancestor contexts, classify every position
-by a (prefix image, letter, suffix image) triple, then apply a finite table
-followed by flattening.  The final two stages are ordinary terms; the tree
-stages stay opaque because their intermediate shapes are unbounded.
+pipeline: build a factorisation tree, give every node the products of its left
+and right siblings' labels, fold each position's ancestors into a (prefix
+image, letter, suffix image) triple, all on element numbers of the monoid's
+Cayley table, then apply a finite table followed by flattening.  The final two
+stages are ordinary terms; the tree stages stay opaque because their
+intermediate shapes are unbounded.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Sequence
 
-from .algebra import (FiniteMonoid, Homomorphism, Leaf, Node, FactTree,
+from .algebra import (FiniteMonoid, Homomorphism, Leaf, FactTree,
                       NotAperiodicError, aperiodicity_index,
                       build_factorisation, forest_depth_bound)
 from .stdlib import chain, finite_function
@@ -86,54 +88,37 @@ def eval_rational_direct(r: RationalFn, word: Sequence[str]) -> tuple[str, ...]:
 class ProfTree:
     """Factorisation tree node carrying its profile among its siblings.
 
-    The profile is the pair (product of labels of the siblings to the left,
-    same to the right), with long runs of one label collapsed at the
-    saturation power of the monoid.
+    The profile is the pair of element numbers (product of the labels of the
+    siblings to the left, same to the right).
     """
-    label: str
-    profile: tuple[str, str]
+    profile: tuple[int, int]
     children: tuple["ProfTree", ...]
     letter: str | None = None
 
 
-def power_profile_list(m: FiniteMonoid, label: str,
-                       degree: int) -> list[tuple[str, str]]:
-    """Sibling profiles under a node whose children all share one label."""
-    cap = aperiodicity_index(m)
-    assert cap is not None
-    powers = [m.identity]
-    for _ in range(min(degree, cap + 1)):
-        powers.append(m.mult(powers[-1], label))
-
-    def pw(k: int) -> str:
-        return powers[min(k, cap)]
-
-    return [(pw(j), pw(degree - 1 - j)) for j in range(degree)]
-
-
 def sibling_profiles(m: FiniteMonoid, t: FactTree) -> ProfTree:
     """Annotate every node with its left/right sibling context products."""
+    table, index, one = m.table, m.index, m.index[m.identity]
 
-    def walk(t: FactTree, profile: tuple[str, str]) -> ProfTree:
-        assert isinstance(t, Node)
+    def walk(t: FactTree, profile: tuple[int, int]) -> ProfTree:
         kids = t.children
-        if len(kids) == 1 and isinstance(kids[0], Leaf):
-            return ProfTree(t.label, profile, (), kids[0].letter)
-        if len(kids) == 2:
-            profs = [(m.identity, kids[1].label), (kids[0].label, m.identity)]
-        else:
-            profs = power_profile_list(m, kids[0].label, len(kids))
-        return ProfTree(t.label, profile,
-                        tuple(walk(c, p) for c, p in zip(kids, profs)))
+        if isinstance(kids[0], Leaf):
+            return ProfTree(profile, (), kids[0].letter)
+        labels = [index[c.label] for c in kids]
+        lefts = accumulate(labels[:-1], lambda p, x: table[p][x], initial=one)
+        rights = list(accumulate(reversed(labels[1:]),
+                                 lambda s, x: table[x][s], initial=one))
+        return ProfTree(profile, tuple(
+            walk(c, p) for c, p in zip(kids, zip(lefts, reversed(rights)))))
 
-    return walk(t, (m.identity, m.identity))
+    return walk(t, (one, one))
 
 
-def ancestor_lists(t: ProfTree) -> list[tuple[str, list[tuple[str, str]]]]:
+def ancestor_lists(t: ProfTree) -> list[tuple[str, list[tuple[int, int]]]]:
     """Per position: its letter and the profiles from the root down to it."""
-    out: list[tuple[str, list[tuple[str, str]]]] = []
+    out: list[tuple[str, list[tuple[int, int]]]] = []
 
-    def walk(t: ProfTree, acc: list[tuple[str, str]]) -> None:
+    def walk(t: ProfTree, acc: list[tuple[int, int]]) -> None:
         acc = acc + [t.profile]
         if t.letter is not None:
             out.append((t.letter, acc))
@@ -150,27 +135,25 @@ def triple_name(m: str, a: str, mr: str) -> str:
 
 
 def classify_positions(r: RationalFn, bound: int,
-                       ann: list[tuple[str, list[tuple[str, str]]]]) -> Value:
+                       ann: list[tuple[str, list[tuple[int, int]]]]) -> Value:
     """Fold each ancestor list into a context triple; overlong lists go dead."""
     m = r.monoid
+    table, els, one = m.table, m.elements, m.index[m.identity]
     names: list[str] = []
     for letter, profs in ann:
         if len(profs) > bound:
             names.append(DEAD)
             continue
-        left = m.product(p[0] for p in profs)
-        right = m.product(p[1] for p in reversed(profs))
-        names.append(triple_name(left, letter, right))
+        left = right = one
+        for a, b in profs:
+            left = table[left][a]
+            right = table[b][right]  # nearer the root is further right
+        names.append(triple_name(els[left], letter, els[right]))
     return ListV(tuple(Sym(n) for n in names))
 
 
 def triple_alphabet(r: RationalFn) -> FinSet:
-    names = [triple_name(m, a, mr)
-             for m in r.monoid.elements
-             for a in r.input_letters
-             for mr in r.monoid.elements]
-    names.append(DEAD)
-    return FinSet(tuple(names))
+    return FinSet(tuple(output_table(r)))
 
 
 @dataclass(frozen=True)
@@ -192,12 +175,11 @@ class Pipeline:
 
 
 def output_table(r: RationalFn) -> dict[str, tuple[str, ...]]:
-    """Block of output letters for every context triple; dead maps to none."""
-    table: dict[str, tuple[str, ...]] = {DEAD: ()}
-    for m in r.monoid.elements:
-        for a in r.input_letters:
-            for mr in r.monoid.elements:
-                table[triple_name(m, a, mr)] = r.block(m, a, mr)
+    """Block of output letters for every context triple, then dead for none."""
+    els = r.monoid.elements
+    table = {triple_name(m, a, mr): r.block(m, a, mr)
+             for m in els for a in r.input_letters for mr in els}
+    table[DEAD] = ()
     return table
 
 

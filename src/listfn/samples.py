@@ -24,7 +24,7 @@ U1 = FiniteMonoid(
     "1")
 
 
-def _contains_ab_mult(x: str, y: str) -> str:
+def _contains_ab_product(x: str, y: str) -> str:
     if x == "1":
         return y
     if y == "1":
@@ -41,7 +41,7 @@ def _contains_ab_mult(x: str, y: str) -> str:
 # Syntactic monoid of "contains the factor ab"; aperiodic with index 2.
 CONTAINS_AB = FiniteMonoid(
     ("1", "a", "b", "ab", "ba"),
-    _table(("1", "a", "b", "ab", "ba"), _contains_ab_mult),
+    _table(("1", "a", "b", "ab", "ba"), _contains_ab_product),
     "1")
 
 
@@ -145,7 +145,7 @@ def _constant_update_rational(name: str, letter_updates: dict[str, str]) -> Rati
     return RationalFn(
         name=name,
         input_letters=tuple(letter_updates),
-        output_letters=tuple(set(letter_updates.values())),
+        output_letters=tuple(dict.fromkeys(letter_updates.values())),
         monoid=U1,
         h={a: "1" for a in letter_updates},
         out=_tabulate(U1, letter_updates,

@@ -15,8 +15,9 @@ from .terms import (
     TermTypeError, Union, eval_term, infer_type,
 )
 from .types import (
-    BOT, BOT_T, Atom, Bot, FinSet, InL, InR, List, ListV, PairV, ParseError,
-    Prod, Sum, Sym, TypeExpr, Value, default_value, parse_type, parse_value,
+    BOT, BOT_T, MAX_NESTING, Atom, Bot, FinSet, InL, InR, List, ListV, PairV,
+    ParseError, Prod, Sum, Sym, TypeExpr, Value, default_value, parse_type,
+    parse_value,
 )
 
 MARK = Atom("mark")
@@ -437,9 +438,12 @@ def catalog_term(name: str, arg_texts: list[str]) -> Term:
     for kind, text in zip(entry.cli_args, arg_texts):
         if kind == "nat":
             try:
-                args.append(int(text))
+                n = int(text)
             except ValueError:
                 raise ParseError(f"{name} expects a number, got {text!r}") from None
+            if n > MAX_NESTING:
+                raise TermTypeError(f"{name} takes numbers up to {MAX_NESTING}, got {n}")
+            args.append(n)
         elif kind == "type":
             args.append(parse_type(text))
         elif kind == "value":

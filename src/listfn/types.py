@@ -16,6 +16,34 @@ class ParseError(ValueError):
     """Raised on malformed type, value, term or formula text."""
 
 
+class NestingError(ParseError):
+    """Raised on text nested more than ``MAX_NESTING`` levels deep."""
+
+
+# Type and value brackets, inl/inr tags, and a formula's parentheses,
+# negations, quantifiers, `->` and `<->` each nest a level.  The cap bounds the
+# parsers' recursion and the size of catalog terms built from a number.
+MAX_NESTING = 100
+
+
+class Nesting:
+    """Depth count of a recursive-descent parser over ``what`` text."""
+    depth = 0
+    what: str
+
+    def deeper(self) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise NestingError(f"{self.what} nested too deeply")
+
+    def nested(self, parse):
+        """``parse()`` one level deeper."""
+        self.deeper()
+        result = parse()
+        self.depth -= 1
+        return result
+
+
 class TypeMismatch(TypeError):
     """Raised when a value does not inhabit the expected type."""
 
@@ -208,7 +236,7 @@ def _tokenize(text: str, symbols: tuple[str, ...]) -> list[tuple[str, str, int]]
     return toks
 
 
-class _Cursor:
+class _Cursor(Nesting):
     """Token cursor shared by the type and value parsers."""
 
     def __init__(self, text: str, symbols: tuple[str, ...], what: str) -> None:
@@ -293,11 +321,11 @@ class _TypeParser(_Cursor):
                 if tok[0] != ",":
                     raise ParseError(f"expected ',' or '}}' at position {tok[2]}")
         if kind == "(":
-            t = self.sum()
+            t = self.nested(self.sum)
             self.expect(")")
             return t
         if kind == "[":
-            t = self.sum()
+            t = self.nested(self.sum)
             self.expect("]")
             return List(t)
         if kind == "id":
@@ -343,28 +371,28 @@ class _ValueParser(_Cursor):
             if text == "bot":
                 return BOT
             if text == "inl":
-                return InL(self.value())
+                return InL(self.nested(self.value))
             if text == "inr":
-                return InR(self.value())
+                return InR(self.nested(self.value))
             return Sym(text)
         if kind == "(":
-            fst = self.value()
+            fst = self.nested(self.value)
             self.expect(",")
-            snd = self.value()
+            snd = self.nested(self.value)
             self.expect(")")
             return PairV(fst, snd)
         if kind == "[":
             if self.peek() == "]":
                 self.next()
                 return ListV(())
-            items = [self.value()]
+            items = [self.nested(self.value)]
             while True:
                 tok = self.next()
                 if tok[0] == "]":
                     return ListV(tuple(items))
                 if tok[0] != ",":
                     raise ParseError(f"expected ',' or ']' at position {tok[2]}")
-                items.append(self.value())
+                items.append(self.nested(self.value))
         raise ParseError(f"unexpected {text!r} at position {pos}")
 
 

@@ -115,6 +115,13 @@ def test_group_spec_validates_laws():
         GroupSpec(("1", "g"), (("1", "g"),), "1")  # not square
     with pytest.raises(ValueError):
         GroupSpec(("1", "g"), (("g", "1"), ("1", "g")), "1")  # identity law
+    # a loop: a Latin square with identity and inverses, where (a·a)·b = b
+    # but a·(a·b) = d
+    loop = (("e", "a", "b", "c", "d"), ("a", "e", "c", "d", "b"),
+            ("b", "d", "e", "a", "c"), ("c", "b", "d", "e", "a"),
+            ("d", "c", "a", "b", "e"))
+    with pytest.raises(ValueError, match="associativity fails"):
+        GroupSpec(loop[0], loop, "e")
 
 
 @pytest.mark.parametrize("name", ["z2", "z3"])

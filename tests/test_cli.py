@@ -109,6 +109,17 @@ def test_tampered_pipeline_is_caught(capsys, tmp_path):
     assert "difference" in err or "mismatch" in err
 
 
+def test_pipeline_with_a_tampered_bound_exits_2(capsys, tmp_path):
+    pipe = tmp_path / "keepa.lpipe"
+    run(capsys, "compile-rational", "keep-a", "-o", str(pipe))
+    text = pipe.read_text()
+    assert "\nbound 6\n" in text
+    pipe.write_text(text.replace("\nbound 6\n", "\nbound 1\n"))
+    code, out, err = run(capsys, "run-pipeline", str(pipe), "abab")
+    assert (code, out) == (2, "")
+    assert "bound 1 differs from the recomputed bound 6" in err
+
+
 def test_sst_modes_agree(capsys):
     code, out, _ = run(capsys, "sst", "reverse", "abb")
     assert (code, out.strip()) == (0, "bba")
@@ -299,3 +310,11 @@ def test_over_deep_input_exits_3(capsys, argv, fmt):
         assert record["status"] == "error"
     else:
         assert len(err.strip().splitlines()) == 1
+
+
+def test_over_deep_formula_in_a_file_exits_3(capsys, tmp_path):
+    p = tmp_path / "deep.lfot"
+    p.write_text("listfn-fot 2\ncopies 1\ninput Q_a 1\noutput Q_a 1\n"
+                 f"universe 1 {'!' * 150}true\n")
+    code, _, err = run(capsys, "fot", str(p), "--word", "ab")
+    assert (code, err.strip()) == (3, "formula nested too deeply")

@@ -123,6 +123,17 @@ def test_pipeline_missing_table_row_is_rejected(tmp_path):
         load_pipeline(p)
 
 
+def test_pipeline_bound_must_match_the_recomputed_bound(tmp_path):
+    p = tmp_path / "keepa.lpipe"
+    save_pipeline(p, compile_rational(SAMPLE_RATIONALS["keep-a"]))
+    text = p.read_text()
+    assert "\nbound 6\n" in text
+    p.write_text(text.replace("\nbound 6\n", "\nbound 1\n"))
+    with pytest.raises(FileFormatError,
+                       match="bound 1 differs from the recomputed bound 6"):
+        load_pipeline(p)
+
+
 def test_sst_file_round_trip(tmp_path):
     sst = SAMPLE_SSTS["reverse"]
     p = tmp_path / "rev.lsst"

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from listfn.algebra import Node, build_factorisation
 from listfn.rational import (
     DEAD,
+    RationalFn,
     compile_rational,
     eval_pipeline,
     eval_rational_direct,
@@ -13,6 +15,7 @@ from listfn.rational import (
     triple_alphabet,
     triple_name,
 )
+from listfn.registers import t_k_monoid
 from listfn.samples import SAMPLE_RATIONALS
 
 NAMES = sorted(SAMPLE_RATIONALS)
@@ -93,3 +96,54 @@ def test_pipeline_reports_its_stage_bound():
         p = compile_rational(SAMPLE_RATIONALS[name])
         assert p.bound >= 1
         assert p.stages
+
+
+def _t2_contexts():
+    """One letter per element of T_2; each position emits the element
+    numbers of its (prefix image, suffix image) pair."""
+    m = t_k_monoid(2)[0]
+    h = {f"x{i}": e for i, e in enumerate(m.elements)}
+    pair = {(p, s): f"{m.index[p]}/{m.index[s]}"
+            for p in m.elements for s in m.elements}
+    out = {(p, a, s): (pair[p, s],)
+           for p in m.elements for a in h for s in m.elements}
+    return RationalFn("t2-contexts", tuple(h), tuple(pair.values()), m, h, out)
+
+
+def test_right_contexts_in_a_non_commutative_monoid():
+    """T_2 is not commutative, so a prefix or suffix image multiplied in the
+    wrong order names the wrong pair.  Long runs of a non-idempotent letter
+    make wide nodes whose children share a label that is not idempotent."""
+    r = _t2_contexts()
+    m, p = r.monoid, compile_rational(r)
+    letters = list(r.input_letters)
+    rng = random.Random(13)
+    words = [[rng.choice(letters) for _ in range(rng.randrange(1, 1001))]
+             for _ in range(120)]
+    runs = [a for a in letters if m.mult(r.h[a], r.h[a]) != r.h[a]]
+    assert runs
+    wide = False
+    for a in runs:
+        for n in (3, 4, 7, 50, 400):
+            for _ in range(4):
+                w = ([rng.choice(letters) for _ in range(rng.randrange(3))]
+                     + [a] * n
+                     + [rng.choice(letters) for _ in range(rng.randrange(3))])
+                words.append(w)
+                wide = wide or _has_wide_node_of_a_non_idempotent(
+                    m, build_factorisation(r.hom(), w))
+    assert wide
+    for w in words:
+        assert eval_pipeline(p, w) == eval_rational_direct(r, w), w
+
+
+def _has_wide_node_of_a_non_idempotent(m, t):
+    work = [t]
+    while work:
+        node = work.pop()
+        if isinstance(node, Node):
+            label = node.children[0].label if len(node.children) >= 3 else None
+            if label is not None and m.mult(label, label) != label:
+                return True
+            work.extend(node.children)
+    return False

@@ -1,9 +1,14 @@
 """Register updates: products, abstractions, and the transducer runners."""
 import functools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import listfn
 from listfn.registers import (
     Lit,
     Reg,
@@ -182,3 +187,32 @@ def test_update_pipeline_runs_registers_through_context_triples(name):
         n = rng.randrange(0, 40)
         w = "".join(rng.choice("ab") for _ in range(n))
         assert fot_pipeline_eval(g, k, w) == oracle(w)
+
+
+_SAVE_UPDATE_RATIONALS = """
+import sys
+from pathlib import Path
+from listfn.fileio import save_rational
+from listfn.samples import SAMPLE_UPDATE_RATIONALS
+for name, (r, _) in sorted(SAMPLE_UPDATE_RATIONALS.items()):
+    path = Path(sys.argv[1]) / name
+    save_rational(path, r)
+    print(name, r.output_letters)
+    print(path.read_text(encoding="utf-8"))
+"""
+
+
+def test_update_rationals_do_not_depend_on_the_hash_seed(tmp_path):
+    """Output letters, and so the saved files, keep one order under every
+    PYTHONHASHSEED."""
+    src = str(Path(listfn.__file__).resolve().parent.parent)
+    outputs = {}
+    for seed in ("0", "1", "2", "3", "4", "5"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _SAVE_UPDATE_RATIONALS, str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=60, check=True)
+        outputs[seed] = done.stdout
+    assert len(set(outputs.values())) == 1, outputs

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import AB, ABC, DE, HASH, mixed_list, sym_list
+from helpers import AB, ABC, DE, HASH, mixed_list, sym_list, time_limit
 from listfn.stdlib import (
     CATALOG,
     catalog_term,
@@ -20,6 +20,7 @@ from listfn.syntax import parse_term
 from listfn.terms import TermTypeError, eval_term, infer_type
 from listfn.types import (
     ListV,
+    MAX_NESTING,
     PairV,
     Sym,
     check_value,
@@ -112,12 +113,24 @@ def test_catalog_term_builds_from_text():
         catalog_term("lift_plus", [])  # not text-constructible
 
 
-@pytest.mark.parametrize("text", ["std:len_upto@-1,{a}", "std:windows@1,{a}"],
-                         ids=["negative-cap", "narrow-window"])
+@pytest.mark.parametrize("text", [
+    "std:len_upto@-1,{a}", "std:windows@1,{a}",
+    f"std:len_upto@{MAX_NESTING + 1},{{a}}",
+    f"std:windows@{MAX_NESTING + 1},{{a}}",
+    "std:len_upto@99999999,{a}",
+], ids=["negative-cap", "narrow-window", "cap-above-limit",
+        "window-above-limit", "huge-cap"])
 def test_out_of_range_catalog_arguments_are_type_errors(text):
-    with pytest.raises(TermTypeError):
-        parse_term(text)
-    assert main(["typecheck", text]) == 3
+    """Refused before anything is built: a huge cap once ran out of memory."""
+    with time_limit(5):
+        with pytest.raises(TermTypeError):
+            parse_term(text)
+        assert main(["typecheck", text]) == 3
+
+
+@pytest.mark.parametrize("name", ["len_upto", "windows"])
+def test_catalog_numbers_at_the_nesting_limit_build(name):
+    infer_type(parse_term(f"std:{name}@{MAX_NESTING},{{a}}"))
 
 
 def test_every_catalog_term_is_well_typed():

@@ -82,12 +82,12 @@ def test_custom_group_table():
         parse_term("(gprefix z2)", groups=groups)
 
 
-# No digit pieces: std:len_upto@N and std:windows@N build terms whose size
-# grows with N, so a long run of digits would exhaust memory, not the parser.
+# Digit pieces reach std:len_upto@N and std:windows@N, whose terms grow with
+# N; numbers above MAX_NESTING are refused before anything is built.
 _TERM_PIECES = ["(", ")", "{", "}", "[", "]", ",", "@", '"', " ", "\n", "a",
                 "b", "#", ":", "<", "^*", "+", "*", "reverse", "compose",
                 "map", "union", "pair", "const", "gprefix", "z2", "std:",
-                "comma", "len_upto"]
+                "comma", "len_upto", "windows", "0", "2", "9", "-"]
 
 
 @settings(derandomize=True, max_examples=300, deadline=1000)

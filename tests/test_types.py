@@ -15,6 +15,8 @@ from listfn.types import (
     InR,
     List,
     ListV,
+    MAX_NESTING,
+    NestingError,
     PairV,
     ParseError,
     Prod,
@@ -173,14 +175,32 @@ def test_string_encoding_rejects_corrupt_text():
         string_decode(good[:-1], t)
 
 
-# Bracket-heavy text.  At most 120 pieces, so brackets nest far less deep
-# than the ~250 levels where parse_type runs out of Python stack (deeper
-# input is a RecursionError, which the CLI reports as exit 3).
+_NESTED = {
+    "type-list": (parse_type, "[", "{a}", "]"),
+    "type-parens": (parse_type, "(", "{a}", ")"),
+    "value-list": (parse_value, "[", "a", "]"),
+    "value-pair": (parse_value, "(a,", "a", ")"),
+    "value-inl": (parse_value, "inl ", "a", ""),
+    "value-inr": (parse_value, "inr ", "a", ""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NESTED))
+def test_nesting_beyond_the_limit_is_a_parse_error(name):
+    parse, opener, leaf, closer = _NESTED[name]
+    with time_limit(5):
+        parse(opener * MAX_NESTING + leaf + closer * MAX_NESTING)
+        for depth in (MAX_NESTING + 1, 300, 5000):
+            with pytest.raises(NestingError, match="nested too deeply"):
+                parse(opener * depth + leaf + closer * depth)
+
+
+# Bracket-heavy text, long enough to nest past MAX_NESTING.
 _TEXT_PIECES = ["{", "}", "[", "]", "(", ")", ",", "+", "*", "×", "^*", "^",
                 "a", "b", "#", "@", '"', " ", "inl", "inr", "bot", ":", "9"]
 _FUZZ_TEXT = st.one_of(
-    st.text(max_size=120),
-    st.lists(st.sampled_from(_TEXT_PIECES), max_size=120).map("".join),
+    st.text(max_size=400),
+    st.lists(st.sampled_from(_TEXT_PIECES), max_size=400).map("".join),
 )
 
 
