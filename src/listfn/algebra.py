@@ -90,9 +90,6 @@ class FiniteSemigroup:
             acc = self.mult(acc, a)
         return acc
 
-    def __contains__(self, a: str) -> bool:
-        return a in self.elements
-
     def __len__(self) -> int:
         return len(self.elements)
 

@@ -8,8 +8,11 @@ element and is given by per-copy formula tables over the *input*
 vocabulary: one formula per copy for the universe, and one per tuple of
 copies for each output relation.  Each formula is solved once on the input
 structure.  ``builtin_fot`` builds the transductions matching the basic list
-combinators; ``check_commutes`` runs a combinator and its transduction side
-by side through encode/decode.
+combinators, each typed by its basic: it maps the encoding of the basic's
+domain to the encoding of its codomain.  ``check_commutes`` runs a
+combinator and its transduction side by side through encode/decode.
+Formulas parse on ``types._Cursor``, the one token cursor and nesting count
+that also serves the type and value parsers.
 
 Two formula evaluators coexist on purpose.  ``eval_formula`` is the plain
 recursive definition of truth and is kept free of any cleverness so it can
@@ -25,7 +28,7 @@ against each other in tests.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import product as iproduct
 from operator import itemgetter
@@ -41,7 +44,6 @@ from .types import (
     InR,
     List,
     ListV,
-    Nesting,
     PairV,
     ParseError,
     Prod,
@@ -49,6 +51,7 @@ from .types import (
     Sym,
     TypeExpr,
     Value,
+    _Cursor,
     render_value,
     require_value,
     type_nodes,
@@ -125,12 +128,6 @@ class Exists(Formula):
 class Forall(Formula):
     var: str
     body: Formula
-
-
-def _conj(*parts: Formula) -> Formula:
-    if not parts:
-        return TrueF()
-    return parts[0] if len(parts) == 1 else And(parts)
 
 
 def _disj(*parts: Formula) -> Formula:
@@ -234,8 +231,8 @@ def _lookup(asg: dict[str, int], var: str) -> int:
 
 # ------------------------------------------------------------ formula syntax
 
-_F_TOKEN = re.compile(r"<->|->|!=|[(),=.&|!]|[A-Za-z0-9_#']+")
-_F_IDENT = re.compile(r"[A-Za-z0-9_#']+")
+_F_SYMBOLS = ("<->", "->", "!=", "(", ")", ",", "=", ".", "&", "|", "!")
+_F_IDENT = re.compile(r"[A-Za-z0-9_#']+")  # no '.': it ends a quantifier's variable
 _F_RESERVED = {"E", "A", "true", "false"}
 
 
@@ -245,123 +242,70 @@ def parse_formula(text: str) -> Formula:
     Binding, loosest first: `<->`, `->` (right), `|`, `&`, `!`; a quantifier
     scopes to the end of its subformula.
     """
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _F_TOKEN.match(text, pos)
-        if not m:
-            raise ParseError(f"bad character {text[pos]!r} in formula")
-        tokens.append(m.group())
-        pos = m.end()
-    parser = _FormulaParser(tokens)
-    phi = parser.iff()
-    if parser.pos != len(tokens):
-        raise ParseError(f"unexpected {tokens[parser.pos]!r} after formula")
-    return phi
+    p = _FormulaParser(text, _F_SYMBOLS, "formula", _F_IDENT)
+    return p.finish(p.iff())
 
 
-class _FormulaParser(Nesting):
-    what = "formula"
-
-    def __init__(self, tokens: list[str]) -> None:
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> str:
-        if self.pos >= len(self.tokens):
-            raise ParseError("formula ends unexpectedly")
-        self.pos += 1
-        return self.tokens[self.pos - 1]
-
-    def expect(self, tok: str) -> None:
-        got = self.take()
-        if got != tok:
-            raise ParseError(f"expected {tok!r}, found {got!r}")
-
+class _FormulaParser(_Cursor):
     def iff(self) -> Formula:
-        phi = self.implies()
-        outer = self.depth
-        while self.peek() == "<->":
-            self.take()
-            self.deeper()
-            phi = Iff(phi, self.implies())
-        self.depth = outer
-        return phi
+        return self.chain(self.implies, ("<->",), Iff)
 
     def implies(self) -> Formula:
         phi = self.disjunction()
         if self.peek() == "->":
-            self.take()
+            self.next()
             return Implies(phi, self.nested(self.implies))
         return phi
 
     def disjunction(self) -> Formula:
         parts = [self.conjunction()]
         while self.peek() == "|":
-            self.take()
+            self.next()
             parts.append(self.conjunction())
         return parts[0] if len(parts) == 1 else Or(tuple(parts))
 
     def conjunction(self) -> Formula:
         parts = [self.unary()]
         while self.peek() == "&":
-            self.take()
+            self.next()
             parts.append(self.unary())
         return parts[0] if len(parts) == 1 else And(tuple(parts))
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok == "!":
-            self.take()
+        kind, tok, pos = self.next()
+        if kind == "!":
             return Not(self.nested(self.unary))
         if tok in ("E", "A"):
-            self.take()
-            var = self.take()
-            if not _F_IDENT.fullmatch(var) or var in _F_RESERVED:
-                raise ParseError(f"bad variable {var!r}")
+            var = self.ident()
             self.expect(".")
             body = self.nested(self.iff)
             return Exists(var, body) if tok == "E" else Forall(var, body)
-        return self.atom()
-
-    def atom(self) -> Formula:
-        tok = self.take()
-        if tok == "(":
+        if kind == "(":
             phi = self.nested(self.iff)
             self.expect(")")
             return phi
-        if tok == "true":
-            return TrueF()
-        if tok == "false":
-            return FalseF()
-        if not _F_IDENT.fullmatch(tok) or tok in _F_RESERVED:
-            raise ParseError(f"expected an atom, found {tok!r}")
+        if tok in ("true", "false"):
+            return TrueF() if tok == "true" else FalseF()
+        if kind != "id":
+            raise ParseError(f"expected an atom at position {pos}, got {tok!r}")
         if self.peek() == "(":
-            self.take()
+            self.next()
             args = [self.ident()]
             while self.peek() == ",":
-                self.take()
+                self.next()
                 args.append(self.ident())
             self.expect(")")
             return Rel(tok, tuple(args))
-        if self.peek() == "=":
-            self.take()
-            return Eq(tok, self.ident())
-        if self.peek() == "!=":
-            self.take()
-            return Not(Eq(tok, self.ident()))
+        if self.peek() in ("=", "!="):
+            op = self.next()[0]
+            same = Eq(tok, self.ident())
+            return same if op == "=" else Not(same)
         raise ParseError(f"lone identifier {tok!r} is not a formula")
 
     def ident(self) -> str:
-        tok = self.take()
-        if not _F_IDENT.fullmatch(tok) or tok in _F_RESERVED:
-            raise ParseError(f"expected a variable, found {tok!r}")
+        kind, tok, pos = self.next()
+        if kind != "id" or tok in _F_RESERVED:
+            raise ParseError(f"expected a variable at position {pos}, got {tok!r}")
         return tok
 
 
@@ -413,18 +357,19 @@ def _render(phi: Formula, ctx: int, tail: bool = True) -> str:
 # -------------------------------------------------- satisfying-set evaluator
 #
 # ``_plan`` compiles a formula once into a tree of plan nodes: negation is
-# pushed inward through Not, Or, Implies, Iff and Forall, nested And and Or
-# nodes are flattened, constants are folded, and each node keeps its free
-# variables.  ``_extend`` solves a node under rows binding some of its free
-# variables and returns the rows' extensions that satisfy it.  A node whose
+# pushed inward through Not, Or, Implies and Forall, and into the right side
+# of an Iff, whose node solves each side once; nested And and Or nodes are
+# flattened, constants are folded, and each node keeps its free variables.
+# ``_extend`` solves a node under rows binding some of its free variables and
+# returns the rows' extensions that satisfy it.  A node whose
 # variables the rows all bind is a filter, checked row by row by the closure
 # ``node.test``: a semi-join, an anti-join when negated, and for an
 # existential a search that stops at the first witness.  Any other node
 # extends the rows with ``node.sat``.  A conjunction grows its rows one
 # conjunct at a time: bound conjuncts first, then the one sharing a variable
 # with the rows that adds the fewest rows per row, and a cross product only
-# when none shares one.  Only a negation with unbound variables enumerates
-# the universe.
+# when none shares one.  Only a negation or an Iff with unbound variables
+# enumerates the universe.
 
 Rows = set  # of tuples, aligned with a variable order
 
@@ -676,6 +621,26 @@ class _Any(_Node):
         return _tests(ctx, cols, self.parts, _either)
 
 
+class _Iff(_Node):
+    """Both sides hold or neither does; each side is solved once."""
+
+    rank = _Neg.rank
+
+    def __init__(self, left: _Node, right: _Node) -> None:
+        super().__init__(left.free + right.free)
+        self.sides = (left, right)
+
+    def sat(self, ctx, cols, rows):
+        target = cols + tuple(v for v in self.free if v not in cols)
+        a, b = (_cylindrify(*_extend(p, ctx, cols, rows), target, ctx.univ) for p in self.sides)
+        exts = list(iproduct(ctx.univ, repeat=len(target) - len(cols)))
+        return target, {r + e for r in rows for e in exts} - (a ^ b)
+
+    def test(self, ctx, cols):
+        a, b = (p.test(ctx, cols) for p in self.sides)
+        return lambda row: a(row) == b(row)
+
+
 def _extend(node: _Node, ctx: _Ctx, cols: tuple[str, ...], rows: Rows):
     """Rows over ``cols`` extended by ``node``'s other free variables, where it holds.
 
@@ -748,10 +713,8 @@ def _plan(phi: Formula, positive: bool) -> _Node:
         return _junction(either, [_plan(p, positive) for p in phi.parts])
     if isinstance(phi, Implies):
         return _junction(either, [_plan(phi.left, not positive), _plan(phi.right, positive)])
-    if isinstance(phi, Iff):
-        a, na = _plan(phi.left, True), _plan(phi.left, False)
-        b, nb = _plan(phi.right, positive), _plan(phi.right, not positive)
-        return _junction(_Any, [_junction(_All, [a, b]), _junction(_All, [na, nb])])
+    if isinstance(phi, Iff):  # not (a <-> b) is a <-> not b
+        return _Iff(_plan(phi.left, True), _plan(phi.right, positive))
     if isinstance(phi, (Exists, Forall)):
         some = _Some(phi.var, _plan(phi.body, isinstance(phi, Exists)))
         return some if positive == isinstance(phi, Exists) else _negate(some)
@@ -773,6 +736,8 @@ def sat_rows(s: Structure, phi: Formula, want: tuple[str, ...]) -> Rows:
 
 # ----------------------------------------------------------- word structures
 
+WORD_VOCAB = {"S": 2, "lt": 2, "Q_a": 1, "Q_b": 1}
+
 
 def word_structure(word: str) -> Structure:
     """Positions 0..n-1 with successor ``S``, order ``lt`` and letter tests
@@ -782,14 +747,13 @@ def word_structure(word: str) -> Structure:
     if bad:
         raise LogicError(f"letters {bad} not in alphabet {alphabet}")
     n = len(word)
-    vocab = {"S": 2, "lt": 2, **{f"Q_{c}": 1 for c in alphabet}}
     rels: dict[str, frozenset] = {
         "S": frozenset((i, i + 1) for i in range(n - 1)),
         "lt": frozenset((i, j) for i in range(n) for j in range(i + 1, n)),
     }
     for c in alphabet:
         rels[f"Q_{c}"] = frozenset((i,) for i in range(n) if word[i] == c)
-    return Structure(tuple(range(n)), vocab, rels)
+    return Structure(tuple(range(n)), dict(WORD_VOCAB), rels)
 
 
 def decode_word_structure(s: Structure) -> str:
@@ -881,13 +845,6 @@ def apply_transduction(t: FOTransduction, s: Structure) -> Structure:
                     rows.add(row)
         rels[name] = frozenset(rows)
     return Structure(tuple(universe), dict(t.output_vocab), rels)
-
-
-def _assemble(k: int, in_vocab: dict[str, int], out_vocab: dict[str, int],
-              universe: dict[int, Formula], tables: dict[str, dict]) -> FOTransduction:
-    """A transduction from per-copy tables whose role variables are x, then y."""
-    relations = {r: (("x", "y")[:a], tables.get(r, {})) for r, a in out_vocab.items()}
-    return FOTransduction(k, in_vocab, out_vocab, universe, relations)
 
 
 # ------------------------------------------------------- encoding of values
@@ -1071,6 +1028,10 @@ def decode_structure(s: Structure, t: TypeExpr) -> Value:
 #
 # Formula shorthands.  Bound helper variables derive their names from the
 # arguments, so distinct sites never collide with the role variables x, y.
+# A builder paired with a basic returns its copy count, universe formulas and
+# relation tables; ``builtin_fot`` reads both vocabularies off the basic's type.
+
+_Built = tuple[int, dict[int, Formula], dict[str, dict[tuple[int, ...], Formula]]]
 
 
 def _pare(x: str, y: str) -> Formula:
@@ -1119,44 +1080,46 @@ def _under(anchor, depth: int) -> Formula:
     parts = [anchor("x")]
     for j in range(1, depth + 1):
         hops = [f"u{i}" for i in range(j)]
-        body: Formula = _conj(
+        body: Formula = And((
             anchor(hops[0]),
             *(_pare(hops[i], hops[i + 1]) for i in range(j - 1)),
             _pare(hops[-1], "x"),
-        )
+        ))
         for h in reversed(hops):
             body = Exists(h, body)
         parts.append(body)
     return _disj(*parts)
 
 
-def _identity_preds(t: TypeExpr) -> dict[str, dict[tuple[int, ...], Formula]]:
-    return {
-        _pred_name(p, l): {(1,): Rel(_pred_name(p, l), ("x",))} for p, l in _pred_entries(t)
-    }
+def _moved(elem: TypeExpr, to: tuple[int, ...], *sources: tuple[int, ...],
+           guard: Formula | None = None) -> dict[str, dict[tuple[int, ...], Formula]]:
+    """``elem``'s type predicates below path ``to``: each holds in copy 1 where
+    the same predicate below one of ``sources`` holds (and ``guard`` does)."""
+    tables = {}
+    for p, l in _pred_entries(elem):
+        phi = _disj(*(Rel(_pred_name(s + p, l), ("x",)) for s in sources))
+        tables[_pred_name(to + p, l)] = {(1,): phi if guard is None else And((phi, guard))}
+    return tables
 
 
-def fot_reverse(elem: TypeExpr) -> FOTransduction:
+def fot_reverse(elem: TypeExpr) -> _Built:
     """Reverse a list: flip the sibling order among root children only."""
-    vocab = encoding_vocabulary(List(elem))
     both = And((_root_child("x"), _root_child("y")))
-    tables: dict[str, dict[tuple[int, ...], Formula]] = {
+    tables = {
         "pare": {(1, 1): _pare("x", "y")},
         "sib": {(1, 1): Or((And((both, _sib("y", "x"))), And((Not(both), _sib("x", "y")))))},
-        **_identity_preds(List(elem)),
+        **_moved(List(elem), (), ()),
     }
-    return _assemble(1, vocab, vocab, {1: TrueF()}, tables)
+    return 1, {1: TrueF()}, tables
 
 
-def fot_append(elem: TypeExpr) -> FOTransduction:
+def fot_append(elem: TypeExpr) -> _Built:
     """(head, tail list) to the list with the head in front.
 
     The pair's list child is dropped; its children are re-parented by the
     root.  The dropped child is pinned down as the root child that has a
     left sibling.
     """
-    t_in = Prod(elem, List(elem))
-    t_out = List(elem)
     universe = {
         1: Not(
             Exists(
@@ -1194,21 +1157,16 @@ def fot_append(elem: TypeExpr) -> FOTransduction:
             ),
         )
     )
-    tables: dict[str, dict[tuple[int, ...], Formula]] = {
+    tables = {
         "pare": {(1, 1): pare},
         "sib": {(1, 1): sib},
         "t": {(1,): Rel("t", ("x",))},
+        **_moved(elem, (0,), (0,), (1, 0)),
     }
-    for p, l in _pred_entries(elem):
-        tables[_pred_name((0,) + p, l)] = {
-            (1,): Or(
-                (Rel(_pred_name((0,) + p, l), ("x",)), Rel(_pred_name((1, 0) + p, l), ("x",)))
-            )
-        }
-    return _assemble(1, encoding_vocabulary(t_in), encoding_vocabulary(t_out), universe, tables)
+    return 1, universe, tables
 
 
-def fot_coappend(elem: TypeExpr) -> FOTransduction:
+def fot_coappend(elem: TypeExpr) -> _Built:
     """Split off the head of a list; empty lists land in the bottom summand.
 
     Copy 2 holds the node that becomes the tail list: the second root child
@@ -1216,8 +1174,6 @@ def fot_coappend(elem: TypeExpr) -> FOTransduction:
     lists (it has no second child to reuse).  An empty list keeps only its
     childless root, which decodes into the bottom summand.
     """
-    t_in = List(elem)
-    t_out = Sum(Prod(elem, List(elem)), Bot())
     second = Exists(
         "p",
         And(
@@ -1253,7 +1209,8 @@ def fot_coappend(elem: TypeExpr) -> FOTransduction:
             )
         ),
     )
-    tables: dict[str, dict[tuple[int, ...], Formula]] = {
+    d = _enc_depth(elem)
+    tables = {
         "pare": {
             (1, 1): Or((keep_first, below)),
             (1, 2): _root("x"),
@@ -1270,19 +1227,14 @@ def fot_coappend(elem: TypeExpr) -> FOTransduction:
         "t_0": {(1,): And((_root("x"), Exists("c", _pare("x", "c"))))},
         "t_1": {(1,): And((_root("x"), Not(Exists("c", _pare("x", "c")))))},
         "t_0_1": {(2,): TrueF()},
+        **_moved(elem, (0, 0), (0,), guard=_under(_first_root_child, d)),
+        **_moved(elem, (0, 1, 0), (0,), guard=_under(_later_root_child, d)),
     }
-    d = _enc_depth(elem)
-    for p, l in _pred_entries(elem):
-        src = Rel(_pred_name((0,) + p, l), ("x",))
-        tables[_pred_name((0, 0) + p, l)] = {(1,): And((src, _under(_first_root_child, d)))}
-        tables[_pred_name((0, 1, 0) + p, l)] = {(1,): And((src, _under(_later_root_child, d)))}
-    return _assemble(2, encoding_vocabulary(t_in), encoding_vocabulary(t_out), universe, tables)
+    return 2, universe, tables
 
 
-def fot_flat(elem: TypeExpr) -> FOTransduction:
+def fot_flat(elem: TypeExpr) -> _Built:
     """Concatenate a list of lists: grandchildren become the root's children."""
-    t_in = List(List(elem))
-    t_out = List(elem)
     universe = {
         1: Or((Exists("p", And((_pare("p", "x"), Not(_root("p"))))), _root("x")))
     }
@@ -1307,17 +1259,16 @@ def fot_flat(elem: TypeExpr) -> FOTransduction:
             ),
         )
     )
-    tables: dict[str, dict[tuple[int, ...], Formula]] = {
+    tables = {
         "pare": {(1, 1): pare},
         "sib": {(1, 1): sib},
         "t": {(1,): Rel("t", ("x",))},
+        **_moved(elem, (0,), (0, 0)),
     }
-    for p, l in _pred_entries(elem):
-        tables[_pred_name((0,) + p, l)] = {(1,): Rel(_pred_name((0, 0) + p, l), ("x",))}
-    return _assemble(1, encoding_vocabulary(t_in), encoding_vocabulary(t_out), universe, tables)
+    return 1, universe, tables
 
 
-def fot_block(left: TypeExpr, right: TypeExpr) -> FOTransduction:
+def fot_block(left: TypeExpr, right: TypeExpr) -> _Built:
     """Group a list of sums into maximal same-summand runs.
 
     Copy 2 holds one marker per run: the root children whose next sibling has
@@ -1325,8 +1276,6 @@ def fot_block(left: TypeExpr, right: TypeExpr) -> FOTransduction:
     lists; each adopts the contiguous stretch of same-summand siblings ending
     at its own position.
     """
-    t_in = List(Sum(left, right))
-    t_out = List(Sum(List(left), List(right)))
     sides = (_node_pred((0, 0)), _node_pred((0, 1)))
 
     def has(tp: str, v: str) -> Formula:
@@ -1380,7 +1329,7 @@ def fot_block(left: TypeExpr, right: TypeExpr) -> FOTransduction:
             ),
         )
     )
-    tables: dict[str, dict[tuple[int, ...], Formula]] = {
+    tables = {
         "pare": {
             (1, 1): And((Not(_root("x")), _pare("x", "y"))),
             (1, 2): And((_root("x"), _pare("x", "y"))),
@@ -1397,13 +1346,10 @@ def fot_block(left: TypeExpr, right: TypeExpr) -> FOTransduction:
         "t_0": {(2,): TrueF()},
         "t_0_0": {(2,): has(sides[0], "x")},
         "t_0_1": {(2,): has(sides[1], "x")},
+        **_moved(left, (0, 0, 0), (0, 0)),
+        **_moved(right, (0, 1, 0), (0, 1)),
     }
-    for side, sub in ((0, left), (1, right)):
-        for p, l in _pred_entries(sub):
-            tables[_pred_name((0, side, 0) + p, l)] = {
-                (1,): Rel(_pred_name((0, side) + p, l), ("x",))
-            }
-    return _assemble(2, encoding_vocabulary(t_in), encoding_vocabulary(t_out), universe, tables)
+    return 2, universe, tables
 
 
 def fot_ab_example() -> FOTransduction:
@@ -1414,8 +1360,6 @@ def fot_ab_example() -> FOTransduction:
 
     def q(c: str, v: str) -> Formula:
         return Rel(f"Q_{c}", (v,))
-
-    vocab = {"S": 2, "lt": 2, "Q_a": 1, "Q_b": 1}
 
     def next_same(c: str) -> Formula:
         return And(
@@ -1428,54 +1372,55 @@ def fot_ab_example() -> FOTransduction:
             And((q("b", "y"), Forall("z", Implies(lt("z", "y"), Not(q("b", "z")))))),
         )
     )
-    tables: dict[str, dict[tuple[int, ...], Formula]] = {
-        "S": {
+    relations = {
+        "S": (("x", "y"), {
             (1, 1): next_same("a"),
             (2, 2): next_same("b"),
             (1, 2): last_a_first_b,
             (2, 1): FalseF(),
-        },
-        "lt": {(1, 1): lt("x", "y"), (2, 2): lt("x", "y"), (1, 2): TrueF(), (2, 1): FalseF()},
-        "Q_a": {(1,): TrueF()},
-        "Q_b": {(2,): TrueF()},
+        }),
+        "lt": (("x", "y"), {(1, 1): lt("x", "y"), (2, 2): lt("x", "y"), (1, 2): TrueF(),
+                            (2, 1): FalseF()}),
+        "Q_a": (("x",), {(1,): TrueF()}),
+        "Q_b": (("x",), {(2,): TrueF()}),
     }
-    return _assemble(2, vocab, vocab, {1: q("a", "x"), 2: q("b", "x")}, tables)
+    return FOTransduction(2, WORD_VOCAB, WORD_VOCAB, {1: q("a", "x"), 2: q("b", "x")}, relations)
 
 
 _BUILTINS = {
-    "reverse": (1, fot_reverse),
-    "append": (1, fot_append),
-    "coappend": (1, fot_coappend),
-    "flat": (1, fot_flat),
-    "block": (2, fot_block),
-    "ab_example": (0, fot_ab_example),
+    "reverse": fot_reverse,
+    "append": fot_append,
+    "coappend": fot_coappend,
+    "flat": fot_flat,
+    "block": fot_block,
 }
 
 
 def builtin_names() -> dict[str, int]:
     """Built-in transduction names mapped to their type-argument counts."""
-    return {name: arity for name, (arity, _) in _BUILTINS.items()}
-
-
-def _check_arity(name: str, types: tuple[TypeExpr, ...]) -> None:
-    arity = _BUILTINS[name][0]
-    if len(types) != arity:
-        raise LogicError(f"{name} takes {arity} type argument(s)")
+    return {**{name: len(fields(BASICS[name])) for name in _BUILTINS}, "ab_example": 0}
 
 
 def builtin_fot(name: str, *types: TypeExpr) -> FOTransduction:
     """A named built-in transduction; type arguments are the element types."""
-    if name not in _BUILTINS:
+    if name == "ab_example" and not types:
+        return fot_ab_example()
+    if name not in builtin_names():
         raise LogicError(f"unknown builtin transduction {name}")
-    _check_arity(name, types)
-    return _BUILTINS[name][1](*types)
+    dom, cod = infer_type(builtin_term(name, *types))
+    k, universe, tables = _BUILTINS[name](*types)
+    out = encoding_vocabulary(cod)
+    relations = {r: (("x", "y")[:a], tables.get(r, {})) for r, a in out.items()}
+    return FOTransduction(k, encoding_vocabulary(dom), out, universe, relations)
 
 
 def builtin_term(name: str, *types: TypeExpr) -> Term:
     """The combinator that a built-in transduction must agree with."""
-    if name not in _BUILTINS or name not in BASICS:
+    arity = builtin_names().get(name, len(types))
+    if len(types) != arity:
+        raise LogicError(f"{name} takes {arity} type argument(s)")
+    if name not in _BUILTINS:
         raise LogicError(f"no combinator is paired with {name}")
-    _check_arity(name, types)
     return BASICS[name](*types)
 
 

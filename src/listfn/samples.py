@@ -94,11 +94,6 @@ R_DOUBLE_LAST_B = RationalFn(
     out=_tabulate(U1, "ab", lambda m, a, mr:
                   (a, a) if a == "b" and mr == "1" else (a,)))
 
-SAMPLE_MONOIDS: dict[str, FiniteMonoid] = {
-    "u1": U1,
-    "contains-ab": CONTAINS_AB,
-}
-
 SAMPLE_GROUPS: dict[str, GroupSpec] = {
     "z2": Z2,
     "z3": Z3,

@@ -6,7 +6,6 @@ each constructor with an independent reference semantics used by the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, Mapping
 
 from .terms import (
@@ -24,8 +23,12 @@ MARK = Atom("mark")
 
 
 def chain(*steps: Term) -> Term:
-    """Compose left to right: chain(f, g) applies f first."""
-    return reduce(lambda acc, s: Compose(s, acc), steps)
+    """Compose left to right: chain(f, g) applies f first.  The compositions
+    form a balanced tree, about log2(len(steps)) deep."""
+    if len(steps) == 1:
+        return steps[0]
+    half = len(steps) // 2
+    return Compose(chain(*steps[half:]), chain(*steps[:half]))
 
 
 def identity(t: TypeExpr) -> Term:
@@ -102,21 +105,22 @@ def head_or(t: TypeExpr, c: Value) -> Term:
         CoAppend(t))
 
 
-def nat_set(n: int) -> FinSet:
-    return FinSet(tuple(str(i) for i in range(n + 1)))
-
-
 def len_upto(n: int, t: TypeExpr) -> Term:
-    """Length of a list, capped at ``n``, as an element of {0..n}."""
+    """Length of a list, capped at ``n``, as an element of {0..n}.
+
+    The state is the rest of the list, split by coappend, or the length once
+    known.  Step i (from 0) drops one element, or records length i when none
+    is left; ``chain`` keeps the term about log n deep.
+    """
     if n < 0:
         raise TermTypeError("cap must be at least 0")
-    cod = nat_set(n)
-    if n == 0:
-        return Const(Sym("0"), List(t), cod)
-    succ = finite_function(
-        nat_set(n - 1), {str(i): Sym(str(i + 1)) for i in range(n)}, cod)
-    nonempty = chain(Proj2(t, List(t)), len_upto(n - 1, t), succ)
-    return Compose(Union(nonempty, Const(Sym("0"), BOT_T, cod)), CoAppend(t))
+    cod = FinSet(tuple(str(i) for i in range(n + 1)))
+    rest = Sum(Prod(t, List(t)), BOT_T)
+    drop = Compose(CoProjL(rest, cod), CoAppend(t))
+    ends = [Const(InR(Sym(str(i))), BOT_T, Sum(rest, cod)) for i in range(n)]
+    steps = [Union(Union(Compose(drop, Proj2(t, List(t))), end), CoProjR(rest, cod))
+             for end in ends]
+    return chain(drop, *steps, Union(Const(Sym(str(n)), rest, cod), identity(cod)))
 
 
 def filter_left(sl: TypeExpr, sr: TypeExpr) -> Term:

@@ -3,6 +3,9 @@
 Types are built from one-element sets (atoms), finite sets, sums, products,
 lists and an empty type.  Values are checked against types structurally; both
 have a text syntax and a bracketed string encoding used by the logic layer.
+One token cursor, ``_Cursor``, serves three recursive-descent parsers: the
+type and value parsers here and the formula parser in ``logic``.  It also
+keeps their one nesting count, capped at ``MAX_NESTING``.
 """
 from __future__ import annotations
 
@@ -20,28 +23,11 @@ class NestingError(ParseError):
     """Raised on text nested more than ``MAX_NESTING`` levels deep."""
 
 
-# Type and value brackets, inl/inr tags, and a formula's parentheses,
-# negations, quantifiers, `->` and `<->` each nest a level.  The cap bounds the
-# parsers' recursion and the size of catalog terms built from a number.
+# Type and value brackets, inl/inr tags, a type's `^*`, `+` and `×`, and a
+# formula's parentheses, negations, quantifiers, `->` and `<->` each nest a
+# level.  The cap bounds the parsers' recursion, the depth of what they build
+# and the size of catalog terms built from a number.
 MAX_NESTING = 100
-
-
-class Nesting:
-    """Depth count of a recursive-descent parser over ``what`` text."""
-    depth = 0
-    what: str
-
-    def deeper(self) -> None:
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise NestingError(f"{self.what} nested too deeply")
-
-    def nested(self, parse):
-        """``parse()`` one level deeper."""
-        self.deeper()
-        result = parse()
-        self.depth -= 1
-        return result
 
 
 class TypeMismatch(TypeError):
@@ -211,7 +197,8 @@ _IDENT_RE = re.compile(r"[A-Za-z0-9_#'.]+")
 _RESERVED_VALUE = {"bot", "inl", "inr"}
 
 
-def _tokenize(text: str, symbols: tuple[str, ...]) -> list[tuple[str, str, int]]:
+def _tokenize(text: str, symbols: tuple[str, ...],
+              ident: re.Pattern) -> list[tuple[str, str, int]]:
     """Split into (kind, text, pos) tokens; kind is 'id' or the symbol itself."""
     toks = []
     i = 0
@@ -221,7 +208,7 @@ def _tokenize(text: str, symbols: tuple[str, ...]) -> list[tuple[str, str, int]]
         if ch.isspace():
             i += 1
             continue
-        m = _IDENT_RE.match(text, i)
+        m = ident.match(text, i)
         if m:
             toks.append(("id", m.group(), i))
             i = m.end()
@@ -236,13 +223,40 @@ def _tokenize(text: str, symbols: tuple[str, ...]) -> list[tuple[str, str, int]]
     return toks
 
 
-class _Cursor(Nesting):
-    """Token cursor shared by the type and value parsers."""
+class _Cursor:
+    """Token cursor and nesting count shared by the type, value and formula
+    parsers; ``what`` names the text in messages."""
 
-    def __init__(self, text: str, symbols: tuple[str, ...], what: str) -> None:
-        self.toks = _tokenize(text, symbols)
+    def __init__(self, text: str, symbols: tuple[str, ...], what: str,
+                 ident: re.Pattern = _IDENT_RE) -> None:
+        self.toks = _tokenize(text, symbols, ident)
         self.i = 0
-        self.what = what  # "type" or "value", for messages
+        self.depth = 0
+        self.what = what
+
+    def deeper(self) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise NestingError(f"{self.what} nested too deeply")
+
+    def nested(self, parse):
+        """``parse()`` one level deeper."""
+        self.deeper()
+        result = parse()
+        self.depth -= 1
+        return result
+
+    def chain(self, operand, ops: tuple[str, ...], build):
+        """``operand()``s separated by ``ops``, folded to the left by ``build``;
+        each link nests a level once its right operand is parsed."""
+        t = operand()
+        outer = self.depth
+        while self.peek() in ops:
+            self.next()
+            t = build(t, operand())
+            self.deeper()
+        self.depth = outer
+        return t
 
     def peek(self, ahead: int = 0) -> str | None:
         j = self.i + ahead
@@ -269,37 +283,26 @@ class _Cursor(Nesting):
 
 
 _TYPE_SYMBOLS = ("^*", "{", "}", ",", "+", "*", "×", "[", "]", "(", ")")
-_TYPE_STARTERS = {"{", "(", "["}
+_TYPE_STARTERS = {"{", "(", "[", "id"}
 
 
 class _TypeParser(_Cursor):
     def sum(self) -> TypeExpr:
-        t = self.prod()
-        while self.peek() == "+":
-            self.next()
-            t = Sum(t, self.prod())
-        return t
+        return self.chain(self.prod, ("+",), Sum)
 
     def prod(self) -> TypeExpr:
-        t = self.post()
-        while self.peek() in ("*", "×"):
-            self.next()
-            t = Prod(t, self.post())
-        return t
+        return self.chain(self.post, ("*", "×"), Prod)
 
     def post(self) -> TypeExpr:
         t = self.atom()
-        while True:
-            nxt = self.peek()
-            if nxt == "^*":
-                self.next()
-                t = List(t)
-            elif nxt == "*" and not (self.peek(1) in _TYPE_STARTERS or self.peek(1) == "id"):
-                # a star with no operand after it closes a list type
-                self.next()
-                t = List(t)
-            else:
-                return t
+        outer = self.depth
+        # a star with no operand after it closes a list type
+        while self.peek() == "^*" or (self.peek() == "*" and self.peek(1) not in _TYPE_STARTERS):
+            self.next()
+            self.deeper()
+            t = List(t)
+        self.depth = outer
+        return t
 
     def atom(self) -> TypeExpr:
         kind, text, pos = self.next()
@@ -337,6 +340,7 @@ class _TypeParser(_Cursor):
         raise ParseError(f"unexpected {text!r} at position {pos}")
 
 
+@lru_cache(maxsize=1024)  # terms repeat their type annotations
 def parse_type(text: str) -> TypeExpr:
     p = _TypeParser(text, _TYPE_SYMBOLS, "type")
     return p.finish(p.sum())

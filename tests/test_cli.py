@@ -2,7 +2,10 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from helpers import time_limit
 from listfn.cli import main
 from listfn.fileio import save_monoid
 from listfn.registers import t_k_monoid
@@ -301,7 +304,9 @@ DEEP = 1200
 @pytest.mark.parametrize("argv", [
     ["typecheck", "reverse@" + "[" * DEEP + "{a}" + "]" * DEEP],
     ["eval", "reverse@{a}", "[" * DEEP + "a" + "]" * DEEP],
-], ids=["typecheck", "eval"])
+    ["typecheck", "reverse@{a}" + "^*" * DEEP],
+    ["encode", "a", "+".join(["{a}"] * DEEP)],
+], ids=["typecheck", "eval", "typecheck-postfix", "encode-sum-chain"])
 def test_over_deep_input_exits_3(capsys, argv, fmt):
     code, out, err = run(capsys, *argv, "--format", fmt)
     assert code == 3
@@ -318,3 +323,64 @@ def test_over_deep_formula_in_a_file_exits_3(capsys, tmp_path):
                  f"universe 1 {'!' * 150}true\n")
     code, _, err = run(capsys, "fot", str(p), "--word", "ab")
     assert (code, err.strip()) == (3, "formula nested too deeply")
+
+
+# Fragments by the positional they fit; argv mixes fitting and unfitting ones.
+_POOLS = {
+    "term": ["reverse@{a,b}", "(compose reverse@{a,b} reverse@{a,b})", "(gprefix z3)",
+             "std:len_upto@2,{a}", "std:windows@2,{a}", "(map reverse@{a})",
+             "proj1@{a},{b}", "(pair", "std:nothing@1", "out.lstruct"],
+    "value": ["[a,b]", "[[a,b],[b]]", "a", "inl a", "(a,[a])", "[]", "[a", "bot"],
+    "type": ["{a,b}", "{a}^*", "({a,b}^*)^*", "{a,b}^*", "{a}+{b}", "{a}*{b}", "bot", "{a"],
+    "word": ["abab", "ab", "", "c", "1", "ababa"],
+    "monoid": ["u1", "contains-ab", "z3", "out.lpipe"],
+    "rational": ["keep-a", "mark-after-ab", "double-last-b", "u1"],
+    "sst": ["identity", "reverse", "drop-last", "keep-a"],
+    "check": ["all", "rational", "registers-fold", "fot-commute", "sst", "forest", "stdlib"],
+    "builtin": ["reverse", "append", "coappend", "flat", "block", "ab_example",
+                "flat@{a,b}", "block@{a},{b}", "ab_example@{a}", "nothing"],
+    "file": ["out.lstruct", "out.lpipe", "keep-a.lpipe", "missing.lterm"],
+}
+_SHAPES = {  # positionals, then the options the subcommand takes
+    "typecheck": (["term"], []), "eval": (["term", "value"], []),
+    "forest": (["monoid", "word"], ["--hom", "--audit"]),
+    "compile-rational": (["rational"], ["-o"]), "run-pipeline": (["file", "word"], []),
+    "check": (["check", "builtin"], ["--type"]), "sst": (["sst", "word"], ["--mode"]),
+    "encode": (["value", "type"], ["-o"]), "decode": (["file", "type"], []),
+    "fot": (["builtin", "file"], ["--type", "--word", "--decode", "-o"]),
+}
+_OPTIONS = [
+    ("--format", "json-lines"), ("--seed", "7"), ("--type", "{a,b}"), ("--type", "{a}^*"),
+    ("--word", "abab"), ("--word", "abc"), ("--decode", "{a,b}^*"), ("--decode", "{a}"),
+    ("--hom", "a=1,b=0"), ("--hom", "a=9"), ("--audit",), ("--mode", "structured"),
+    ("-o", "out.lstruct"), ("-o", "out.lpipe"), ("--help",), ("--type",),
+]
+_ANY = sorted({w for pool in _POOLS.values() for w in pool})
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_SHAPES)))
+    kinds, flags = _SHAPES[command]
+    words = [draw(st.sampled_from(_POOLS[kind]) | st.sampled_from(_ANY)) for kind in kinds]
+    fitting = [o for o in _OPTIONS if o[0] in flags + ["--format", "--seed"]]
+    options = draw(st.lists(st.sampled_from(fitting) | st.sampled_from(_OPTIONS), max_size=3))
+    count = ["--count", str(draw(st.integers(1, 3)))] if command == "check" else []
+    return [command, *words, *sum(options, ()), *count]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv())
+def test_any_argv_ends_in_a_documented_exit_code(argv, monkeypatch, tmp_path, capsys):
+    """0, 2, 3 or 4 from main, or argparse's exit 2 (0 for --help); no traceback."""
+    monkeypatch.chdir(tmp_path)  # files written by -o stay here for later examples
+    with time_limit(20):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            assert e.code == 2 or (e.code == 0 and "--help" in argv), argv
+            return
+        finally:
+            capsys.readouterr()
+    assert code in (0, 2, 3, 4), argv

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import AB, DEEP_MIX_TYPE, FOT_CASES, sym_list
+from helpers import AB, DEEP_MIX_TYPE, FOT_CASES, sym_list, time_limit
 from listfn.logic import (
     LogicError,
+    Not,
     Structure,
     TrueF,
     apply_transduction,
@@ -147,6 +148,25 @@ def test_sat_rows_agrees_with_pointwise_evaluation(text):
             tup for tup in itertools.product(s.universe, repeat=len(wanted))
             if eval_formula(s, f, dict(zip(wanted, tup)))}
         assert rows == brute, (text, w)
+
+
+@pytest.mark.parametrize("links", [
+    ["Q_a(x)"],
+    ["Q_a(x)", "!Q_b(x)", "(E y. S(x,y))", "lt(x,y)", "!(x = y)"],
+], ids=["same-atom", "mixed"])
+def test_iff_chains_solve_each_side_once(links):
+    """Each side of an Iff is solved once, so 40 links stay fast."""
+    f = parse_formula(" <-> ".join(links[i % len(links)] for i in range(41)))
+    wanted = tuple(sorted(free_vars(f)))
+    with time_limit(5):
+        for w in ["", "a", "abab", "bbaab"]:
+            s = word_structure(w)
+            brute = {
+                tup for tup in itertools.product(s.universe, repeat=len(wanted))
+                if eval_formula(s, f, dict(zip(wanted, tup)))}
+            assert sat_rows(s, f, wanted) == brute, w
+            assert sat_rows(s, Not(f), wanted) == set(
+                itertools.product(s.universe, repeat=len(wanted))) - brute, w
 
 
 @pytest.mark.parametrize("name,types", FOT_CASES, ids=[c[0] for c in FOT_CASES])

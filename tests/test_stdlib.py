@@ -1,4 +1,5 @@
 """Derived constructors: catalog entries against their reference semantics."""
+import dataclasses
 import random
 
 import pytest
@@ -16,8 +17,8 @@ from listfn.stdlib import (
     windows,
 )
 from listfn.cli import main
-from listfn.syntax import parse_term
-from listfn.terms import TermTypeError, eval_term, infer_type
+from listfn.syntax import parse_term, render_term
+from listfn.terms import Term, TermTypeError, eval_term, infer_type
 from listfn.types import (
     ListV,
     MAX_NESTING,
@@ -131,6 +132,31 @@ def test_out_of_range_catalog_arguments_are_type_errors(text):
 @pytest.mark.parametrize("name", ["len_upto", "windows"])
 def test_catalog_numbers_at_the_nesting_limit_build(name):
     infer_type(parse_term(f"std:{name}@{MAX_NESTING},{{a}}"))
+
+
+_NAT_ENTRIES = [name for name, e in CATALOG.items() if "nat" in (e.cli_args or ())]
+
+
+@pytest.mark.parametrize("name", _NAT_ENTRIES)
+def test_catalog_terms_at_the_largest_number_round_trip(name):
+    """Refused before anything is built, or text that parses back equal."""
+    texts = {"nat": str(MAX_NESTING), "type": "{a}"}
+    text = f"std:{name}@" + ",".join(texts[kind] for kind in CATALOG[name].cli_args)
+    with time_limit(30):
+        try:
+            term = parse_term(text)
+        except TermTypeError:
+            return
+        assert parse_term(render_term(term)) == term
+
+
+def _depth(t) -> int:
+    kids = [getattr(t, f.name) for f in dataclasses.fields(t)]
+    return 1 + max((_depth(k) for k in kids if isinstance(k, Term)), default=0)
+
+
+def test_length_term_depth_grows_with_the_log_of_the_cap():
+    assert _depth(len_upto(100, AB)) <= 2 * _depth(len_upto(10, AB))
 
 
 def test_every_catalog_term_is_well_typed():

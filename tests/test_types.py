@@ -178,6 +178,9 @@ def test_string_encoding_rejects_corrupt_text():
 _NESTED = {
     "type-list": (parse_type, "[", "{a}", "]"),
     "type-parens": (parse_type, "(", "{a}", ")"),
+    "type-postfix-list": (parse_type, "", "a", "^*"),
+    "type-sum-chain": (parse_type, "a+", "a", ""),
+    "type-product-chain": (parse_type, "a*", "a", ""),
     "value-list": (parse_value, "[", "a", "]"),
     "value-pair": (parse_value, "(a,", "a", ")"),
     "value-inl": (parse_value, "inl ", "a", ""),
@@ -189,8 +192,9 @@ _NESTED = {
 def test_nesting_beyond_the_limit_is_a_parse_error(name):
     parse, opener, leaf, closer = _NESTED[name]
     with time_limit(5):
-        parse(opener * MAX_NESTING + leaf + closer * MAX_NESTING)
-        for depth in (MAX_NESTING + 1, 300, 5000):
+        text = opener * MAX_NESTING + leaf + closer * MAX_NESTING
+        assert parse(text) == parse(text)
+        for depth in (MAX_NESTING + 1, 300, 400, 5000):
             with pytest.raises(NestingError, match="nested too deeply"):
                 parse(opener * depth + leaf + closer * depth)
 
