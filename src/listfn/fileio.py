@@ -75,7 +75,7 @@ def _read_body(path: str | Path, kind: str, raw: bool = False) -> list[str]:
     """Check the header, return the body lines; raw keeps comment lines."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise FileFormatError(f"{path}: {e}") from None
     lines = text.splitlines()
     if not lines:

@@ -11,8 +11,8 @@ structure.  ``builtin_fot`` builds the transductions matching the basic list
 combinators, each typed by its basic: it maps the encoding of the basic's
 domain to the encoding of its codomain.  ``check_commutes`` runs a
 combinator and its transduction side by side through encode/decode.
-Formulas parse on ``types._Cursor``, the one token cursor and nesting count
-that also serves the type and value parsers.
+Formulas parse on ``types._Cursor``, the one token cursor and nesting limit
+that also serves the type, value and term parsers.
 
 Two formula evaluators coexist on purpose.  ``eval_formula`` is the plain
 recursive definition of truth and is kept free of any cleverness so it can
@@ -27,7 +27,6 @@ against each other in tests.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import product as iproduct
@@ -52,6 +51,8 @@ from .types import (
     TypeExpr,
     Value,
     _Cursor,
+    _lexer,
+    _tokenize,
     render_value,
     require_value,
     type_nodes,
@@ -231,8 +232,8 @@ def _lookup(asg: dict[str, int], var: str) -> int:
 
 # ------------------------------------------------------------ formula syntax
 
-_F_SYMBOLS = ("<->", "->", "!=", "(", ")", ",", "=", ".", "&", "|", "!")
-_F_IDENT = re.compile(r"[A-Za-z0-9_#']+")  # no '.': it ends a quantifier's variable
+# no '.' in identifiers: it ends a quantifier's variable
+_F_LEXER = _lexer(r"[A-Za-z0-9_#']+", ("<->", "->", "!=", "(", ")", ",", "=", ".", "&", "|", "!"))
 _F_RESERVED = {"E", "A", "true", "false"}
 
 
@@ -242,7 +243,7 @@ def parse_formula(text: str) -> Formula:
     Binding, loosest first: `<->`, `->` (right), `|`, `&`, `!`; a quantifier
     scopes to the end of its subformula.
     """
-    p = _FormulaParser(text, _F_SYMBOLS, "formula", _F_IDENT)
+    p = _FormulaParser(_tokenize(text, _F_LEXER), "formula")
     return p.finish(p.iff())
 
 

@@ -221,15 +221,17 @@ def _windows2(t: TypeExpr) -> Term:
 
 
 def windows(k: int, t: TypeExpr) -> Term:
-    """Sliding windows of width k, each window a right-nested k-tuple."""
+    """Sliding windows of width k, each window a right-nested k-tuple.  Step j
+    glues pairs of (j-1)-windows into j-windows; ``chain`` keeps the term
+    about log k deep."""
     if k < 2:
         raise TermTypeError("window width must be at least 2")
-    if k == 2:
-        return _windows2(t)
-    prev_t = tuple_type(k - 1, t)
-    first = Proj1(t, tuple_type(k - 2, t)) if k > 3 else Proj1(t, t)
-    glue = Pair(Compose(first, Proj1(prev_t, prev_t)), Proj2(prev_t, prev_t))
-    return chain(windows(k - 1, t), _windows2(prev_t), Map(glue))
+    steps = [_windows2(t)]
+    for j in range(3, k + 1):
+        prev_t = tuple_type(j - 1, t)
+        first = Compose(Proj1(t, tuple_type(j - 2, t)), Proj1(prev_t, prev_t))
+        steps += [_windows2(prev_t), Map(Pair(first, Proj2(prev_t, prev_t)))]
+    return chain(*steps)
 
 
 def if_then_else(f: Term, g0: Term, g1: Term) -> Term:

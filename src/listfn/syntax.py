@@ -10,73 +10,75 @@ Type annotations are written without spaces; ``"``-quoted atoms allow spaces
 where a value or type must be embedded.  ``std:NAME@args`` pulls a derived
 constructor from the catalog.  ``(gprefix NAME)`` looks the group up in the
 mapping passed to the parser, which defaults to the built-in sample groups.
+
+Terms parse on ``types._Cursor``, the token cursor and nesting limit of the
+type, value and formula parsers, from tokens of their own: an annotated atom
+such as ``block@{a},{b}`` is one.  A parsed term is at most ``MAX_NESTING``
+combinators high; ``(compose f g h)`` is two.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import fields
+from functools import reduce
 
 from .samples import SAMPLE_GROUPS
 from .stdlib import catalog_term
 from .terms import (
     BASICS,
+    COMBINATORS,
     Compose,
     Const,
     FinSplit,
     GroupSpec,
-    Guarded,
-    Map,
-    Pair,
     PrefixGroupMult,
     Term,
     TermTypeError,
-    Union,
+    term_children,
 )
-from .types import FinSet, ParseError, parse_type, parse_value, render_type, render_value
+from .types import (
+    MAX_NESTING, FinSet, ParseError, _Cursor, parse_type, parse_value, render_type, render_value,
+)
 
 
-def _tokenize(text: str) -> list[str]:
-    tokens: list[str] = []
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """Split into (kind, text, pos) tokens: kind is the parenthesis itself, or
+    'id' for an atom, bare or quoted."""
+    tokens: list[tuple[str, str, int]] = []
     i = 0
     n = len(text)
     while i < n:
         c = text[i]
         if c.isspace():
             i += 1
-            continue
-        if c in "()":
-            tokens.append(c)
+        elif c in "()":
+            tokens.append((c, c, i))
             i += 1
-            continue
-        if c == '"':
+        elif c == '"':
             j = text.find('"', i + 1)
             if j < 0:
                 raise ParseError("unterminated quoted atom")
-            tokens.append(text[i : j + 1])
+            tokens.append(("id", text[i : j + 1], i))
             i = j + 1
-            continue
-        # bare atom: brackets opened inside it must close before it ends
-        start = i
-        depth = 0
-        while i < n:
-            c = text[i]
-            if depth == 0 and (c.isspace() or c in '()"' and text[start:i].count("@") == 0):
-                break
-            if c in "({" and i > start:
-                depth += 1
-            elif c in ")}":
-                if depth == 0:
+        else:
+            # bare atom: brackets opened inside it must close before it ends,
+            # and after its '@' a parenthesis or quote belongs to the annotation
+            start, depth, annotated = i, 0, False
+            while i < n:
+                c = text[i]
+                if c.isspace() or depth == 0 and (c in ")}" or c in '("' and not annotated):
                     break
-                depth -= 1
-            elif c.isspace():
-                break
-            i += 1
-        if depth != 0:
-            raise ParseError(f"unbalanced brackets in {text[start:i]!r}")
-        if i == start:
-            raise ParseError(f"unmatched {text[i]!r}")
-        tokens.append(text[start:i])
+                if c in "({" and i > start:
+                    depth += 1
+                elif c in ")}":
+                    depth -= 1
+                annotated = annotated or c == "@"
+                i += 1
+            if depth != 0:
+                raise ParseError(f"unbalanced brackets in {text[start:i]!r}")
+            if i == start:
+                raise ParseError(f"unmatched {text[i]!r}")
+            tokens.append(("id", text[start:i], start))
     return tokens
 
 
@@ -87,20 +89,13 @@ def _unquote(tok: str) -> str:
 def _split_args(text: str) -> list[str]:
     """Split on top-level commas, keeping commas inside braces or parens."""
     parts: list[str] = []
-    depth = 0
-    cur = []
-    for c in text:
-        if c in "({":
-            depth += 1
-        elif c in ")}":
-            depth -= 1
+    depth = start = 0
+    for i, c in enumerate(text):
+        depth += (c in "({") - (c in ")}")
         if c == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(c)
-    parts.append("".join(cur))
-    return parts
+            parts.append(text[start:i])
+            start = i + 1
+    return parts + [text[start:]]
 
 
 def _annotated(tok: str) -> tuple[str, list[str]]:
@@ -131,87 +126,61 @@ def _leaf(tok: str) -> Term:
     if name not in BASICS:
         raise ParseError(f"unknown basic term {tok!r}")
     cls = BASICS[name]
-    _need(args, len(fields(cls)), name)
+    _need(args, len(cls.__match_args__), name)
     return cls(*(parse_type(a) for a in args))
 
 
-class _TermParser:
-    def __init__(self, tokens: list[str], groups: Mapping[str, GroupSpec]) -> None:
-        self.tokens = tokens
-        self.pos = 0
+class _TermParser(_Cursor):
+    # render_term writes a form per combinator, so only a term at most the
+    # limit high renders to text that parses back
+    max_height = MAX_NESTING
+    children = staticmethod(term_children)
+
+    def __init__(self, text: str, groups: Mapping[str, GroupSpec]) -> None:
+        super().__init__(_tokenize(text), "term")
         self.groups = groups
 
-    def take(self) -> str:
-        if self.pos >= len(self.tokens):
-            raise ParseError("term ends unexpectedly")
-        self.pos += 1
-        return self.tokens[self.pos - 1]
-
     def term(self) -> Term:
-        tok = self.take()
-        if tok == ")":
-            raise ParseError("unexpected ')'")
-        if tok != "(":
-            return _leaf(tok)
-        head = self.take()
-        if head == "compose":
-            parts = self.terms_until_close()
-            if len(parts) < 2:
-                raise ParseError("compose takes at least two terms")
-            out = parts[-1]
-            for part in reversed(parts[:-1]):
-                out = Compose(part, out)
-            return out
-        if head == "map":
-            out = Map(self.term())
-            self.close()
-            return out
-        if head in ("pair", "union"):
-            cls = Pair if head == "pair" else Union
-            out = cls(self.term(), self.term())
-            self.close()
-            return out
-        if head == "guard":
-            out = Guarded(self.term(), self.term(), self.term())
-            self.close()
-            return out
+        kind, tok, pos = self.next()
+        if kind == "(":
+            return self.nested(self.form)
+        if kind == ")":
+            raise ParseError(f"unexpected ')' at position {pos}")
+        return _leaf(tok)
+
+    def form(self) -> Term:
+        """A parenthesised form, after its '('."""
+        head = self.next()[1]
+        if head in COMBINATORS:
+            cls = COMBINATORS[head]
+            parts = [self.term() for _ in cls.__match_args__]
+            while cls is Compose and self.peek() != ")":
+                parts.append(self.term())
+            self.expect(")")
+            if cls is Compose:  # (compose f g h) is (compose f (compose g h))
+                return reduce(lambda out, part: Compose(part, out), reversed(parts))
+            return cls(*parts)
         if head == "const":
-            val_tok = _unquote(self.take())
-            dom = parse_type(_unquote(self.take()))
-            cod = parse_type(_unquote(self.take()))
-            self.close()
+            val_tok = _unquote(self.next()[1])
+            dom = parse_type(_unquote(self.next()[1]))
+            cod = parse_type(_unquote(self.next()[1]))
+            self.expect(")")
             return Const(parse_value(val_tok, cod), dom, cod)
         if head == "gprefix":
-            name = self.take()
-            self.close()
+            name = self.next()[1]
+            self.expect(")")
             if name not in self.groups:
                 raise ParseError(f"unknown group {name!r}")
             return PrefixGroupMult(self.groups[name])
         raise ParseError(f"unknown combinator {head!r}")
 
-    def terms_until_close(self) -> list[Term]:
-        parts = []
-        while self.pos < len(self.tokens) and self.tokens[self.pos] != ")":
-            parts.append(self.term())
-        self.close()
-        return parts
-
-    def close(self) -> None:
-        if self.pos >= len(self.tokens) or self.tokens[self.pos] != ")":
-            raise ParseError("expected ')'")
-        self.pos += 1
-
 
 def parse_term(text: str, groups: Mapping[str, GroupSpec] | None = None) -> Term:
-    tokens = _tokenize(text)
-    parser = _TermParser(tokens, SAMPLE_GROUPS if groups is None else groups)
-    out = parser.term()
-    if parser.pos != len(tokens):
-        raise ParseError(f"unexpected {tokens[parser.pos]!r} after term")
-    return out
+    p = _TermParser(text, SAMPLE_GROUPS if groups is None else groups)
+    return p.finish(p.term())
 
 
-_BASIC_NAMES = {cls: name for name, cls in BASICS.items()}
+_NAMES = {cls: name for name, cls in (BASICS | COMBINATORS).items()}
 
 
 def render_term(t: Term, groups: Mapping[str, GroupSpec] | None = None) -> str:
@@ -221,22 +190,13 @@ def render_term(t: Term, groups: Mapping[str, GroupSpec] | None = None) -> str:
     """
     named_groups = SAMPLE_GROUPS if groups is None else groups
     ty = render_type
-    if type(t) in _BASIC_NAMES:
-        args = ",".join(ty(getattr(t, f.name)) for f in fields(t))
-        return f"{_BASIC_NAMES[type(t)]}@{args}"
+    name = _NAMES.get(type(t))
+    if name in COMBINATORS:
+        return f"({name} {' '.join(render_term(c, named_groups) for c in term_children(t))})"
+    if name is not None:
+        return f"{name}@{','.join(ty(getattr(t, n)) for n in type(t).__match_args__)}"
     if isinstance(t, FinSplit):
         return f"finsplit@{ty(FinSet(t.left_names))},{ty(FinSet(t.right_names))}"
-    if isinstance(t, Compose):
-        return f"(compose {render_term(t.after, named_groups)} {render_term(t.before, named_groups)})"
-    if isinstance(t, Map):
-        return f"(map {render_term(t.fn, named_groups)})"
-    if isinstance(t, Pair):
-        return f"(pair {render_term(t.fst, named_groups)} {render_term(t.snd, named_groups)})"
-    if isinstance(t, Union):
-        return f"(union {render_term(t.left, named_groups)} {render_term(t.right, named_groups)})"
-    if isinstance(t, Guarded):
-        inner = (render_term(x, named_groups) for x in (t.inner, t.dom_pred, t.cod_pred))
-        return f"(guard {' '.join(inner)})"
     if isinstance(t, Const):
         return f'(const "{render_value(t.value)}" "{ty(t.dom)}" "{ty(t.cod)}")'
     if isinstance(t, PrefixGroupMult):

@@ -195,6 +195,12 @@ BASICS: dict[str, type] = {
     "coprojr": CoProjR, "dist": Distribute,
 }
 
+# Surface name of each combinator whose fields are all terms.
+COMBINATORS: dict[str, type] = {
+    "compose": Compose, "map": Map, "pair": Pair, "union": Union, "guard": Guarded,
+}
+_COMBINATOR_TYPES = frozenset(COMBINATORS.values())
+
 BOOL_T = FinSet(("0", "1"))
 TRUE = Sym("1")
 FALSE = Sym("0")
@@ -437,24 +443,17 @@ _BASIC_FNS: dict[type, Callable[[Value], Value]] = {
 }
 
 
+def term_children(t: Term) -> tuple[Term, ...]:
+    """The terms right below ``t``: a combinator's fields; none for a basic."""
+    cls = type(t)  # a dataclass's __match_args__ names its fields
+    return tuple(getattr(t, n) for n in cls.__match_args__) if cls in _COMBINATOR_TYPES else ()
+
+
 def subterms(t: Term):
     """Yield ``t`` and every node below it."""
     yield t
-    if isinstance(t, Compose):
-        yield from subterms(t.after)
-        yield from subterms(t.before)
-    elif isinstance(t, Map):
-        yield from subterms(t.fn)
-    elif isinstance(t, Pair):
-        yield from subterms(t.fst)
-        yield from subterms(t.snd)
-    elif isinstance(t, Union):
-        yield from subterms(t.left)
-        yield from subterms(t.right)
-    elif isinstance(t, Guarded):
-        yield from subterms(t.inner)
-        yield from subterms(t.dom_pred)
-        yield from subterms(t.cod_pred)
+    for c in term_children(t):
+        yield from subterms(c)
 
 
 def is_first_order(t: Term) -> bool:

@@ -3,14 +3,14 @@
 Types are built from one-element sets (atoms), finite sets, sums, products,
 lists and an empty type.  Values are checked against types structurally; both
 have a text syntax and a bracketed string encoding used by the logic layer.
-One token cursor, ``_Cursor``, serves three recursive-descent parsers: the
-type and value parsers here and the formula parser in ``logic``.  It also
-keeps their one nesting count, capped at ``MAX_NESTING``.
+One token cursor, ``_Cursor``, serves four recursive-descent parsers: the
+type and value parsers here, the term parser in ``syntax`` and the formula
+parser in ``logic``.  It also keeps their one nesting limit, ``MAX_NESTING``.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from functools import lru_cache
 from typing import Iterator
 
@@ -23,10 +23,11 @@ class NestingError(ParseError):
     """Raised on text nested more than ``MAX_NESTING`` levels deep."""
 
 
-# Type and value brackets, inl/inr tags, a type's `^*`, `+` and `×`, and a
-# formula's parentheses, negations, quantifiers, `->` and `<->` each nest a
-# level.  The cap bounds the parsers' recursion, the depth of what they build
-# and the size of catalog terms built from a number.
+# Type and value brackets, inl/inr tags, a type's `^*`, `+` and `×`, a
+# formula's parentheses, negations, quantifiers, `->` and `<->`, and a term's
+# combinator forms each nest a level.  The cap bounds the parsers' recursion,
+# the height of what they build (``_Cursor.max_height``) and the size of
+# catalog terms built from a number.
 MAX_NESTING = 100
 
 
@@ -193,43 +194,40 @@ def type_nodes(t: TypeExpr) -> list[TypeNode]:
 
 # ------------------------------------------------------------------- parsing
 
-_IDENT_RE = re.compile(r"[A-Za-z0-9_#'.]+")
 _RESERVED_VALUE = {"bot", "inl", "inr"}
 
 
-def _tokenize(text: str, symbols: tuple[str, ...],
-              ident: re.Pattern) -> list[tuple[str, str, int]]:
+def _lexer(ident: str, symbols: tuple[str, ...]) -> re.Pattern:
+    """One alternation: whitespace, an identifier, a symbol (tried in the
+    order given, so a longer symbol goes before its prefixes) or a stray
+    character."""
+    return re.compile(rf"\s+|({ident})|({'|'.join(map(re.escape, symbols))})|(.)", re.S)
+
+
+def _tokenize(text: str, lexer: re.Pattern) -> list[tuple[str, str, int]]:
     """Split into (kind, text, pos) tokens; kind is 'id' or the symbol itself."""
     toks = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        m = ident.match(text, i)
-        if m:
-            toks.append(("id", m.group(), i))
-            i = m.end()
-            continue
-        for sym in symbols:
-            if text.startswith(sym, i):
-                toks.append((sym, sym, i))
-                i += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r} at position {i}")
+    for m in lexer.finditer(text):
+        group = m.lastindex  # None for whitespace
+        if group == 3:
+            raise ParseError(f"unexpected character {m.group()!r} at position {m.start()}")
+        if group:
+            toks.append(("id" if group == 1 else m.group(), m.group(), m.start()))
     return toks
 
 
 class _Cursor:
-    """Token cursor and nesting count shared by the type, value and formula
-    parsers; ``what`` names the text in messages."""
+    """Token cursor and nesting count shared by the type, value, term and
+    formula parsers; ``what`` names the text in messages."""
 
-    def __init__(self, text: str, symbols: tuple[str, ...], what: str,
-                 ident: re.Pattern = _IDENT_RE) -> None:
-        self.toks = _tokenize(text, symbols, ident)
+    # A chain link or a postfix star nests a level above its brackets, not
+    # above the operand it wraps, so a tree can be higher than its text
+    # nests; twice the limit still admits the types in ``std:windows@100``,
+    # 101 levels high, and keeps ``==`` and rendering within the stack.
+    max_height = 2 * MAX_NESTING
+
+    def __init__(self, toks: list[tuple[str, str, int]], what: str) -> None:
+        self.toks = toks
         self.i = 0
         self.depth = 0
         self.what = what
@@ -274,15 +272,29 @@ class _Cursor:
         if tok[0] != kind:
             raise ParseError(f"expected {kind!r} at position {tok[2]}, got {tok[1]!r}")
 
+    @staticmethod
+    def children(node) -> list:
+        """The dataclasses among ``node``'s fields and their tuples' items."""
+        values = [getattr(node, name) for name in type(node).__match_args__]
+        return [x for v in values for x in (v if isinstance(v, tuple) else (v,))
+                if is_dataclass(x)]
+
     def finish(self, result):
-        """``result``, once every token has been consumed."""
+        """``result``, once every token has been consumed and it is at most
+        ``max_height`` levels high."""
         if self.i != len(self.toks):
             tok = self.toks[self.i]
             raise ParseError(f"trailing {tok[1]!r} at position {tok[2]}")
-        return result
+        level = [result]
+        for _ in range(self.max_height + 1):  # shared nodes are walked once a level
+            level = list({id(c): c for node in level for c in self.children(node)}.values())
+            if not level:
+                return result
+        raise NestingError(f"{self.what} nested too deeply")
 
 
-_TYPE_SYMBOLS = ("^*", "{", "}", ",", "+", "*", "×", "[", "]", "(", ")")
+_IDENT = r"[A-Za-z0-9_#'.]+"
+_TYPE_LEXER = _lexer(_IDENT, ("^*", "{", "}", ",", "+", "*", "×", "[", "]", "(", ")"))
 _TYPE_STARTERS = {"{", "(", "[", "id"}
 
 
@@ -342,7 +354,7 @@ class _TypeParser(_Cursor):
 
 @lru_cache(maxsize=1024)  # terms repeat their type annotations
 def parse_type(text: str) -> TypeExpr:
-    p = _TypeParser(text, _TYPE_SYMBOLS, "type")
+    p = _TypeParser(_tokenize(text, _TYPE_LEXER), "type")
     return p.finish(p.sum())
 
 
@@ -365,7 +377,7 @@ def render_type(t: TypeExpr, prec: int = 0) -> str:
     raise TypeError(f"not a type expression: {t!r}")
 
 
-_VALUE_SYMBOLS = ("(", ")", "[", "]", ",")
+_VALUE_LEXER = _lexer(_IDENT, ("(", ")", "[", "]", ","))
 
 
 class _ValueParser(_Cursor):
@@ -402,7 +414,7 @@ class _ValueParser(_Cursor):
 
 def parse_value(text: str, t: TypeExpr | None = None) -> Value:
     """Parse a value; when a type is given, check the value against it."""
-    p = _ValueParser(text, _VALUE_SYMBOLS, "value")
+    p = _ValueParser(_tokenize(text, _VALUE_LEXER), "value")
     v = p.finish(p.value())
     if t is not None:
         require_value(v, t)

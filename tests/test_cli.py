@@ -306,7 +306,8 @@ DEEP = 1200
     ["eval", "reverse@{a}", "[" * DEEP + "a" + "]" * DEEP],
     ["typecheck", "reverse@{a}" + "^*" * DEEP],
     ["encode", "a", "+".join(["{a}"] * DEEP)],
-], ids=["typecheck", "eval", "typecheck-postfix", "encode-sum-chain"])
+    ["typecheck", "(map " * 1000 + "reverse@{a}" + ")" * 1000],
+], ids=["typecheck", "eval", "typecheck-postfix", "encode-sum-chain", "typecheck-term"])
 def test_over_deep_input_exits_3(capsys, argv, fmt):
     code, out, err = run(capsys, *argv, "--format", fmt)
     assert code == 3

@@ -2,8 +2,10 @@
 import shlex
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from helpers import AB, DEEP_MIX_TYPE, FOT_CASES, sym_list
+from helpers import AB, DEEP_MIX_TYPE, FOT_CASES, sym_list, time_limit
 from listfn.fileio import (
     FileFormatError,
     _fields,
@@ -41,9 +43,9 @@ from listfn.samples import (
     SAMPLE_RATIONALS,
     SAMPLE_SSTS,
 )
-from listfn.stdlib import comma
-from listfn.terms import eval_term, infer_type
-from listfn.types import FinSet, List, enumerate_values
+from listfn.stdlib import comma, list_to_pair
+from listfn.terms import TermTypeError, eval_term, infer_type
+from listfn.types import FinSet, List, ParseError, Sym, TypeMismatch, enumerate_values
 
 
 def test_type_file_round_trip(tmp_path):
@@ -246,3 +248,54 @@ def test_field_splitting_matches_shlex():
     ]
     for line in corpus:
         assert _fields(line, "corpus") == shlex.split(line, comments=False), line
+
+
+# A valid file for each loader, and the loader.
+_FILES = {
+    "type": (lambda p: save_type(p, DEEP_MIX_TYPE), load_type),
+    "term": (lambda p: save_term(p, list_to_pair(AB, Sym("a"))), load_term),
+    "monoid": (lambda p: save_monoid(p, CONTAINS_AB, letters={"a": "a", "b": "b"}),
+               load_monoid),
+    "group": (lambda p: save_group(p, SAMPLE_GROUPS["z3"]), load_group),
+    "rational": (lambda p: save_rational(p, SAMPLE_RATIONALS["mark-after-ab"]),
+                 load_rational),
+    "pipeline": (lambda p: save_pipeline(p, compile_rational(SAMPLE_RATIONALS["keep-a"])),
+                 load_pipeline),
+    "sst": (lambda p: save_sst(p, SAMPLE_SSTS["drop-last"]), load_sst),
+    "structure": (lambda p: save_structure(p, encode_value(sym_list("ab"), List(AB))),
+                  load_structure),
+    "fot": (lambda p: save_fot(p, builtin_fot("reverse", AB)), load_fot),
+}
+_PIECES = [s.encode() for s in [
+    "", " ", "\n", "\t", "#", "0", "1", "9", "-1", "\u00b2", "'", '"', "\\", "(",
+    ")", "[", "]", "{", "}", ",", "^*", "\u00d7", "@", "true", "!", "E x. ", "<->",
+    "listfn-", "row", "letter", "rel", "universe", "case", "copies", "table"]]
+# (position, bytes replaced, bytes put there); binary pieces may break UTF-8
+_EDITS = st.tuples(st.integers(0, 4095), st.integers(0, 8),
+                   st.one_of(st.sampled_from(_PIECES), st.binary(max_size=3)))
+
+
+# tmp_path is shared by a test's examples: each one rewrites the mutated file
+@pytest.mark.parametrize("kind", sorted(_FILES))
+@settings(derandomize=True, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(_EDITS, min_size=1, max_size=4))
+def test_mutated_files_raise_only_parse_errors(tmp_path, kind, edits):
+    """A mutated file loads, or raises a ParseError such as FileFormatError;
+    a term file may also hold a term whose parts do not fit together."""
+    save, load = _FILES[kind]
+    valid = tmp_path / "valid"
+    if not valid.exists():
+        save(valid)
+    data = valid.read_bytes()
+    for pos, span, piece in edits:
+        i = pos % (len(data) + 1)
+        data = data[:i] + piece + data[i + span:]
+    mutated = tmp_path / "mutated"
+    mutated.write_bytes(data)
+    allowed = (ParseError, TermTypeError, TypeMismatch) if kind == "term" else ParseError
+    with time_limit(2):
+        try:
+            load(mutated)
+        except allowed:
+            pass

@@ -159,6 +159,10 @@ def test_length_term_depth_grows_with_the_log_of_the_cap():
     assert _depth(len_upto(100, AB)) <= 2 * _depth(len_upto(10, AB))
 
 
+def test_window_term_depth_grows_with_the_log_of_the_width():
+    assert _depth(windows(100, AB)) <= 2 * _depth(windows(10, AB))
+
+
 def test_every_catalog_term_is_well_typed():
     for entry in CATALOG.values():
         for args in entry.instances:

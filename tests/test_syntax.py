@@ -16,7 +16,15 @@ from listfn.terms import (
     eval_term,
     infer_type,
 )
-from listfn.types import FinSet, ParseError, Sym, TypeMismatch, enumerate_values
+from listfn.types import (
+    MAX_NESTING,
+    FinSet,
+    NestingError,
+    ParseError,
+    Sym,
+    TypeMismatch,
+    enumerate_values,
+)
 
 ROUND_TRIP_TERMS = (
     [t for _, t, _ in BASICS]
@@ -92,8 +100,8 @@ _TERM_PIECES = ["(", ")", "{", "}", "[", "]", ",", "@", '"', " ", "\n", "a",
 
 @settings(derandomize=True, max_examples=300, deadline=1000)
 @given(st.one_of(
-    st.text(max_size=120),
-    st.lists(st.sampled_from(_TERM_PIECES), max_size=120).map("".join),
+    st.text(max_size=400),
+    st.lists(st.sampled_from(_TERM_PIECES), max_size=400).map("".join),
 ))
 def test_parse_term_raises_only_parse_errors(text):
     """Malformed text is a ParseError; text whose parts do not fit together
@@ -105,3 +113,37 @@ def test_parse_term_raises_only_parse_errors(text):
         except (ParseError, TermTypeError, TypeMismatch):
             return
     assert parse_term(render_term(term)) == term
+
+
+# Term text of each shape, n levels deep.
+_NESTED_TERMS = {
+    "map": lambda n: "(map " * n + "reverse@{a}" + ")" * n,
+    "pair": lambda n: "(pair reverse@{a} " * n + "reverse@{a}" + ")" * n,
+    "union": lambda n: "(union reverse@{a} " * n + "reverse@{a}" + ")" * n,
+    "guard": lambda n: "(guard " * n + "reverse@{a}" + " reverse@{a} reverse@{a})" * n,
+    # n + 1 parts fold into a chain of n compositions
+    "compose-parts": lambda n: "(compose" + " reverse@{a}" * (n + 1) + ")",
+    # the middle part of three sits two compositions down
+    "compose-middle-part": lambda n: (
+        "(compose reverse@{a} " + "(map " * (n - 2) + "reverse@{a}"
+        + ")" * (n - 2) + " reverse@{a})"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NESTED_TERMS))
+def test_term_nesting_beyond_the_limit_is_a_parse_error(name):
+    text = _NESTED_TERMS[name]
+    with time_limit(5):
+        assert parse_term(text(MAX_NESTING)) == parse_term(text(MAX_NESTING))
+    for depth in (MAX_NESTING + 1, 300, 1000, 5000):
+        with time_limit(5):
+            with pytest.raises(NestingError, match="term nested too deeply"):
+                parse_term(text(depth))
+
+
+def test_annotation_parentheses_tokenize_in_linear_time():
+    """Each top-level parenthesis of an annotation once re-counted the '@'s
+    of the whole atom: 240 KB took seconds."""
+    with time_limit(2):
+        with pytest.raises(ParseError):
+            parse_term("reverse@" + "(a)" * 80000)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import AB, CD, DEEP_MIX_TYPE, sym_list, time_limit
+from listfn.logic import parse_formula
 from listfn.types import (
     BOT,
     Bot,
@@ -197,6 +198,20 @@ def test_nesting_beyond_the_limit_is_a_parse_error(name):
         for depth in (MAX_NESTING + 1, 300, 400, 5000):
             with pytest.raises(NestingError, match="nested too deeply"):
                 parse(opener * depth + leaf + closer * depth)
+
+
+# Each bracket level nests a level, and the stars, links or `<->`s at a level
+# count from there, not on top of the operand they wrap: each of these stays
+# 100 levels deep by that count but builds a tree 2,500 levels high.
+@pytest.mark.parametrize("parse,text", [
+    (parse_type, "(" * 50 + "a" + ("^*" * 50 + ")") * 50),
+    (parse_type, "(" * 50 + "a" + ("+a" * 50 + ")") * 50),
+    (parse_formula, "(" * 50 + "true" + (" <-> true" * 50 + ")") * 50),
+], ids=["type-postfix-list", "type-sum-chain", "formula-iff-chain"])
+def test_chains_stacked_on_nested_operands_are_a_parse_error(parse, text):
+    with time_limit(5):
+        with pytest.raises(NestingError, match="nested too deeply"):
+            parse(text)
 
 
 # Bracket-heavy text, long enough to nest past MAX_NESTING.
