@@ -359,11 +359,11 @@ def load_sst(path: str | Path) -> SSTSpec:
 # -------------------------------------------------------------- structures
 
 def _structure_body(s: Structure) -> list[str]:
-    body = [_line("universe", *s.universe)]
+    body = [" ".join(map(str, ("universe", *s.universe)))]  # integers: no quoting
     for name in sorted(s.vocabulary):
         body.append(_line("rel", name, s.vocabulary[name]))
         for row in sorted(s.relations.get(name, frozenset())):
-            body.append(_line("tuple", *row))
+            body.append(" ".join(map(str, ("tuple", *row))))
     return body
 
 

@@ -156,17 +156,16 @@ def enumerate_abstractions(k: int) -> list[RegUpdate]:
 @lru_cache(maxsize=None)
 def t_k_monoid(k: int) -> tuple[FiniteMonoid, dict[str, RegUpdate]]:
     """The finite monoid T_k of abstractions, with a name-to-abstraction map."""
-    abstractions = enumerate_abstractions(k)
-    by_name = {abstraction_name(t): t for t in abstractions}
+    name_of = {t: abstraction_name(t) for t in enumerate_abstractions(k)}
     table = {}
-    for n1, t1 in by_name.items():
-        for n2, t2 in by_name.items():
-            prod = update_product(t1, t2)
-            name = abstraction_name(prod)
-            if name not in by_name:
+    for t1, n1 in name_of.items():
+        for t2, n2 in name_of.items():
+            name = name_of.get(update_product(t1, t2))
+            if name is None:
                 raise AssertionError("abstraction product left the universe")
             table[(n1, n2)] = name
-    identity = abstraction_name(identity_update(k))
+    by_name = {n: t for t, n in name_of.items()}
+    identity = name_of[identity_update(k)]
     return FiniteMonoid(tuple(by_name), table, identity), by_name
 
 

@@ -63,6 +63,36 @@ def time_limit(seconds: float):
         signal.signal(signal.SIGALRM, previous)
 
 
+def cubic_associativity_failure(table: list[list[int]]):
+    """First triple (i, j, k), in order, with (ij)k != i(jk), or None.
+
+    The full check at every middle j, kept as the oracle for the library's
+    check at the middles of a generating set only.
+    """
+    for i, ti in enumerate(table):
+        for j, tj in enumerate(table):
+            left, right = table[ti[j]], [ti[c] for c in tj]
+            if left != right:
+                return i, j, next(k for k, c in enumerate(left) if c != right[k])
+    return None
+
+
+def generated(table: list[list[int]], gens) -> set[int]:
+    """Every product of one or more of ``gens``, found breadth first."""
+    found = set(gens)
+    layer = set(gens)
+    while layer:
+        layer = {table[x][g] for x in layer for g in gens} - found
+        found |= layer
+    return found
+
+
+# a loop: a Latin square with identity "e" and inverses, where (a·a)·b = b
+# but a·(a·b) = d
+LOOP_ROWS = (("e", "a", "b", "c", "d"), ("a", "e", "c", "d", "b"),
+             ("b", "d", "e", "a", "c"), ("c", "b", "d", "e", "a"),
+             ("d", "c", "a", "b", "e"))
+
 AB = FinSet(("a", "b"))
 CD = FinSet(("c", "d"))
 ABC = FinSet(("a", "b", "c"))

@@ -1,9 +1,11 @@
 """Semigroups, homomorphisms, and bounded-depth factorisation trees."""
 import random
+import re
 import sys
 
 import pytest
 
+from helpers import LOOP_ROWS, cubic_associativity_failure, generated
 from listfn.algebra import (
     FiniteMonoid,
     FiniteSemigroup,
@@ -20,6 +22,7 @@ from listfn.algebra import (
     tree_depth,
     tree_yield,
     validate_factorisation,
+    _generators,
 )
 from listfn.registers import t_k_monoid
 from listfn.samples import U1, CONTAINS_AB, hom_contains_ab, hom_u1_keep_a
@@ -43,6 +46,90 @@ def test_semigroup_rejects_non_associative_table():
         FiniteMonoid(("x", "y"), {
             ("x", "x"): "x", ("x", "y"): "x",
             ("y", "x"): "y", ("y", "y"): "y"}, "x")  # x not an identity
+
+
+def _light_failure(table: list[list[int]]):
+    """The triple the library's check reports for ``table``, or None."""
+    els = tuple(f"x{i}" for i in range(len(table)))
+    mult = {(a, b): els[c] for a, row in zip(els, table) for b, c in zip(els, row)}
+    try:
+        FiniteSemigroup(els, mult)
+    except ValueError as e:
+        found = re.fullmatch(r"associativity fails at \(x(\d+),x(\d+),x(\d+)\)",
+                             str(e))
+        assert found, e
+        return tuple(map(int, found.groups()))
+    return None
+
+
+def _assert_agrees_with_the_oracle(table: list[list[int]]) -> bool:
+    """Check the verdict against the cubic oracle; return True if accepted."""
+    gens = _generators(table)
+    assert generated(table, gens) == set(range(len(table)))
+    light = _light_failure(table)
+    assert (light is None) == (cubic_associativity_failure(table) is None)
+    if light is not None:
+        i, g, k = light
+        assert g in gens
+        assert table[table[i][g]][k] != table[i][table[g][k]]
+    return light is None
+
+
+def _int_table(rows) -> list[list[int]]:
+    index = {e: i for i, e in enumerate(rows[0])}
+    return [[index[x] for x in row] for row in rows]
+
+
+# elements a, z, 0: every product is 0 except a·z = a, so (a·z)·z = a but
+# a·(z·z) = 0; associativity fails at the middle z only, the last generator
+LAST_GENERATOR_ONLY = [[2, 0, 2], [2, 2, 2], [2, 2, 2]]
+
+NAMED_TABLES = {
+    "U1": lambda: U1.table,
+    "contains-ab": lambda: CONTAINS_AB.table,
+    **{f"T_{k}": (lambda k=k: t_k_monoid(k)[0].table) for k in (1, 2, 3, 4)},
+    "loop": lambda: _int_table(LOOP_ROWS),
+    "last-generator-only": lambda: LAST_GENERATOR_ONLY,
+}
+
+
+@pytest.mark.parametrize("name", list(NAMED_TABLES))
+def test_associativity_check_agrees_with_the_cubic_oracle(name):
+    table = NAMED_TABLES[name]()
+    rejected = name in ("loop", "last-generator-only")
+    assert _assert_agrees_with_the_oracle(table) is not rejected
+    if name == "last-generator-only":
+        assert _generators(table) == [0, 1]
+
+
+def _changed(table: list[list[int]], rng, count: int) -> list[list[int]]:
+    """A copy of ``table`` with ``count`` entries changed to other elements."""
+    out = [row[:] for row in table]
+    n = len(out)
+    for i, j in rng.sample([(i, j) for i in range(n) for j in range(n)], count):
+        out[i][j] = rng.choice([c for c in range(n) if c != out[i][j]])
+    return out
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_associativity_check_agrees_on_tables_with_changed_entries(k):
+    table = t_k_monoid(k)[0].table
+    rng = random.Random(f"changed-T_{k}")
+    accepted = sum(
+        _assert_agrees_with_the_oracle(_changed(table, rng, rng.randint(1, 3)))
+        for _ in range(300))
+    assert accepted < 100  # most changed tables are not associative
+
+
+def test_t4_with_one_changed_entry_is_rejected():
+    m = t_k_monoid(4)[0]
+    others = [x for x in range(len(m)) if m.elements[x] != m.identity]
+    rng = random.Random("changed-T_4")
+    for _ in range(10):  # one entry outside the identity's row and column
+        i, j = rng.choice(others), rng.choice(others)
+        table = [row[:] for row in m.table]
+        table[i][j] = rng.choice([c for c in range(len(m)) if c != table[i][j]])
+        assert not _assert_agrees_with_the_oracle(table)
 
 
 def test_sample_monoids_are_aperiodic():

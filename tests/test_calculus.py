@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from helpers import ABC, AB, BASICS, CD, HASH, _oracle_block, mixed_list, sym_list
+from helpers import (ABC, AB, BASICS, CD, HASH, LOOP_ROWS, _oracle_block,
+                     mixed_list, sym_list)
 from listfn.stdlib import CATALOG, finite_function, is_nonempty
 from listfn.syntax import parse_term, render_term
 from listfn.terms import (
@@ -115,13 +116,8 @@ def test_group_spec_validates_laws():
         GroupSpec(("1", "g"), (("1", "g"),), "1")  # not square
     with pytest.raises(ValueError):
         GroupSpec(("1", "g"), (("g", "1"), ("1", "g")), "1")  # identity law
-    # a loop: a Latin square with identity and inverses, where (a·a)·b = b
-    # but a·(a·b) = d
-    loop = (("e", "a", "b", "c", "d"), ("a", "e", "c", "d", "b"),
-            ("b", "d", "e", "a", "c"), ("c", "b", "d", "e", "a"),
-            ("d", "c", "a", "b", "e"))
     with pytest.raises(ValueError, match="associativity fails"):
-        GroupSpec(loop[0], loop, "e")
+        GroupSpec(LOOP_ROWS[0], LOOP_ROWS, "e")
 
 
 @pytest.mark.parametrize("name", ["z2", "z3"])

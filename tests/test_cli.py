@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, and seeded checks."""
 import json
+import shlex
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -280,12 +281,34 @@ def test_missing_file_exits_2(capsys, tmp_path):
 
 
 def test_forest_on_a_large_monoid_file(capsys, tmp_path):
-    t_3 = t_k_monoid(3)[0]
-    p = tmp_path / "t3.lmonoid"
-    save_monoid(p, t_3, {"a": t_3.elements[1], "b": t_3.elements[2]})
-    code, out, _ = run(capsys, "forest", str(p), "abab")
-    assert code == 0
-    assert "valid: yes" in out
+    for k in (3, 4):
+        t_k = t_k_monoid(k)[0]
+        p = tmp_path / f"t{k}.lmonoid"
+        save_monoid(p, t_k, {"a": t_k.elements[1], "b": t_k.elements[2]})
+        code, out, _ = run(capsys, "forest", str(p), "abab")
+        assert code == 0
+        assert "valid: yes" in out
+
+
+def test_forest_on_a_large_monoid_file_with_one_changed_product_exits_2(
+        capsys, tmp_path):
+    t_4 = t_k_monoid(4)[0]
+    p = tmp_path / "t4.lmonoid"
+    save_monoid(p, t_4, {"a": t_4.elements[1], "b": t_4.elements[2]})
+    # change the product a·b of two elements other than the identity
+    a, b = t_4.elements[3], t_4.elements[5]
+    assert t_4.identity not in (a, b)
+    lines = p.read_text(encoding="utf-8").splitlines()
+    for n, line in enumerate(lines):
+        fields = shlex.split(line)
+        if fields[:2] == ["row", a]:
+            j = 2 + t_4.index[b]
+            fields[j] = next(c for c in t_4.elements if c != fields[j])
+            lines[n] = " ".join(map(shlex.quote, fields))
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, _, err = run(capsys, "forest", str(p), "abab")
+    assert code == 2
+    assert "associativity fails" in err
 
 
 def test_non_decimal_digit_in_a_structure_file_exits_2(capsys, tmp_path):
