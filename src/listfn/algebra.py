@@ -90,14 +90,6 @@ class FiniteSemigroup:
             raise ValueError("empty product in a semigroup without identity")
         return acc
 
-    def power(self, a: str, n: int) -> str:
-        if n < 1:
-            raise ValueError("semigroup powers start at 1")
-        acc = a
-        for _ in range(n - 1):
-            acc = self.mult(acc, a)
-        return acc
-
     def __len__(self) -> int:
         return len(self.elements)
 
@@ -399,12 +391,3 @@ def eval_hom_via_forest(h: Homomorphism, word: Sequence[Hashable]) -> str:
     tree = build_factorisation(h, word)
     assert isinstance(tree, Node)
     return tree.label
-
-
-def regular_membership(h: Homomorphism, accepting: Iterable[str],
-                       word: Sequence[Hashable]) -> int:
-    """0/1 membership of the language recognised through ``h``; the empty
-    word is never a member."""
-    if not word:
-        return 0
-    return int(eval_hom_via_forest(h, word) in set(accepting))

@@ -20,7 +20,8 @@ looked up by name.  Words are written as plain strings of one-letter symbols
 ("abab") or comma-separated ("a,b,ab").
 
 Exit codes: 0 success, 2 syntax error, 3 type or runtime error (input
-nested too deeply included), 4 a cross-check found disagreeing routes.
+nested too deeply included), 4 a cross-check found disagreeing routes, 141
+standard output closed before the output ended (as under ``| head``).
 ``--seed N`` (or the ``LISTFN_SEED`` environment variable) fixes the
 randomized checks; reports repeat the seed they used.  ``--format
 json-lines`` switches every command to one JSON record per result with keys
@@ -248,7 +249,7 @@ def cmd_forest(args, rep: Reporter) -> int:
                          "monoid file with letter lines")
     word = _word_arg(args.word)
     if not word:
-        raise ValueError("factorisation needs a nonempty word")
+        raise ParseError("factorisation needs a nonempty word")
     for a in word:
         if letters.get(a) not in monoid.elements:
             raise ParseError(f"letter {a!r} has no image in the monoid")
@@ -319,17 +320,22 @@ def cmd_sst(args, rep: Reporter) -> int:
     return 0
 
 
+def _emit_structure(rep: Reporter, kind: str, input_: dict, s, path) -> None:
+    """Save ``s`` to ``path`` and report its size, or print it if no path."""
+    if path:
+        fileio.save_structure(path, s)
+        rep.emit(kind, input_, {"structure": str(path),
+                                "universe": len(s.universe)})
+    else:
+        rep.emit(kind, input_, fileio.format_structure(s).rstrip("\n"))
+
+
 def cmd_encode(args, rep: Reporter) -> int:
     t = parse_type(args.type)
     v = parse_value(args.value, t)
     s = encode_value(v, t)
-    if args.output:
-        fileio.save_structure(args.output, s)
-        rep.emit("encode", {"value": args.value, "type": args.type},
-                 {"structure": str(args.output), "universe": len(s.universe)})
-    else:
-        rep.emit("encode", {"value": args.value, "type": args.type},
-                 fileio.format_structure(s).rstrip("\n"))
+    _emit_structure(rep, "encode", {"value": args.value, "type": args.type},
+                    s, args.output)
     return 0
 
 
@@ -354,20 +360,12 @@ def cmd_fot(args, rep: Reporter) -> int:
         raise ParseError("fot needs a structure file or --word")
     s = fileio.load_structure(args.structure)
     out_s = apply_transduction(transduction, s)
+    input_ = {"transduction": args.transduction, "structure": args.structure}
     if args.decode:
         v = decode_structure(out_s, parse_type(args.decode))
-        rep.emit("fot", {"transduction": args.transduction,
-                         "structure": args.structure}, render_value(v))
-    elif args.output:
-        fileio.save_structure(args.output, out_s)
-        rep.emit("fot", {"transduction": args.transduction,
-                         "structure": args.structure},
-                 {"structure": str(args.output),
-                  "universe": len(out_s.universe)})
+        rep.emit("fot", input_, render_value(v))
     else:
-        rep.emit("fot", {"transduction": args.transduction,
-                         "structure": args.structure},
-                 fileio.format_structure(out_s).rstrip("\n"))
+        _emit_structure(rep, "fot", input_, out_s, args.output)
     return 0
 
 
@@ -495,10 +493,13 @@ def cmd_check(args, rep: Reporter) -> int:
     if args.count < 1:
         raise ParseError(f"--count must be at least 1, got {args.count}")
     which = list(_CHECKS) if args.which == "all" else [args.which]
+    names = ", ".join(builtin_names())
     if args.which == "fot-commute" and args.target is None:
-        raise ParseError(
-            f"check fot-commute needs a builtin name: "
-            f"{', '.join(builtin_names())}")
+        raise ParseError(f"check fot-commute needs a builtin name: {names}")
+    if args.target is not None and args.which not in ("fot-commute", "all"):
+        raise ParseError(f"check {args.which} takes no target, got {args.target!r}")
+    if args.target is not None and args.target not in builtin_names():
+        raise ParseError(f"{args.target!r} is not one of {names}")
     worst = 0
     for check in which:
         family = _CHECKS[check](seed, args.count, args)
@@ -635,8 +636,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    rep = Reporter(args.format)
+    try:
+        try:
+            args = parser.parse_args(argv)  # --help prints, then exits
+            return _run(args, Reporter(args.format))
+        finally:
+            sys.stdout.flush()  # a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        # the reader closed stdout early, as `| head` does; what is left to
+        # flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # what a shell reports for a command ended by SIGPIPE
+
+
+def _run(args, rep: Reporter) -> int:
     try:
         return args.func(args, rep) or 0
     except (NestingError, RecursionError) as e:

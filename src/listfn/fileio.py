@@ -38,8 +38,8 @@ from .rational import (
 )
 from .registers import SSTSpec, UpdateError, parse_update, render_update
 from .syntax import parse_term, render_term
-from .terms import GroupSpec, Term
-from .types import ParseError, TypeExpr, parse_type, render_type
+from .terms import Term
+from .types import ParseError
 
 
 class FileFormatError(ParseError):
@@ -129,19 +129,6 @@ class _Body:
                     f"{self.where}: unknown line keyword {r[0]!r}")
 
 
-# ------------------------------------------------------------------- types
-
-def save_type(path: str | Path, t: TypeExpr) -> None:
-    _write(path, "type", [render_type(t)])
-
-
-def load_type(path: str | Path) -> TypeExpr:
-    body = _read_body(path, "type")
-    if len(body) != 1:
-        raise FileFormatError(f"{path}: a type file holds one line")
-    return parse_type(body[0].strip())
-
-
 # ------------------------------------------------------------------- terms
 
 def save_term(path: str | Path, t: Term) -> None:
@@ -158,11 +145,35 @@ def load_term(path: str | Path) -> Term:
 
 # ----------------------------------------------------------------- monoids
 
-def save_monoid(path: str | Path, m: FiniteMonoid,
-                letters: dict[str, str] | None = None) -> None:
+_MONOID_KEYWORDS = {"elements", "identity", "row"}
+
+
+def _monoid_lines(m: FiniteMonoid) -> list[str]:
+    """The elements, identity and one product row per element."""
     body = [_line("elements", *m.elements), _line("identity", m.identity)]
     for a in m.elements:
         body.append(_line("row", a, *(m.mult(a, b) for b in m.elements)))
+    return body
+
+
+def _parse_monoid_rows(b: _Body) -> FiniteMonoid:
+    """The monoid of the elements, identity and row lines."""
+    elements = tuple(b.take("elements"))
+    identity = b.take("identity", 1)[0]
+    table = {}
+    for row in b.all("row"):
+        if len(row) != len(elements) + 1:
+            raise FileFormatError(f"{b.where}: row needs 1+{len(elements)} fields")
+        table.update(((row[0], y), p) for y, p in zip(elements, row[1:]))
+    try:
+        return FiniteMonoid(elements, table, identity)
+    except ValueError as e:
+        raise FileFormatError(f"{b.where}: {e}") from None
+
+
+def save_monoid(path: str | Path, m: FiniteMonoid,
+                letters: dict[str, str] | None = None) -> None:
+    body = _monoid_lines(m)
     for a, img in (letters or {}).items():
         body.append(_line("letter", a, img))
     _write(path, "monoid", body)
@@ -170,7 +181,7 @@ def save_monoid(path: str | Path, m: FiniteMonoid,
 
 def load_monoid(path: str | Path) -> tuple[FiniteMonoid, dict[str, str] | None]:
     b = _Body(_read_body(path, "monoid"), str(path))
-    b.check_keywords({"elements", "identity", "row", "letter"})
+    b.check_keywords(_MONOID_KEYWORDS | {"letter"})
     m = _parse_monoid_rows(b)
     if any(len(r) != 2 for r in b.all("letter")):
         raise FileFormatError(f"{b.where}: letter lines take 2 fields")
@@ -181,27 +192,6 @@ def load_monoid(path: str | Path) -> tuple[FiniteMonoid, dict[str, str] | None]:
     return m, (letters or None)
 
 
-# ------------------------------------------------------------------ groups
-
-def save_group(path: str | Path, g: GroupSpec) -> None:
-    body = [_line("elements", *g.elements), _line("identity", g.identity)]
-    for a, row in zip(g.elements, g.rows):
-        body.append(_line("row", a, *row))
-    _write(path, "group", body)
-
-
-def load_group(path: str | Path) -> GroupSpec:
-    b = _Body(_read_body(path, "group"), str(path))
-    b.check_keywords({"elements", "identity", "row"})
-    elements, identity, rows = _parse_rows(b)
-    if set(rows) != set(elements):
-        raise FileFormatError(f"{b.where}: need one row per element")
-    try:
-        return GroupSpec(elements, tuple(rows[a] for a in elements), identity)
-    except ValueError as e:
-        raise FileFormatError(f"{b.where}: {e}") from None
-
-
 # --------------------------------------------------------------- rationals
 
 def _rational_body(r: RationalFn) -> list[str]:
@@ -210,12 +200,8 @@ def _rational_body(r: RationalFn) -> list[str]:
         _line("input", *r.input_letters),
         _line("output", *r.output_letters),
         _line("empty", *r.empty_output),
-        _line("elements", *r.monoid.elements),
-        _line("identity", r.monoid.identity),
+        *_monoid_lines(r.monoid),
     ]
-    for a in r.monoid.elements:
-        body.append(_line("row", a,
-                          *(r.monoid.mult(a, b) for b in r.monoid.elements)))
     for a in r.input_letters:
         body.append(_line("h", a, r.h[a]))
     for (m, a, mr), block in sorted(r.out.items()):
@@ -227,8 +213,7 @@ def save_rational(path: str | Path, r: RationalFn) -> None:
     _write(path, "rational", _rational_body(r))
 
 
-_RATIONAL_KEYWORDS = {"name", "input", "output", "empty", "elements",
-                      "identity", "row", "h", "out"}
+_RATIONAL_KEYWORDS = _MONOID_KEYWORDS | {"name", "input", "output", "empty", "h", "out"}
 
 
 def _parse_rational(b: _Body, extra_keywords: set[str] = frozenset()) -> RationalFn:
@@ -250,27 +235,6 @@ def _parse_rational(b: _Body, extra_keywords: set[str] = frozenset()) -> Rationa
         out[(row[0], row[1], row[2])] = tuple(row[3:])
     try:
         return RationalFn(name, inputs, outputs, monoid, h, out, empty)
-    except ValueError as e:
-        raise FileFormatError(f"{b.where}: {e}") from None
-
-
-def _parse_rows(b: _Body) -> tuple[tuple[str, ...], str, dict[str, tuple[str, ...]]]:
-    """Elements, identity, and each row's products keyed by its first field."""
-    elements = tuple(b.take("elements"))
-    identity = b.take("identity", 1)[0]
-    rows = {}
-    for row in b.all("row"):
-        if len(row) != len(elements) + 1:
-            raise FileFormatError(f"{b.where}: row needs 1+{len(elements)} fields")
-        rows[row[0]] = tuple(row[1:])
-    return elements, identity, rows
-
-
-def _parse_monoid_rows(b: _Body) -> FiniteMonoid:
-    elements, identity, rows = _parse_rows(b)
-    table = {(x, y): p for x, row in rows.items() for y, p in zip(elements, row)}
-    try:
-        return FiniteMonoid(elements, table, identity)
     except ValueError as e:
         raise FileFormatError(f"{b.where}: {e}") from None
 

@@ -926,16 +926,6 @@ def encode_value(v: Value, t: TypeExpr) -> Structure:
     return Structure(tuple(range(counter[0])), vocab, rels)
 
 
-def derived_next_sibling(s: Structure) -> frozenset[tuple[int, int]]:
-    """Covering relation of ``sib``: pairs with nothing strictly between."""
-    if "sib" not in s.relations:
-        raise LogicError("structure has no sib relation")
-    sib = s.relations["sib"]
-    return frozenset(
-        (x, y) for x, y in sib if not any((x, z) in sib and (z, y) in sib for z in s.universe)
-    )
-
-
 def decode_structure(s: Structure, t: TypeExpr) -> Value:
     """Inverse of encode_value, for any structure isomorphic to an encoding.
 

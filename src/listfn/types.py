@@ -1,8 +1,8 @@
 """Nested-list types and their values.
 
 Types are built from one-element sets (atoms), finite sets, sums, products,
-lists and an empty type.  Values are checked against types structurally; both
-have a text syntax and a bracketed string encoding used by the logic layer.
+lists and an empty type.  Values are checked against types structurally, and
+both have a text syntax.
 One token cursor, ``_Cursor``, serves four recursive-descent parsers: the
 type and value parsers here, the term parser in ``syntax`` and the formula
 parser in ``logic``.  It also keeps their one nesting limit, ``MAX_NESTING``.
@@ -36,7 +36,7 @@ class TypeMismatch(TypeError):
 
 
 class EncodingError(ValueError):
-    """Raised when a string is not a valid encoding at the given type."""
+    """Raised when a structure is not a valid encoding at the given type."""
 
 
 # ---------------------------------------------------------------- type exprs
@@ -435,105 +435,6 @@ def render_value(v: Value) -> str:
     if isinstance(v, BotV):
         return "bot"
     raise TypeError(f"not a value: {v!r}")
-
-
-# ---------------------------------------------------------- string encoding
-
-def string_encode(v: Value, t: TypeExpr) -> str:
-    """Flatten ``v`` into a bracketed string.
-
-    Lists are wrapped in <l>...</l>, pairs in <p>...<m>...</p>, sum injections
-    become L:/R: prefixes and symbol names appear verbatim.  Decoding a merged
-    run of names is driven by the type, longest name first.
-    """
-    require_value(v, t)
-    parts: list[str] = []
-
-    def enc(v: Value, t: TypeExpr) -> None:
-        if isinstance(t, (Atom, FinSet)):
-            parts.append(v.name)  # type: ignore[union-attr]
-        elif isinstance(t, Bot):
-            parts.append("bot")
-        elif isinstance(t, Sum):
-            if isinstance(v, InL):
-                parts.append("L:")
-                enc(v.value, t.left)
-            else:
-                parts.append("R:")
-                enc(v.value, t.right)  # type: ignore[union-attr]
-        elif isinstance(t, Prod):
-            parts.append("<p>")
-            enc(v.fst, t.left)  # type: ignore[union-attr]
-            parts.append("<m>")
-            enc(v.snd, t.right)  # type: ignore[union-attr]
-            parts.append("</p>")
-        elif isinstance(t, List):
-            parts.append("<l>")
-            for x in v.items:  # type: ignore[union-attr]
-                enc(x, t.elem)
-            parts.append("</l>")
-
-    enc(v, t)
-    return "".join(parts)
-
-
-def string_decode(text: str, t: TypeExpr) -> Value:
-    """Inverse of :func:`string_encode` at type ``t``."""
-    pos = 0
-
-    def fail(msg: str) -> EncodingError:
-        return EncodingError(f"{msg} at position {pos} in {text!r}")
-
-    def eat(token: str) -> None:
-        nonlocal pos
-        if not text.startswith(token, pos):
-            raise fail(f"expected {token!r}")
-        pos += len(token)
-
-    def dec(t: TypeExpr) -> Value:
-        nonlocal pos
-        if isinstance(t, Atom):
-            eat(t.name)
-            return Sym(t.name)
-        if isinstance(t, FinSet):
-            for name in sorted(t.names, key=len, reverse=True):
-                if text.startswith(name, pos):
-                    pos += len(name)
-                    return Sym(name)
-            raise fail(f"expected one of {t.names}")
-        if isinstance(t, Bot):
-            eat("bot")
-            return BOT
-        if isinstance(t, Sum):
-            if text.startswith("L:", pos):
-                pos += 2
-                return InL(dec(t.left))
-            if text.startswith("R:", pos):
-                pos += 2
-                return InR(dec(t.right))
-            raise fail("expected L: or R:")
-        if isinstance(t, Prod):
-            eat("<p>")
-            fst = dec(t.left)
-            eat("<m>")
-            snd = dec(t.right)
-            eat("</p>")
-            return PairV(fst, snd)
-        if isinstance(t, List):
-            eat("<l>")
-            items = []
-            while not text.startswith("</l>", pos):
-                if pos >= len(text):
-                    raise fail("unterminated list")
-                items.append(dec(t.elem))
-            pos += len("</l>")
-            return ListV(tuple(items))
-        raise TypeError(f"not a type expression: {t!r}")
-
-    v = dec(t)
-    if pos != len(text):
-        raise fail("trailing text")
-    return v
 
 
 # ----------------------------------------------------- enumeration & random

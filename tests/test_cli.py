@@ -1,11 +1,17 @@
 """Command-line interface: outputs, exit codes, and seeded checks."""
 import json
+import os
+import re
 import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import listfn
 from helpers import time_limit
 from listfn.cli import main
 from listfn.fileio import save_monoid
@@ -82,9 +88,9 @@ def test_forest_reports_validity_and_audit(capsys):
 
 
 def test_forest_rejects_empty_word(capsys):
-    code, _, err = run(capsys, "forest", "u1", "")
-    assert code == 3
-    assert err
+    code, out, err = run(capsys, "forest", "contains-ab", "")
+    assert (code, out) == (2, "")
+    assert "factorisation needs a nonempty word" in err
 
 
 def test_compile_and_run_pipeline(capsys, tmp_path):
@@ -226,6 +232,18 @@ def test_check_fot_commute_needs_a_builtin_name(capsys):
     code, out, err = run(capsys, "check", "fot-commute")
     assert (code, out) == (2, "")
     assert "check fot-commute needs a builtin name: reverse, append" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["all", "fooo"], "'fooo' is not one of reverse, append"),
+    (["fot-commute", "fooo"], "'fooo' is not one of reverse, append"),
+    (["rational", "nonsense"], "check rational takes no target, got 'nonsense'"),
+    (["forest", "reverse"], "check forest takes no target, got 'reverse'"),
+], ids=["all", "fot-commute", "rational", "forest-builtin"])
+def test_check_refuses_a_bad_target_before_any_output(capsys, argv, message):
+    code, out, err = run(capsys, "check", *argv, "--count", "1")
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 def test_check_stdlib_covers_every_catalog_entry(capsys):
@@ -408,3 +426,76 @@ def test_any_argv_ends_in_a_documented_exit_code(argv, monkeypatch, tmp_path, ca
         finally:
             capsys.readouterr()
     assert code in (0, 2, 3, 4), argv
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+# Takes about 8 s. CI runs `check all`, and test_golden hashes its seeded
+# output at --count 20.
+_README_SKIPPED = {"listfn check all --count 200"}
+
+
+def _readme_examples():
+    """(command, expected output lines, whether the output goes on past them)
+    for each `$ listfn` line of README's sh blocks, in order."""
+    text = README.read_text(encoding="utf-8")
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S):
+        for chunk in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            command, *shown = chunk.rstrip("\n").split("\n")
+            if "..." in shown:
+                yield command, shown[:shown.index("...")], True
+                break  # a `...` line ends the comparison for its block
+            yield command, shown, False
+
+
+def test_readme_examples_print_what_the_readme_shows(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    ran = 0
+    for command, shown, more in _readme_examples():
+        argv = shlex.split(command, comments=True)
+        if " ".join(argv) in _README_SKIPPED:
+            continue
+        assert argv[0] == "listfn", command
+        code, out, err = run(capsys, *argv[1:])
+        assert (code, err) == (0, ""), command
+        lines = out.splitlines()
+        assert (lines[:len(shown)] if more else lines) == shown, command
+        ran += 1
+    assert ran == 11
+
+
+def _listfn_env():
+    """The environment for a `python -m listfn` child: this checkout's
+    library on the path, stdout block-buffered as in a user's shell."""
+    src = str(Path(listfn.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONUNBUFFERED="", PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+
+
+def test_a_closed_stdout_ends_quietly():
+    """A reader that stops after one line of a 117 KB output, as `| head -1`
+    does, sees exit 141 and no traceback."""
+    with subprocess.Popen(
+            [sys.executable, "-m", "listfn", "forest", "contains-ab", "ab" * 1500],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_listfn_env()) as proc:
+        assert proc.stdout.readline() == b"value: ab\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert b"Traceback" not in err, err
+    assert code == 141
+
+
+@pytest.mark.parametrize("argv", [["typecheck", "reverse@{a,b}"], ["--help"]],
+                         ids=["typecheck", "help"])
+def test_a_short_output_to_a_closed_pipe_ends_quietly(argv):
+    """Output still buffered when the command ends meets the closed pipe at
+    the last flush, which is reported the same way."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "listfn", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=_listfn_env(), timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")

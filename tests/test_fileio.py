@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import AB, DEEP_MIX_TYPE, FOT_CASES, sym_list, time_limit
+from helpers import AB, FOT_CASES, sym_list, time_limit
 from listfn.fileio import (
     FileFormatError,
     _fields,
@@ -16,18 +16,14 @@ from listfn.fileio import (
     load_sst,
     load_structure,
     load_term,
-    load_type,
     save_fot,
-    save_group,
     save_monoid,
     save_pipeline,
     save_rational,
     save_sst,
     save_structure,
     save_term,
-    save_type,
     load_fot,
-    load_group,
 )
 from listfn.logic import (
     apply_transduction,
@@ -39,19 +35,12 @@ from listfn.logic import (
 from listfn.rational import compile_rational, eval_pipeline, eval_rational_direct
 from listfn.samples import (
     CONTAINS_AB,
-    SAMPLE_GROUPS,
     SAMPLE_RATIONALS,
     SAMPLE_SSTS,
 )
 from listfn.stdlib import comma, list_to_pair
 from listfn.terms import TermTypeError, eval_term, infer_type
 from listfn.types import FinSet, List, ParseError, Sym, TypeMismatch, enumerate_values
-
-
-def test_type_file_round_trip(tmp_path):
-    p = tmp_path / "deep.ltype"
-    save_type(p, DEEP_MIX_TYPE)
-    assert load_type(p) == DEEP_MIX_TYPE
 
 
 def test_term_file_round_trip(tmp_path):
@@ -75,12 +64,6 @@ def test_monoid_file_round_trip(tmp_path):
     for x in back.elements:
         for y in back.elements:
             assert back.mult(x, y) == CONTAINS_AB.mult(x, y)
-
-
-def test_group_file_round_trip(tmp_path):
-    p = tmp_path / "z3.lgroup"
-    save_group(p, SAMPLE_GROUPS["z3"])
-    assert load_group(p) == SAMPLE_GROUPS["z3"]
 
 
 def test_rational_file_round_trip(tmp_path):
@@ -228,16 +211,16 @@ def test_non_decimal_digits_in_numeric_fields_are_rejected(tmp_path, keyword,
 
 
 def test_header_and_kind_mismatch_are_rejected(tmp_path):
-    p = tmp_path / "x.ltype"
-    p.write_text("listfn-type 99\n{a}\n")
+    p = tmp_path / "x.lterm"
+    p.write_text("listfn-term 99\nreverse@{a}\n")
     with pytest.raises(FileFormatError):
-        load_type(p)
-    q = tmp_path / "y.ltype"
-    save_type(q, AB)
+        load_term(p)
+    q = tmp_path / "y.lmonoid"
+    save_monoid(q, CONTAINS_AB)
     with pytest.raises(FileFormatError):
         load_term(q)
     with pytest.raises(FileFormatError):
-        load_type(tmp_path / "missing.ltype")
+        load_monoid(tmp_path / "missing.lmonoid")
 
 
 def test_field_splitting_matches_shlex():
@@ -252,11 +235,9 @@ def test_field_splitting_matches_shlex():
 
 # A valid file for each loader, and the loader.
 _FILES = {
-    "type": (lambda p: save_type(p, DEEP_MIX_TYPE), load_type),
     "term": (lambda p: save_term(p, list_to_pair(AB, Sym("a"))), load_term),
     "monoid": (lambda p: save_monoid(p, CONTAINS_AB, letters={"a": "a", "b": "b"}),
                load_monoid),
-    "group": (lambda p: save_group(p, SAMPLE_GROUPS["z3"]), load_group),
     "rational": (lambda p: save_rational(p, SAMPLE_RATIONALS["mark-after-ab"]),
                  load_rational),
     "pipeline": (lambda p: save_pipeline(p, compile_rational(SAMPLE_RATIONALS["keep-a"])),

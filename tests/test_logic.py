@@ -20,7 +20,6 @@ from listfn.logic import (
     check_commutes,
     decode_structure,
     decode_word_structure,
-    derived_next_sibling,
     encode_value,
     encoding_vocabulary,
     eval_formula,
@@ -255,13 +254,6 @@ def test_decode_rejects_corrupt_structures():
          "t_0__a": frozenset(), "t_0__b": frozenset({(2,)})})
     with pytest.raises(EncodingError):
         decode_structure(broken, t)
-
-
-def test_next_sibling_is_the_order_successor():
-    t = List(AB)
-    s = encode_value(sym_list("abab"), t)
-    nxt = sorted(derived_next_sibling(s))
-    assert nxt == [(1, 2), (2, 3), (3, 4)]
 
 
 @pytest.mark.parametrize("v", [Sym("z"), sym_list("ab")], ids=["symbol", "list"])

@@ -1,4 +1,4 @@
-"""Type and value layer: parsing, rendering, sizes, enumeration, encodings."""
+"""Type and value layer: parsing, rendering, sizes, enumeration."""
 import random
 
 import pytest
@@ -10,7 +10,6 @@ from listfn.logic import parse_formula
 from listfn.types import (
     BOT,
     Bot,
-    EncodingError,
     FinSet,
     InL,
     InR,
@@ -34,8 +33,6 @@ from listfn.types import (
     render_type,
     render_value,
     require_value,
-    string_decode,
-    string_encode,
     value_size,
 )
 
@@ -158,22 +155,6 @@ def test_random_value_fits_and_is_seeded():
         assert all(value_size(v) <= 25 for v in vals)
         again = random.Random(7)
         assert vals == [random_value(t, 25, again) for _ in range(50)]
-
-
-def test_string_encoding_round_trip():
-    for text in TYPE_TEXTS:
-        t = parse_type(text)
-        for v in enumerate_values(t, 5):
-            assert string_decode(string_encode(v, t), t) == v
-
-
-def test_string_encoding_rejects_corrupt_text():
-    t = List(AB)
-    good = string_encode(sym_list("ab"), t)
-    with pytest.raises(EncodingError):
-        string_decode(good + good, t)
-    with pytest.raises(EncodingError):
-        string_decode(good[:-1], t)
 
 
 _NESTED = {
