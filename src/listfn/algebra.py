@@ -18,6 +18,7 @@ long-lived semigroup such as the cached T_k computes each closure once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Callable, Hashable, Iterable, Sequence
 
 
@@ -259,19 +260,27 @@ def validate_factorisation(h: Homomorphism, t: FactTree) -> ValidationResult:
 # ------------------------------------------------------------------- builder
 
 def build_factorisation(h: Homomorphism, word: Sequence[Hashable]) -> FactTree:
-    """Bounded-depth factorisation tree of a nonempty word under ``h``."""
+    """Bounded-depth factorisation tree of a nonempty word under ``h``.
+
+    Each distinct letter is mapped, checked and given its leaf parent once;
+    trees are immutable, so every position of that letter shares it."""
     s = h.target
     if s.aperiodicity is None:
         raise NotAperiodicError("factorisation trees need an aperiodic target")
     if not word:
         raise ValueError("cannot factorise the empty word")
     index = s.index
+    leaves: dict[Hashable, tuple[FactTree, int]] = {}
     items = []
     for a in word:
-        name = h(a)
-        if name not in index:
-            raise ValueError(f"letter {a!r} maps to {name!r}, not an element")
-        items.append((Node(name, (Leaf(a),)), index[name]))
+        item = leaves.get(a)
+        if item is None:
+            name = h(a)
+            if name not in index:
+                raise ValueError(
+                    f"letter {a!r} maps to {name!r}, not an element")
+            item = leaves[a] = (Node(name, (Leaf(a),)), index[name])
+        items.append(item)
     tree, _ = _combine(s, items)
     return tree
 
@@ -322,35 +331,14 @@ def _binary(s: FiniteSemigroup, a: tuple[FactTree, int],
 
 def _split(s: FiniteSemigroup, items: list[tuple[FactTree, int]],
            g: int, right: bool) -> tuple[FactTree, int]:
-    runs: list[list[tuple[FactTree, int]]] = []
-    for item in items:
-        red = item[1] == g
-        if runs and (runs[-1][0][1] == g) == red:
-            runs[-1].append(item)
-        else:
-            runs.append([item])
-
-    # a pair is blue·red for a right ideal, red·blue for a left one
-    pre = post = None
-    first_is_red = runs[0][0][1] == g
-    if right:
-        if first_is_red:
-            pre = runs.pop(0)
-        if runs and runs[-1][0][1] != g:
-            post = runs.pop()
-    else:
-        if not first_is_red:
-            pre = runs.pop(0)
-        if runs and runs[-1][0][1] == g:
-            post = runs.pop()
-
+    runs = [list(run) for _, run in groupby(items, lambda it: it[1] == g)]
+    # a pair is blue·red for a right ideal, red·blue for a left one: a run of
+    # its second colour first, or of its first colour last, is left over
+    pre = runs.pop(0) if (runs[0][0][1] == g) == right else None
+    post = runs.pop() if runs and (runs[-1][0][1] == g) != right else None
     assert len(runs) % 2 == 0
-    pairs = []
-    for i in range(0, len(runs), 2):
-        a = _combine(s, runs[i])
-        b = _combine(s, runs[i + 1])
-        pairs.append(_binary(s, a, b))
-
+    pairs = [_binary(s, _combine(s, runs[i]), _combine(s, runs[i + 1]))
+             for i in range(0, len(runs), 2)]
     mid = _combine(s, pairs) if pairs else None
     if pre is not None:
         pre_c = _combine(s, pre)

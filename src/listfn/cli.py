@@ -8,7 +8,7 @@ Subcommands::
     compile-rational RAT [-o FILE]     compile to a pipeline file
     run-pipeline FILE WORD             run a pipeline, cross-check against
                                        direct evaluation
-    check WHICH [TARGET]               randomized equivalence checks
+    check WHICH [TARGET] [--type T]    randomized equivalence checks
     sst SST WORD [--mode ...]          run a streaming transducer
     encode VALUE TYPE [-o FILE]        value to relational structure
     decode FILE TYPE                   structure back to a value
@@ -500,6 +500,14 @@ def cmd_check(args, rep: Reporter) -> int:
         raise ParseError(f"check {args.which} takes no target, got {args.target!r}")
     if args.target is not None and args.target not in builtin_names():
         raise ParseError(f"{args.target!r} is not one of {names}")
+    if args.types and args.which not in ("fot-commute", "all"):
+        raise ParseError(f"check {args.which} takes no --type")
+    types = [parse_type(t) for t in args.types or ()]
+    for name in [args.target] if args.target else builtin_names():
+        arity = builtin_names()[name]  # ab_example takes none, ignores any
+        if types and arity and len(types) != arity:
+            raise ParseError(f"{name} takes {arity} type argument(s), "
+                             f"got {len(types)}")
     worst = 0
     for check in which:
         family = _CHECKS[check](seed, args.count, args)

@@ -4,17 +4,20 @@ A rational function reads a word and emits, at every position, an output block
 that may depend on the whole input, but only through the images of the prefix
 and suffix in a finite aperiodic monoid.  Direct evaluation uses prefix and
 suffix product arrays.  The compiler reproduces the same function as a
-pipeline: build a factorisation tree, give every node the products of its left
-and right siblings' labels, fold each position's ancestors into a (prefix
-image, letter, suffix image) triple, all on element numbers of the monoid's
-Cayley table, then apply a finite table followed by flattening.  The final two
-stages are ordinary terms; the tree stages stay opaque because their
-intermediate shapes are unbounded.
+pipeline of five stages, all on element numbers of the monoid's Cayley table:
+``forest`` builds a factorisation tree; ``profiles`` makes each node one tuple
+(left, right, children, letter), the products of its left and right siblings'
+labels; ``ancestors`` walks the tree once from the root and gives each
+position (letter, ancestor count, left fold, right fold), the folds being its
+prefix and suffix images; ``classify`` reads each position's (prefix image,
+letter, suffix image) symbol from a table built at compile time, or DEAD when
+its ancestor count exceeds the depth bound.  The last stage, ``table``, is an
+ordinary term, a finite table followed by flattening; the tree stages stay
+opaque because their intermediate shapes are unbounded.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Callable, Sequence
 
 from .algebra import (FiniteMonoid, Homomorphism, Leaf, FactTree,
@@ -84,49 +87,52 @@ def eval_rational_direct(r: RationalFn, word: Sequence[str]) -> tuple[str, ...]:
 
 # ------------------------------------------------------- compiled pipeline
 
-@dataclass(frozen=True)
-class ProfTree:
-    """Factorisation tree node carrying its profile among its siblings.
-
-    The profile is the pair of element numbers (product of the labels of the
-    siblings to the left, same to the right).
-    """
-    profile: tuple[int, int]
-    children: tuple["ProfTree", ...]
-    letter: str | None = None
-
-
-def sibling_profiles(m: FiniteMonoid, t: FactTree) -> ProfTree:
-    """Annotate every node with its left/right sibling context products."""
+def sibling_profiles(m: FiniteMonoid, t: FactTree) -> tuple:
+    """One tuple ``(left, right, children, letter)`` per node: the element
+    numbers of the products of its left and right siblings' labels, its
+    children's tuples, and under a leaf parent (no children) its letter."""
     table, index, one = m.table, m.index, m.index[m.identity]
 
-    def walk(t: FactTree, profile: tuple[int, int]) -> ProfTree:
+    def walk(t: FactTree, left: int, right: int) -> tuple:
         kids = t.children
         if isinstance(kids[0], Leaf):
-            return ProfTree(profile, (), kids[0].letter)
+            return (left, right, (), kids[0].letter)
+        if len(kids) == 2:
+            a, b = kids
+            return (left, right, (walk(a, one, index[b.label]),
+                                  walk(b, index[a.label], one)), None)
         labels = [index[c.label] for c in kids]
-        lefts = accumulate(labels[:-1], lambda p, x: table[p][x], initial=one)
-        rights = list(accumulate(reversed(labels[1:]),
-                                 lambda s, x: table[x][s], initial=one))
-        return ProfTree(profile, tuple(
-            walk(c, p) for c, p in zip(kids, zip(lefts, reversed(rights)))))
+        rights = [one]
+        for x in reversed(labels[1:]):
+            rights.append(table[x][rights[-1]])
+        out, p = [], one
+        for c, x, s in zip(kids, labels, reversed(rights)):
+            out.append(walk(c, p, s))
+            p = table[p][x]
+        return (left, right, tuple(out), None)
 
-    return walk(t, (one, one))
+    return walk(t, one, one)
 
 
-def ancestor_lists(t: ProfTree) -> list[tuple[str, list[tuple[int, int]]]]:
-    """Per position: its letter and the profiles from the root down to it."""
-    out: list[tuple[str, list[tuple[int, int]]]] = []
+def ancestor_lists(m: FiniteMonoid,
+                   t: tuple) -> list[tuple[str, int, int, int]]:
+    """Per position: its letter, its ancestor count, and the root-to-leaf
+    folds of its ancestors' left and right profiles (element numbers), in
+    one walk from the root that recurses as deep as the forest."""
+    table, one = m.table, m.index[m.identity]
+    out: list[tuple[str, int, int, int]] = []
 
-    def walk(t: ProfTree, acc: list[tuple[int, int]]) -> None:
-        acc = acc + [t.profile]
-        if t.letter is not None:
-            out.append((t.letter, acc))
-            return
-        for c in t.children:
-            walk(c, acc)
+    def walk(node: tuple, count: int, left: int, right: int) -> None:
+        a, b, kids, letter = node
+        count += 1
+        left = table[left][a]
+        right = table[b][right]  # nearer the root is further right
+        if not kids:
+            out.append((letter, count, left, right))
+        for c in kids:
+            walk(c, count, left, right)
 
-    walk(t, [])
+    walk(t, 0, one, one)
     return out
 
 
@@ -134,22 +140,19 @@ def triple_name(m: str, a: str, mr: str) -> str:
     return f"{m}.{a}.{mr}"
 
 
-def classify_positions(r: RationalFn, bound: int,
-                       ann: list[tuple[str, list[tuple[int, int]]]]) -> Value:
-    """Fold each ancestor list into a context triple; overlong lists go dead."""
-    m = r.monoid
-    table, els, one = m.table, m.elements, m.index[m.identity]
-    names: list[str] = []
-    for letter, profs in ann:
-        if len(profs) > bound:
-            names.append(DEAD)
-            continue
-        left = right = one
-        for a, b in profs:
-            left = table[left][a]
-            right = table[b][right]  # nearer the root is further right
-        names.append(triple_name(els[left], letter, els[right]))
-    return ListV(tuple(Sym(n) for n in names))
+def triple_symbols(r: RationalFn) -> list[dict[str, list[Sym]]]:
+    """The symbol of every context triple, read ``[left][letter][right]``."""
+    els = r.monoid.elements
+    return [{a: [Sym(triple_name(m, a, mr)) for mr in els]
+             for a in r.input_letters} for m in els]
+
+
+def classify_positions(syms: list[dict[str, list[Sym]]], bound: int,
+                       ann: list[tuple[str, int, int, int]]) -> Value:
+    """Name each position's context triple; over ``bound`` ancestors is dead."""
+    dead = Sym(DEAD)
+    return ListV(tuple(dead if count > bound else syms[left][letter][right]
+                       for letter, count, left, right in ann))
 
 
 def triple_alphabet(r: RationalFn) -> FinSet:
@@ -202,14 +205,14 @@ def compile_rational(r: RationalFn,
     hom = r.hom()
     gens = len(set(r.h[a] for a in r.input_letters))
     bound = forest_depth_bound(r.monoid, gens)
-    m = r.monoid
+    m, syms = r.monoid, triple_symbols(r)
     stages = (
         Stage("forest", "opaque",
               run=lambda word: build_factorisation(hom, list(word))),
         Stage("profiles", "opaque", run=lambda t: sibling_profiles(m, t)),
-        Stage("ancestors", "opaque", run=ancestor_lists),
+        Stage("ancestors", "opaque", run=lambda t: ancestor_lists(m, t)),
         Stage("classify", "opaque",
-              run=lambda ann: classify_positions(r, bound, ann)),
+              run=lambda ann: classify_positions(syms, bound, ann)),
         Stage("table", "term", term=output_table_term(r, table)),
     )
     return Pipeline(r, stages, bound)

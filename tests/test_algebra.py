@@ -23,7 +23,8 @@ from listfn.algebra import (
     validate_factorisation,
     _generators,
 )
-from listfn.registers import t_k_monoid
+from listfn.registers import (abstraction, abstraction_name, random_update,
+                              t_k_monoid)
 from listfn.samples import U1, CONTAINS_AB, hom_contains_ab, hom_u1_keep_a
 
 Z2 = FiniteMonoid(("0", "1"), {
@@ -223,6 +224,48 @@ def test_factorisation_rejects_empty_word():
 def test_factorisation_rejects_letters_outside_the_semigroup():
     with pytest.raises(ValueError, match="not an element"):
         build_factorisation(Homomorphism(CONTAINS_AB, {"a": "zz"}), "a")
+
+
+@pytest.mark.parametrize("style", ["dict", "callable"])
+def test_each_letter_is_mapped_once_and_still_checked(style):
+    """Each distinct letter's leaf is built once per word.  A letter mapped
+    outside the semigroup is refused even after valid letters and when it
+    repeats, and long words with repeated letters still give valid trees."""
+    images = {"a": "a", "b": "b", "c": "zz"}
+    calls = []
+
+    def image(letter):
+        calls.append(letter)
+        return images[letter]
+
+    h = Homomorphism(CONTAINS_AB, images if style == "dict" else image)
+    for bad in ("ab" * 40 + "c", "ba" * 40 + "c" + "ab" + "cc"):
+        with pytest.raises(ValueError, match="'c' maps to 'zz', not an element"):
+            build_factorisation(h, bad)
+    rng = random.Random(37)
+    for n in (2, 7, 300, 3000):
+        w = [rng.choice("ab") for _ in range(n)]
+        calls.clear()
+        tree = build_factorisation(h, w)
+        if style == "callable":
+            assert sorted(calls) == sorted(set(w))
+        assert validate_factorisation(h, tree)
+        assert tree_yield(tree) == w
+
+
+def test_register_updates_repeated_in_a_long_word_give_valid_trees():
+    """The registers style: letters are k-register updates, mapped by a
+    callable to their abstractions in T_k, drawn from a few updates."""
+    rng = random.Random(53)
+    for k in (2, 3):
+        t_k, _ = t_k_monoid(k)
+        h = Homomorphism(t_k, lambda eta: abstraction_name(abstraction(eta)))
+        pool = [random_update(k, rng) for _ in range(6)]
+        for n in (5, 400, 2000):
+            w = [rng.choice(pool) for _ in range(n)]
+            tree = build_factorisation(h, w)
+            assert validate_factorisation(h, tree)
+            assert tree_yield(tree) == w
 
 
 def test_validator_rejects_wrong_labels_and_unequal_runs():

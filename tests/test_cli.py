@@ -239,7 +239,11 @@ def test_check_fot_commute_needs_a_builtin_name(capsys):
     (["fot-commute", "fooo"], "'fooo' is not one of reverse, append"),
     (["rational", "nonsense"], "check rational takes no target, got 'nonsense'"),
     (["forest", "reverse"], "check forest takes no target, got 'reverse'"),
-], ids=["all", "fot-commute", "rational", "forest-builtin"])
+    (["all", "--type", "{a}"], "block takes 2 type argument(s), got 1"),
+    (["rational", "--type", "{a}"], "check rational takes no --type"),
+    (["all", "reverse", "--type", "{a"], "unexpected end of type"),
+], ids=["all", "fot-commute", "rational", "forest-builtin", "all-type",
+        "rational-type", "all-bad-type"])
 def test_check_refuses_a_bad_target_before_any_output(capsys, argv, message):
     code, out, err = run(capsys, "check", *argv, "--count", "1")
     assert (code, out) == (2, "")

@@ -4,19 +4,23 @@ import random
 
 import pytest
 
-from listfn.algebra import Node, build_factorisation
+from listfn.algebra import Leaf, Node, build_factorisation, tree_depth
 from listfn.rational import (
     DEAD,
     RationalFn,
+    classify_positions,
     compile_rational,
     eval_pipeline,
     eval_rational_direct,
     output_table,
     triple_alphabet,
     triple_name,
+    triple_symbols,
 )
 from listfn.registers import t_k_monoid
 from listfn.samples import SAMPLE_RATIONALS
+from listfn.terms import eval_term
+from listfn.types import ListV, Sym
 
 NAMES = sorted(SAMPLE_RATIONALS)
 
@@ -147,3 +151,56 @@ def _has_wide_node_of_a_non_idempotent(m, t):
                 return True
             work.extend(node.children)
     return False
+
+
+def _leaf_depths(t, depth=0):
+    if isinstance(t, Leaf):
+        return [depth]
+    return [d for c in t.children for d in _leaf_depths(c, depth + 1)]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_stages_by_hand_count_ancestors_and_go_dead_above_the_bound(name):
+    """The ancestors stage gives each position its leaf's depth in the forest
+    and the element numbers of its prefix and suffix images.  Classified with
+    the bound at the forest's depth, no position is dead and the table gives
+    the direct output; one below it, exactly the positions whose leaf sits at
+    that depth are dead, and they emit nothing."""
+    r = SAMPLE_RATIONALS[name]
+    m = r.monoid
+    forest, profiles, ancestors, _, table = compile_rational(r).stages
+    syms = triple_symbols(r)
+
+    def blocks(classes):
+        return [eval_term(table.term, ListV((s,))).items for s in classes.items]
+
+    assert blocks(ListV((Sym(DEAD),))) == [()]
+    rng = random.Random(43)
+    mixed = False
+    for n in (1, 2, 3, 5, 8, 40, 700):
+        w = [rng.choice(r.input_letters) for _ in range(n)]
+        tree = forest.run(w)
+        ann = ancestors.run(profiles.run(tree))
+        depths = _leaf_depths(tree)
+        assert [(a, count) for a, count, _, _ in ann] == list(zip(w, depths))
+        prefix = m.identity
+        for a, _, left, _ in ann:
+            assert m.elements[left] == prefix
+            prefix = m.mult(prefix, r.h[a])
+        suffix = m.identity
+        for a, _, _, right in reversed(ann):
+            assert m.elements[right] == suffix
+            suffix = m.mult(r.h[a], suffix)
+
+        depth = tree_depth(tree)
+        full = classify_positions(syms, depth, ann)
+        assert all(s.name != DEAD for s in full.items)
+        assert eval_term(table.term, full) == ListV(tuple(
+            Sym(g) for g in eval_rational_direct(r, w)))
+        cut = classify_positions(syms, depth - 1, ann)
+        dead = [d == depth for d in depths]
+        assert [s.name == DEAD for s in cut.items] == dead
+        live = [b for b, gone in zip(blocks(full), dead) if not gone]
+        assert eval_term(table.term, cut).items == sum(live, ())
+        mixed = mixed or not all(dead)
+    assert mixed
