@@ -504,8 +504,8 @@ def cmd_check(args, rep: Reporter) -> int:
         raise ParseError(f"check {args.which} takes no --type")
     types = [parse_type(t) for t in args.types or ()]
     for name in [args.target] if args.target else builtin_names():
-        arity = builtin_names()[name]  # ab_example takes none, ignores any
-        if types and arity and len(types) != arity:
+        arity = builtin_names()[name]
+        if types and len(types) != arity:
             raise ParseError(f"{name} takes {arity} type argument(s), "
                              f"got {len(types)}")
     worst = 0

@@ -5,20 +5,21 @@ k-register update rewrites every register to a sequence of literal words and
 register reads.  Monotone nonduplicating updates form a monoid under
 substitution whose register-only abstractions give a finite monoid T_k, so a
 long product can be computed through a bounded-depth factorisation tree:
-binary products at small nodes, and a window construction at wide nodes where
-all children share one abstraction.  Temporary registers (those that do not
-feed back into themselves) are fully determined by the last k updates, which
-is what keeps the wide-node construction local.
+binary products at small nodes, and one left-to-right pass at wide nodes,
+where all children share one abstraction.  Temporary registers (those that
+do not feed back into themselves) depend only on the last k updates, so that
+pass carries their contents from step to step.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import (chain, combinations, combinations_with_replacement,
+                       groupby)
 from typing import Iterable, Sequence
 
-from .algebra import (FiniteMonoid, Homomorphism, Leaf, Node, FactTree,
+from .algebra import (FiniteMonoid, Homomorphism, Leaf, FactTree,
                       build_factorisation)
 from .rational import RationalFn, eval_rational_direct
 
@@ -59,18 +60,37 @@ def _check_update(eta: RegUpdate) -> int:
 
 def normalise(eta: RegUpdate) -> RegUpdate:
     """Concatenate adjacent literals and drop empty ones."""
-    out = []
-    for rhs in eta:
-        items: list[Item] = []
-        for item in rhs:
-            if isinstance(item, Lit):
-                if not item.value:
-                    continue
-                if items and isinstance(items[-1], Lit):
-                    items[-1] = Lit(items[-1].value + item.value)
-                    continue
-            items.append(item)
-        out.append(tuple(items))
+    return tuple(_joined(rhs) for rhs in eta)
+
+
+def _joined(items: Iterable[Item]) -> Rhs:
+    """One side in normal form; a run of literals is joined in linear time."""
+    out: list[Item] = []
+    for cls, run in groupby(items, type):
+        if cls is Reg:
+            out.extend(run)
+        else:
+            word = tuple(chain.from_iterable(lit.value for lit in run))
+            if word:
+                out.append(Lit(word))
+    return tuple(out)
+
+
+def _substituted(rhs: Rhs, sides: Sequence[Rhs]) -> Rhs:
+    """``rhs`` with each read of register i replaced by ``sides[i - 1]``, in
+    one pass that joins a literal onto a preceding one and drops empty ones."""
+    out: list[Item] = []
+    for item in rhs:
+        for piece in (sides[item.index - 1] if item.__class__ is Reg
+                      else (item,)):
+            if piece.__class__ is Reg:
+                out.append(piece)
+            elif not piece.value:
+                continue
+            elif out and out[-1].__class__ is Lit:
+                out[-1] = Lit(out[-1].value + piece.value)
+            else:
+                out.append(piece)
     return tuple(out)
 
 
@@ -91,19 +111,10 @@ def empty_valuation(k: int) -> tuple:
 
 
 def update_product(eta1: RegUpdate, eta2: RegUpdate) -> RegUpdate:
-    """The update acting like eta1 followed by eta2."""
+    """The update acting like eta1 followed by eta2, in normal form."""
     if len(eta1) != len(eta2):
         raise UpdateError("register counts differ")
-    out = []
-    for rhs in eta2:
-        items: list[Item] = []
-        for item in rhs:
-            if isinstance(item, Reg):
-                items.extend(eta1[item.index - 1])
-            else:
-                items.append(item)
-        out.append(tuple(items))
-    return normalise(tuple(out))
+    return tuple(_substituted(rhs, eta1) for rhs in eta2)
 
 
 def is_nonduplicating(eta: RegUpdate) -> bool:
@@ -155,17 +166,25 @@ def enumerate_abstractions(k: int) -> list[RegUpdate]:
 
 @lru_cache(maxsize=None)
 def t_k_monoid(k: int) -> tuple[FiniteMonoid, dict[str, RegUpdate]]:
-    """The finite monoid T_k of abstractions, with a name-to-abstraction map."""
-    name_of = {t: abstraction_name(t) for t in enumerate_abstractions(k)}
+    """The finite monoid T_k of abstractions, with a name-to-abstraction map.
+
+    Products are taken on register-number tuples: each left factor
+    substitutes every side once, and a right factor is read off side by side.
+    """
+    by_name = {abstraction_name(t): t for t in enumerate_abstractions(k)}
+    name_of = {tuple(tuple(r.index for r in rhs) for rhs in t): n
+               for n, t in by_name.items()}
+    sides = {rhs for t in name_of for rhs in t}
     table = {}
     for t1, n1 in name_of.items():
+        substituted = {rhs: tuple(chain.from_iterable(t1[i - 1] for i in rhs))
+                       for rhs in sides}
         for t2, n2 in name_of.items():
-            name = name_of.get(update_product(t1, t2))
+            name = name_of.get(tuple(map(substituted.__getitem__, t2)))
             if name is None:
                 raise AssertionError("abstraction product left the universe")
             table[(n1, n2)] = name
-    by_name = {n: t for t, n in name_of.items()}
-    identity = name_of[identity_update(k)]
+    identity = abstraction_name(identity_update(k))
     return FiniteMonoid(tuple(by_name), table, identity), by_name
 
 
@@ -177,102 +196,103 @@ def temporary_registers(tau: RegUpdate) -> set[int]:
             if i not in {item.index for item in rhs}}
 
 
-def _window_products(etas: Sequence[RegUpdate], k: int) -> list[RegUpdate]:
-    """Entry i: product of the up-to-k updates before position i."""
-    out = []
-    for i in range(len(etas) + 1):
-        window = etas[max(0, i - k):i]
-        acc = identity_update(len(etas[0]))
-        for eta in window:
-            acc = update_product(acc, eta)
-        out.append(acc)
-    return out
+def _checked_name(eta: RegUpdate, k: int) -> str:
+    """Name of ``eta``'s abstraction, after checking, in this order, that its
+    reads are in range, that it has ``k`` registers and that its reads are
+    monotone (which makes them nonduplicating)."""
+    n = len(eta)
+    last = 0
+    monotone = True
+    sides = []
+    for rhs in eta:
+        reads = []
+        for item in rhs:
+            if item.__class__ is Reg:
+                i = item.index
+                if not 1 <= i <= n:
+                    raise UpdateError(f"register {i} out of range 1..{n}")
+                monotone = monotone and i > last
+                last = i
+                reads.append(str(i))
+        sides.append(",".join(reads))
+    if n != k:
+        raise UpdateError("register counts differ across the sequence")
+    if not monotone:
+        raise UpdateError("updates must be nonduplicating and monotone")
+    return ";".join(sides)
 
 
 def homogeneous_product(etas: Sequence[RegUpdate],
                         tau: RegUpdate | None = None) -> RegUpdate:
-    """Product of a same-abstraction sequence using k-bounded windows.
+    """Product of a sequence whose updates all have abstraction ``tau``.
 
-    Temporary registers come straight from the final window product.  A
-    register that feeds back into itself accumulates: at each step the
-    literals and resolved temporaries around its read are attached to the
-    left and right of what was built so far.
+    One left-to-right pass.  Only register r reads a self-feeding register r
+    (nonduplication), so temporaries read only temporaries, and those reads
+    have no cycle (monotone: an increasing bijection of a finite set is the
+    identity).  So the prefix product restricted to temporaries is the
+    product of the last k updates; it is carried with one substitution per
+    temporary per step.  A self-feeding register collects the parts left and
+    right of its read, resolved against the carried temporaries, and joins
+    them once at the end.
     """
     if not etas:
         raise UpdateError("empty homogeneous product")
-    if tau is None:
-        tau = abstraction(etas[0])
-    if any(abstraction(eta) != tau for eta in etas):
-        raise UpdateError("sequence is not homogeneous for the given "
-                          "abstraction")
-    k = len(tau)
-    n = len(etas)
+    tau = abstraction(etas[0] if tau is None else tau)
+    name = _checked_name(tau, len(tau))
+    if any(_checked_name(eta, len(tau)) != name for eta in etas):
+        raise UpdateError("sequence is not homogeneous for its abstraction")
+    return _homogeneous(etas, tau)
+
+
+def _homogeneous(etas: Sequence[RegUpdate], tau: RegUpdate) -> RegUpdate:
+    """``homogeneous_product`` for a checked, nonempty sequence."""
     temps = temporary_registers(tau)
-    windows = _window_products(etas, k)
-    final: list[Rhs] = [()] * k
-
-    def resolve(items: Iterable[Item], window: RegUpdate) -> list[Item]:
-        out: list[Item] = []
-        for item in items:
-            if isinstance(item, Reg):
-                if item.index not in temps:
-                    raise AssertionError("foreign self-feeding register read")
-                out.extend(window[item.index - 1])
-            else:
-                out.append(item)
-        return out
-
-    for t in temps:
-        final[t - 1] = windows[n][t - 1]
-
-    for r in range(1, k + 1):
-        if r in temps:
-            continue
-        body = list(etas[0][r - 1])
-        for i in range(1, n):
-            rhs = etas[i][r - 1]
+    feeding = [(r, [], []) for r in range(1, len(tau) + 1) if r not in temps]
+    carried = identity_update(len(tau))  # only temporaries' entries are read
+    for eta in etas:
+        for r, lefts, rights in feeding:
+            rhs = eta[r - 1]
             pos = next(p for p, item in enumerate(rhs)
-                       if isinstance(item, Reg) and item.index == r)
-            before = resolve(rhs[:pos], windows[i])
-            after = resolve(rhs[pos + 1:], windows[i])
-            body = before + body + after
-        final[r - 1] = tuple(body)
-
-    return normalise(tuple(final))
+                       if item.__class__ is Reg and item.index == r)
+            lefts.append(_substituted(rhs[:pos], carried))
+            rights.append(_substituted(rhs[pos + 1:], carried))
+        carried = [_substituted(rhs, carried) if r in temps else ()
+                   for r, rhs in enumerate(eta, start=1)]
+    for r, lefts, rights in feeding:
+        lefts.reverse()
+        carried[r - 1] = _joined(chain(chain.from_iterable(lefts), (Reg(r),),
+                                       chain.from_iterable(rights)))
+    return tuple(carried)
 
 
 def product_list_updates(etas: Sequence[RegUpdate],
                          k: int | None = None) -> RegUpdate:
     """Product of any update list, structured by a factorisation tree.
 
-    The tree is built over T_k through the abstraction homomorphism; wide
-    nodes have same-abstraction children and use the window construction.
+    One pass checks each update and names its abstraction; the tree is built
+    over those names in T_k.  Binary nodes multiply, and wide nodes, whose
+    children share one abstraction, take a homogeneous product.
     """
     if not etas:
         if k is None:
             raise UpdateError("register count needed for an empty product")
         return identity_update(k)
     k = len(etas[0])
-    for eta in etas:
-        _check_update(eta)
-        if len(eta) != k:
-            raise UpdateError("register counts differ across the sequence")
-        if not (is_nonduplicating(eta) and is_monotone(eta)):
-            raise UpdateError("updates must be nonduplicating and monotone")
+    names = [_checked_name(eta, k) for eta in etas]
     if len(etas) == 1:
         return normalise(etas[0])
-    t_k, _ = t_k_monoid(k)
-    hom = Homomorphism(t_k, lambda eta: abstraction_name(abstraction(eta)))
-    tree = build_factorisation(hom, list(etas))
+    t_k, by_name = t_k_monoid(k)
+    tree = build_factorisation(Homomorphism(t_k, {n: n for n in by_name}),
+                               names)
+    leaves = iter(etas)
 
     def evaluate(t: FactTree) -> RegUpdate:
-        assert isinstance(t, Node)
-        if len(t.children) == 1 and isinstance(t.children[0], Leaf):
-            return normalise(t.children[0].letter)
+        if isinstance(t.children[0], Leaf):
+            return next(leaves)
         parts = [evaluate(c) for c in t.children]
         if len(parts) == 2:
             return update_product(parts[0], parts[1])
-        return homogeneous_product(parts)
+        return _homogeneous(parts, by_name[t.label])
 
     return evaluate(tree)
 

@@ -216,9 +216,8 @@ def test_check_seed_env_is_deterministic(capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["reverse"], ["append"], ["coappend"], ["flat"], ["block"], ["ab_example"],
     ["reverse", "--type", "{a,b,c}"], ["block", "--type", "{a}", "--type", "{b,c}"],
-    ["ab_example", "--type", "{a}"],
 ], ids=["reverse", "append", "coappend", "flat", "block", "ab_example",
-        "reverse-type", "block-types", "ab_example-type"])
+        "reverse-type", "block-types"])
 def test_check_fot_commute_on_one_builtin(capsys, argv):
     code, out, _ = run(capsys, "check", "fot-commute", *argv, "--count", "3",
                        "--format", "json-lines")
@@ -242,8 +241,10 @@ def test_check_fot_commute_needs_a_builtin_name(capsys):
     (["all", "--type", "{a}"], "block takes 2 type argument(s), got 1"),
     (["rational", "--type", "{a}"], "check rational takes no --type"),
     (["all", "reverse", "--type", "{a"], "unexpected end of type"),
+    (["fot-commute", "ab_example", "--type", "{a}"],
+     "ab_example takes 0 type argument(s), got 1"),
 ], ids=["all", "fot-commute", "rational", "forest-builtin", "all-type",
-        "rational-type", "all-bad-type"])
+        "rational-type", "all-bad-type", "ab_example-type"])
 def test_check_refuses_a_bad_target_before_any_output(capsys, argv, message):
     code, out, err = run(capsys, "check", *argv, "--count", "1")
     assert (code, out) == (2, "")

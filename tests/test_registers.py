@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import listfn
+from listfn import registers
 from listfn.registers import (
     Lit,
     Reg,
@@ -48,6 +49,35 @@ def random_valuation(k, rng, letters="ab"):
 
 def fold_product(etas):
     return normalise(functools.reduce(update_product, etas))
+
+
+def assert_product_acts_stepwise(product, etas, rng):
+    """The oracle that shares no code with the products: ``product`` is in
+    normal form and acts on seeded valuations as ``etas`` do one by one."""
+    assert product == normalise(product)
+    for _ in range(3):
+        v = w = random_valuation(len(product), rng, letters="xy")
+        for eta in etas:
+            w = apply_update(w, eta)
+        assert apply_update(v, product) == w
+
+
+def unnormalised(eta, rng):
+    """``eta`` with each literal split in two and empty literals put
+    anywhere."""
+    out = []
+    for rhs in eta:
+        items = [Lit(())]
+        for item in rhs:
+            if isinstance(item, Lit):
+                cut = rng.randrange(len(item.value) + 1)
+                items += [Lit(item.value[:cut]), Lit(item.value[cut:])]
+            else:
+                items.append(item)
+            if rng.random() < 0.5:
+                items.append(Lit(()))
+        out.append(tuple(items))
+    return tuple(out)
 
 
 def test_identity_update_is_neutral():
@@ -100,11 +130,74 @@ def test_update_monoid_sizes():
 
 
 def test_t_k_multiplication_agrees_with_update_product():
-    monoid, reps = t_k_monoid(2)
-    for x in monoid.elements:
-        for y in monoid.elements:
-            composed = normalise(update_product(reps[x], reps[y]))
-            assert reps[monoid.mult(x, y)] == abstraction(composed)
+    for k in (1, 2, 3, 4):
+        monoid, reps = t_k_monoid(k)
+        for x in monoid.elements:
+            for y in monoid.elements:
+                composed = normalise(update_product(reps[x], reps[y]))
+                assert reps[monoid.mult(x, y)] == abstraction(composed)
+
+
+def test_t_k_products_outside_the_universe_raise_a_named_error(monkeypatch):
+    universe = enumerate_abstractions(2)
+    last = universe[-1]
+    assert last != identity_update(2)
+    monkeypatch.setattr(registers, "enumerate_abstractions",
+                        lambda k: [t for t in universe if t != last])
+    with pytest.raises(AssertionError, match="left the universe"):
+        t_k_monoid.__wrapped__(2)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_homogeneous_product_on_every_abstraction_acts_stepwise(k):
+    """Lengths 1..2k+1 cross the window of k updates that fixes the
+    temporaries."""
+    rng = random.Random(k)
+    for tau in enumerate_abstractions(k):
+        for n in range(1, 2 * k + 2):
+            etas = [random_update_like(tau, rng) for _ in range(n)]
+            assert_product_acts_stepwise(homogeneous_product(etas, tau),
+                                         etas, rng)
+
+
+def test_products_of_unnormalised_updates_are_normalised():
+    rng = random.Random(10)
+    for _ in range(200):
+        k = rng.randrange(1, 5)
+        e1, e2 = random_update(k, rng), random_update(k, rng)
+        raw = [unnormalised(e, rng) for e in (e1, e2)]
+        assert update_product(*raw) == update_product(e1, e2)
+        assert_product_acts_stepwise(update_product(*raw), raw, rng)
+        tau = random_abstraction(k, rng)
+        etas = [unnormalised(random_update_like(tau, rng), rng)
+                for _ in range(rng.randrange(1, 12))]
+        assert_product_acts_stepwise(homogeneous_product(etas, tau), etas, rng)
+        etas = [unnormalised(random_update(k, rng), rng)
+                for _ in range(rng.randrange(1, 30))]
+        assert_product_acts_stepwise(product_list_updates(etas), etas, rng)
+
+
+@pytest.mark.parametrize("eta", [
+    ((Reg(1), Reg(2)), (Reg(2),)),  # duplicating
+    ((Reg(2),), (Reg(1),)),  # the swap: nonduplicating, not monotone
+], ids=["duplicating", "swap"])
+def test_homogeneous_product_refuses_a_nonmonotone_abstraction(eta):
+    with pytest.raises(UpdateError, match="nonduplicating and monotone"):
+        homogeneous_product([eta] * 3)
+    with pytest.raises(UpdateError, match="nonduplicating and monotone"):
+        homogeneous_product([eta] * 3, tau=abstraction(eta))
+
+
+def test_homogeneous_product_checks_its_abstraction():
+    e = ((Lit(("a",)), Reg(1)), (Reg(2),))
+    with pytest.raises(UpdateError, match="out of range"):
+        homogeneous_product([e], tau=((Reg(3),), ()))
+    with pytest.raises(UpdateError, match="register counts differ"):
+        homogeneous_product([e], tau=((Reg(1),),))
+    with pytest.raises(UpdateError, match="not homogeneous"):
+        homogeneous_product([e, ((Reg(1),), ())])
+    with pytest.raises(UpdateError, match="empty"):
+        homogeneous_product([])
 
 
 def test_homogeneous_product_matches_fold():
@@ -120,7 +213,7 @@ def test_homogeneous_product_matches_fold():
 def test_product_list_updates_matches_fold():
     rng = random.Random(6)
     for _ in range(150):
-        k = rng.randrange(1, 4)
+        k = rng.randrange(1, 5)
         etas = [random_update(k, rng) for _ in range(rng.randrange(1, 40))]
         assert product_list_updates(etas, k=k) == fold_product(etas)
 
