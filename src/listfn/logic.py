@@ -9,8 +9,11 @@ vocabulary: one formula per copy for the universe, and one per tuple of
 copies for each output relation.  Each formula is solved once on the input
 structure.  ``builtin_fot`` builds the transductions matching the basic list
 combinators, each typed by its basic: it maps the encoding of the basic's
-domain to the encoding of its codomain.  ``check_commutes`` runs a
-combinator and its transduction side by side through encode/decode.
+domain to the encoding of its codomain.  Their formulas are text in the
+formula syntax below, parsed when a built-in is built; the encoding's derived
+relations (``root``, ``nsib``, ``root_child``, ...) are defined once, as text,
+and expanded before parsing.  ``check_commutes`` runs a combinator and its
+transduction side by side through encode/decode.
 Formulas parse on ``types._Cursor``, the one token cursor and nesting limit
 that also serves the type, value and term parsers.
 
@@ -27,6 +30,7 @@ against each other in tests.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import product as iproduct
@@ -1017,42 +1021,33 @@ def decode_structure(s: Structure, t: TypeExpr) -> Value:
 
 # --------------------------------------------------- built-in transductions
 #
-# Formula shorthands.  Bound helper variables derive their names from the
-# arguments, so distinct sites never collide with the role variables x, y.
-# A builder paired with a basic returns its copy count, universe formulas and
-# relation tables; ``builtin_fot`` reads both vocabularies off the basic's type.
+# Built-in formulas are text in the syntax ``parse_formula`` reads and
+# ``save_fot`` writes.  The derived relations of the encoding are defined once,
+# in ``_DERIVED``: ``{0}`` and ``{1}`` stand for the arguments, and bound helper
+# variables derive their names from them, so distinct sites never collide with
+# the role variables x, y.  ``_fo`` expands them and parses.  A builder paired
+# with a basic returns its copy count, universe formulas and relation tables;
+# ``builtin_fot`` reads both vocabularies off the basic's type.
 
 _Built = tuple[int, dict[int, Formula], dict[str, dict[tuple[int, ...], Formula]]]
 
-
-def _pare(x: str, y: str) -> Formula:
-    return Rel("pare", (x, y))
-
-
-def _sib(x: str, y: str) -> Formula:
-    return Rel("sib", (x, y))
-
-
-def _root(z: str) -> Formula:
-    return Not(Exists("r" + z, _pare("r" + z, z)))
+_DERIVED = {
+    "root": "!E r{0}. pare(r{0},{0})",
+    "nsib": "sib({0},{1}) & !E m{0}_{1}. sib({0},m{0}_{1}) & sib(m{0}_{1},{1})",
+    "root_child": "E p{0}. pare(p{0},{0}) & root(p{0})",
+    "first_root_child": "root_child({0}) & !E s{0}. sib(s{0},{0})",
+    "later_root_child": "root_child({0}) & E s{0}. sib(s{0},{0})",
+}
 
 
-def _nsib(x: str, y: str) -> Formula:
-    v = f"m{x}_{y}"
-    return And((_sib(x, y), Not(Exists(v, And((_sib(x, v), _sib(v, y)))))))
-
-
-def _root_child(x: str) -> Formula:
-    v = "p" + x
-    return Exists(v, And((_pare(v, x), _root(v))))
-
-
-def _first_root_child(x: str) -> Formula:
-    return And((_root_child(x), Not(Exists("s" + x, _sib("s" + x, x)))))
-
-
-def _later_root_child(x: str) -> Formula:
-    return And((_root_child(x), Exists("s" + x, _sib("s" + x, x))))
+def _fo(text: str) -> Formula:
+    """Parse built-in formula text, each derived-relation call replaced by its
+    body in parentheses until none is left."""
+    call = rf"\b({'|'.join(_DERIVED)})\(([^()]*)\)"
+    calls = 1
+    while calls:
+        text, calls = re.subn(call, lambda m: f"({_DERIVED[m[1]].format(*m[2].split(','))})", text)
+    return parse_formula(text)
 
 
 def _enc_depth(t: TypeExpr) -> int:
@@ -1066,20 +1061,15 @@ def _enc_depth(t: TypeExpr) -> int:
     return 1 + _enc_depth(t.elem)
 
 
-def _under(anchor, depth: int) -> Formula:
-    """x lies at most ``depth`` steps below (or at) a node satisfying anchor."""
-    parts = [anchor("x")]
+def _under(anchor: str, depth: int) -> str:
+    """x lies at most ``depth`` steps below (or at) a node satisfying the
+    derived relation ``anchor``."""
+    parts = [f"{anchor}(x)"]
     for j in range(1, depth + 1):
-        hops = [f"u{i}" for i in range(j)]
-        body: Formula = And((
-            anchor(hops[0]),
-            *(_pare(hops[i], hops[i + 1]) for i in range(j - 1)),
-            _pare(hops[-1], "x"),
-        ))
-        for h in reversed(hops):
-            body = Exists(h, body)
-        parts.append(body)
-    return _disj(*parts)
+        hops = [f"u{i}" for i in range(j)] + ["x"]
+        steps = "".join(f" & pare({a},{b})" for a, b in zip(hops, hops[1:]))
+        parts.append("(" + "".join(f"E {h}. " for h in hops[:-1]) + f"{anchor}(u0){steps})")
+    return " | ".join(parts)
 
 
 def _moved(elem: TypeExpr, to: tuple[int, ...], *sources: tuple[int, ...],
@@ -1095,13 +1085,13 @@ def _moved(elem: TypeExpr, to: tuple[int, ...], *sources: tuple[int, ...],
 
 def fot_reverse(elem: TypeExpr) -> _Built:
     """Reverse a list: flip the sibling order among root children only."""
-    both = And((_root_child("x"), _root_child("y")))
+    both = "(root_child(x) & root_child(y))"
     tables = {
-        "pare": {(1, 1): _pare("x", "y")},
-        "sib": {(1, 1): Or((And((both, _sib("y", "x"))), And((Not(both), _sib("x", "y")))))},
+        "pare": {(1, 1): _fo("pare(x,y)")},
+        "sib": {(1, 1): _fo(f"{both} & sib(y,x) | !{both} & sib(x,y)")},
         **_moved(List(elem), (), ()),
     }
-    return 1, {1: TrueF()}, tables
+    return 1, {1: _fo("true")}, tables
 
 
 def fot_append(elem: TypeExpr) -> _Built:
@@ -1111,47 +1101,15 @@ def fot_append(elem: TypeExpr) -> _Built:
     root.  The dropped child is pinned down as the root child that has a
     left sibling.
     """
-    universe = {
-        1: Not(
-            Exists(
-                "p",
-                And((_pare("p", "x"), _root("p"), Not(Exists("z", _nsib("x", "z"))))),
-            )
-        )
-    }
-    pare = Or(
-        (
-            And((Not(_root("x")), _pare("x", "y"))),
-            And((_root("x"), _pare("x", "y"), Not(Exists("z", _nsib("z", "y"))))),
-            And(
-                (
-                    _root("x"),
-                    Exists(
-                        "c",
-                        And((_pare("x", "c"), Exists("w", _nsib("w", "c")), _pare("c", "y"))),
-                    ),
-                )
-            ),
-        )
-    )
-    sib = Or(
-        (
-            _sib("x", "y"),
-            And(
-                (
-                    _first_root_child("x"),
-                    Exists(
-                        "c",
-                        And((_root_child("c"), Exists("w", _sib("w", "c")), _pare("c", "y"))),
-                    ),
-                )
-            ),
-        )
-    )
+    universe = {1: _fo("!E p. pare(p,x) & root(p) & !E z. nsib(x,z)")}
+    pare = _fo("!root(x) & pare(x,y) | root(x) & pare(x,y) & !(E z. nsib(z,y))"
+               " | root(x) & E c. pare(x,c) & (E w. nsib(w,c)) & pare(c,y)")
+    sib = _fo("sib(x,y) | first_root_child(x)"
+              " & E c. root_child(c) & (E w. sib(w,c)) & pare(c,y)")
     tables = {
         "pare": {(1, 1): pare},
         "sib": {(1, 1): sib},
-        "t": {(1,): Rel("t", ("x",))},
+        "t": {(1,): _fo("t(x)")},
         **_moved(elem, (0,), (0,), (1, 0)),
     }
     return 1, universe, tables
@@ -1165,98 +1123,40 @@ def fot_coappend(elem: TypeExpr) -> _Built:
     lists (it has no second child to reuse).  An empty list keeps only its
     childless root, which decodes into the bottom summand.
     """
-    second = Exists(
-        "p",
-        And(
-            (
-                _root("p"),
-                _pare("p", "x"),
-                Exists(
-                    "z",
-                    And((_pare("p", "z"), _nsib("z", "x"), Not(Exists("w", _nsib("w", "z"))))),
-                ),
-            )
-        ),
-    )
-    singleton = And(
-        (
-            _root("x"),
-            Exists("c", _pare("x", "c")),
-            Not(Exists("c", And((_pare("x", "c"), Exists("w", _sib("w", "c")))))),
-        )
-    )
-    universe = {1: TrueF(), 2: Or((second, singleton))}
-    keep_first = And(
-        (_root("x"), _pare("x", "y"), Not(Exists("z", And((_nsib("z", "y"), _pare("x", "z"))))))
-    )
-    below = And((Not(_root("x")), _pare("x", "y")))
-    tail_children = Exists(
-        "z",
-        And(
-            (
-                _root("z"),
-                _pare("z", "y"),
-                Exists("c", And((_pare("z", "c"), _nsib("c", "y")))),
-            )
-        ),
-    )
+    second = "(E p. root(p) & pare(p,x) & E z. pare(p,z) & nsib(z,x) & !E w. nsib(w,z))"
+    singleton = "root(x) & (E c. pare(x,c)) & !E c. pare(x,c) & E w. sib(w,c)"
+    universe = {1: _fo("true"), 2: _fo(f"{second} | {singleton}")}
+    false = _fo("false")
     d = _enc_depth(elem)
     tables = {
-        "pare": {
-            (1, 1): Or((keep_first, below)),
-            (1, 2): _root("x"),
-            (2, 1): tail_children,
-            (2, 2): FalseF(),
-        },
-        "sib": {
-            (1, 1): And((_sib("x", "y"), Not(_first_root_child("x")))),
-            (1, 2): _first_root_child("x"),
-            (2, 1): FalseF(),
-            (2, 2): FalseF(),
-        },
-        "t": {(1,): _root("x")},
-        "t_0": {(1,): And((_root("x"), Exists("c", _pare("x", "c"))))},
-        "t_1": {(1,): And((_root("x"), Not(Exists("c", _pare("x", "c")))))},
-        "t_0_1": {(2,): TrueF()},
-        **_moved(elem, (0, 0), (0,), guard=_under(_first_root_child, d)),
-        **_moved(elem, (0, 1, 0), (0,), guard=_under(_later_root_child, d)),
+        "pare": {(1, 1): _fo("root(x) & pare(x,y) & !(E z. nsib(z,y) & pare(x,z))"
+                             " | !root(x) & pare(x,y)"),
+                 (1, 2): _fo("root(x)"),
+                 (2, 1): _fo("E z. root(z) & pare(z,y) & E c. pare(z,c) & nsib(c,y)"),
+                 (2, 2): false},
+        "sib": {(1, 1): _fo("sib(x,y) & !first_root_child(x)"),
+                (1, 2): _fo("first_root_child(x)"), (2, 1): false, (2, 2): false},
+        "t": {(1,): _fo("root(x)")},
+        "t_0": {(1,): _fo("root(x) & E c. pare(x,c)")},
+        "t_1": {(1,): _fo("root(x) & !E c. pare(x,c)")},
+        "t_0_1": {(2,): _fo("true")},
+        **_moved(elem, (0, 0), (0,), guard=_fo(_under("first_root_child", d))),
+        **_moved(elem, (0, 1, 0), (0,), guard=_fo(_under("later_root_child", d))),
     }
     return 2, universe, tables
 
 
 def fot_flat(elem: TypeExpr) -> _Built:
     """Concatenate a list of lists: grandchildren become the root's children."""
-    universe = {
-        1: Or((Exists("p", And((_pare("p", "x"), Not(_root("p"))))), _root("x")))
-    }
-    pare = Or(
-        (
-            And((Not(_root("x")), _pare("x", "y"))),
-            And((_root("x"), Exists("c", And((_pare("x", "c"), _pare("c", "y")))))),
-        )
-    )
-    sib = Or(
-        (
-            _sib("x", "y"),
-            Exists(
-                "p",
-                And(
-                    (
-                        _pare("p", "x"),
-                        _root_child("p"),
-                        Exists("q", And((_pare("q", "y"), _root_child("q"), _sib("p", "q")))),
-                    )
-                ),
-            ),
-        )
-    )
+    sib = _fo("sib(x,y) | E p. pare(p,x) & root_child(p)"
+              " & E q. pare(q,y) & root_child(q) & sib(p,q)")
     tables = {
-        "pare": {(1, 1): pare},
+        "pare": {(1, 1): _fo("!root(x) & pare(x,y) | root(x) & E c. pare(x,c) & pare(c,y)")},
         "sib": {(1, 1): sib},
-        "t": {(1,): Rel("t", ("x",))},
+        "t": {(1,): _fo("t(x)")},
         **_moved(elem, (0,), (0, 0)),
     }
-    return 1, universe, tables
+    return 1, {1: _fo("(E p. pare(p,x) & !root(p)) | root(x)")}, tables
 
 
 def fot_block(left: TypeExpr, right: TypeExpr) -> _Built:
@@ -1267,76 +1167,25 @@ def fot_block(left: TypeExpr, right: TypeExpr) -> _Built:
     lists; each adopts the contiguous stretch of same-summand siblings ending
     at its own position.
     """
-    sides = (_node_pred((0, 0)), _node_pred((0, 1)))
-
-    def has(tp: str, v: str) -> Formula:
-        return Rel(tp, (v,))
-
-    run_end = _disj(
-        *(
-            And((has(tp, "x"), Forall("w", Implies(_nsib("x", "w"), Not(has(tp, "w"))))))
-            for tp in sides
-        )
-    )
-    universe = {
-        1: TrueF(),
-        2: And((Exists("z", And((_pare("z", "x"), _root("z")))), run_end)),
-    }
-    psi1 = And(
-        (
-            Or((_sib("y", "x"), Eq("x", "y"))),
-            Implies(
-                Not(Eq("x", "y")),
-                _disj(*(Iff(has(tp, "y"), has(tp, "x")) for tp in sides)),
-            ),
-        )
-    )
-    psi2 = Not(
-        Exists(
-            "z",
-            And(
-                (
-                    _sib("z", "x"),
-                    _sib("y", "z"),
-                    _disj(*(Iff(has(tp, "y"), Not(has(tp, "z"))) for tp in sides)),
-                )
-            ),
-        )
-    )
-    same_run = And(
-        (
-            _disj(*(And((has(tp, "x"), has(tp, "y"))) for tp in sides)),
-            Not(
-                Exists(
-                    "z",
-                    And(
-                        (
-                            _sib("x", "z"),
-                            _sib("z", "y"),
-                            _disj(*(Iff(has(tp, "z"), Not(has(tp, "x"))) for tp in sides)),
-                        )
-                    ),
-                )
-            ),
-        )
-    )
+    # t_0_0 and t_0_1 mark the two summands' nodes
+    run_end = ("t_0_0(x) & (A w. nsib(x,w) -> !t_0_0(w))"
+               " | t_0_1(x) & (A w. nsib(x,w) -> !t_0_1(w))")
+    psi1 = "(sib(y,x) | x = y) & (x != y -> (t_0_0(y) <-> t_0_0(x)) | (t_0_1(y) <-> t_0_1(x)))"
+    psi2 = ("E z. sib(z,x) & sib(y,z)"
+            " & ((t_0_0(y) <-> !t_0_0(z)) | (t_0_1(y) <-> !t_0_1(z)))")
+    same_run = ("(t_0_0(x) & t_0_0(y) | t_0_1(x) & t_0_1(y)) & !E z. sib(x,z) & sib(z,y)"
+                " & ((t_0_0(z) <-> !t_0_0(x)) | (t_0_1(z) <-> !t_0_1(x)))")
+    universe = {1: _fo("true"), 2: _fo(f"(E z. pare(z,x) & root(z)) & ({run_end})")}
+    false = _fo("false")
     tables = {
-        "pare": {
-            (1, 1): And((Not(_root("x")), _pare("x", "y"))),
-            (1, 2): And((_root("x"), _pare("x", "y"))),
-            (2, 1): And((psi1, psi2)),
-            (2, 2): FalseF(),
-        },
-        "sib": {
-            (1, 1): And((_sib("x", "y"), Or((Not(_root_child("x")), same_run)))),
-            (1, 2): FalseF(),
-            (2, 1): FalseF(),
-            (2, 2): _sib("x", "y"),
-        },
-        "t": {(1,): _root("x")},
-        "t_0": {(2,): TrueF()},
-        "t_0_0": {(2,): has(sides[0], "x")},
-        "t_0_1": {(2,): has(sides[1], "x")},
+        "pare": {(1, 1): _fo("!root(x) & pare(x,y)"), (1, 2): _fo("root(x) & pare(x,y)"),
+                 (2, 1): _fo(f"({psi1}) & !{psi2}"), (2, 2): false},
+        "sib": {(1, 1): _fo(f"sib(x,y) & (!root_child(x) | {same_run})"),
+                (1, 2): false, (2, 1): false, (2, 2): _fo("sib(x,y)")},
+        "t": {(1,): _fo("root(x)")},
+        "t_0": {(2,): _fo("true")},
+        "t_0_0": {(2,): _fo("t_0_0(x)")},
+        "t_0_1": {(2,): _fo("t_0_1(x)")},
         **_moved(left, (0, 0, 0), (0, 0)),
         **_moved(right, (0, 1, 0), (0, 1)),
     }
@@ -1345,37 +1194,19 @@ def fot_block(left: TypeExpr, right: TypeExpr) -> _Built:
 
 def fot_ab_example() -> FOTransduction:
     """Over word structures on {a,b}: move all a's in front of all b's."""
-
-    def lt(x: str, y: str) -> Formula:
-        return Rel("lt", (x, y))
-
-    def q(c: str, v: str) -> Formula:
-        return Rel(f"Q_{c}", (v,))
-
-    def next_same(c: str) -> Formula:
-        return And(
-            (lt("x", "y"), Not(Exists("z", And((lt("x", "z"), lt("z", "y"), q(c, "z"))))))
-        )
-
-    last_a_first_b = And(
-        (
-            And((q("a", "x"), Forall("z", Implies(lt("x", "z"), Not(q("a", "z")))))),
-            And((q("b", "y"), Forall("z", Implies(lt("z", "y"), Not(q("b", "z")))))),
-        )
-    )
+    next_same = "lt(x,y) & !E z. lt(x,z) & lt(z,y) & Q_{}(z)"
+    last_a_first_b = ("(Q_a(x) & A z. lt(x,z) -> !Q_a(z))"
+                      " & (Q_b(y) & A z. lt(z,y) -> !Q_b(z))")
+    true, false, lt = _fo("true"), _fo("false"), _fo("lt(x,y)")
     relations = {
-        "S": (("x", "y"), {
-            (1, 1): next_same("a"),
-            (2, 2): next_same("b"),
-            (1, 2): last_a_first_b,
-            (2, 1): FalseF(),
-        }),
-        "lt": (("x", "y"), {(1, 1): lt("x", "y"), (2, 2): lt("x", "y"), (1, 2): TrueF(),
-                            (2, 1): FalseF()}),
-        "Q_a": (("x",), {(1,): TrueF()}),
-        "Q_b": (("x",), {(2,): TrueF()}),
+        "S": (("x", "y"), {(1, 1): _fo(next_same.format("a")), (2, 2): _fo(next_same.format("b")),
+                           (1, 2): _fo(last_a_first_b), (2, 1): false}),
+        "lt": (("x", "y"), {(1, 1): lt, (2, 2): lt, (1, 2): true, (2, 1): false}),
+        "Q_a": (("x",), {(1,): true}),
+        "Q_b": (("x",), {(2,): true}),
     }
-    return FOTransduction(2, WORD_VOCAB, WORD_VOCAB, {1: q("a", "x"), 2: q("b", "x")}, relations)
+    universe = {1: _fo("Q_a(x)"), 2: _fo("Q_b(x)")}
+    return FOTransduction(2, WORD_VOCAB, WORD_VOCAB, universe, relations)
 
 
 _BUILTINS = {

@@ -413,11 +413,7 @@ class SSTSpec:
                 raise UpdateError(f"unknown state in transition {state},{letter}")
             if letter not in self.input_letters:
                 raise UpdateError(f"unknown letter {letter}")
-            if len(eta) != self.registers:
-                raise UpdateError("transition update has wrong register count")
-            if not (is_nonduplicating(eta) and is_monotone(eta)):
-                raise UpdateError("transition updates must be copyless and "
-                                  "monotone")
+            _checked_name(eta, self.registers)
 
     def _updates_along(self, word: Sequence[str]) -> list[RegUpdate]:
         state = self.initial
@@ -459,7 +455,5 @@ def fot_pipeline_eval(g: RationalFn, k: int, word: Sequence[str]) -> tuple:
         eta = parse_update(letter)
         if len(eta) != k:
             raise UpdateError(f"update {letter!r} is not over {k} registers")
-        if not (is_nonduplicating(eta) and is_monotone(eta)):
-            raise UpdateError(f"update {letter!r} not copyless and monotone")
         etas.append(eta)
     return output_first(etas, k)

@@ -279,6 +279,11 @@ def test_validator_rejects_wrong_labels_and_unequal_runs():
     # wide nodes need all children mapped to one idempotent
     bad_wide = Node("ab", (Leaf("a"), Leaf("b"), Leaf("a")))
     assert not validate_factorisation(h, bad_wide)
+    # a wide node over leaf parents whose labels multiply out but differ
+    parents = tuple(Node(h(c), (Leaf(c),)) for c in "aba")
+    res = validate_factorisation(h, Node(h.target.product([p.label for p in parents]), parents))
+    assert not res
+    assert "unequal child labels" in res.message
 
 
 def test_forest_evaluation_matches_direct_image():

@@ -1,9 +1,10 @@
 """Golden outputs: SHA-256s of CLI reports and saved files, byte for byte.
 
 The hashes hold the program's visible output still while its insides change:
-the seeded ``check all`` reports, the built-in transductions, catalog terms,
-sample rationals and pipelines as saved, and T_3 as a monoid file.  A change
-that alters any of them on purpose updates the hash here and says why.
+the seeded ``check all`` reports, the built-in transductions (also on nested
+element types), catalog terms, sample rationals and pipelines as saved, and
+T_3 as a monoid file.  A change that alters any of them on purpose updates the
+hash here and says why.
 """
 import hashlib
 import io
@@ -13,7 +14,7 @@ import pytest
 
 from listfn.cli import main
 from listfn.fileio import save_fot, save_monoid, save_pipeline, save_rational
-from listfn.logic import builtin_fot
+from listfn.logic import builtin_fot, parse_formula, render_formula
 from listfn.rational import compile_rational
 from listfn.registers import t_k_monoid
 from listfn.samples import SAMPLE_RATIONALS
@@ -24,6 +25,11 @@ from listfn.types import parse_type
 # the built-in instances whose formula files CI compares with the built-ins
 FOT_CASES = {"reverse": ["{a,b}"], "append": ["{a,b}"], "coappend": ["{a,b}"],
              "flat": ["{a,b}"], "block": ["{a}", "{b,c}"], "ab_example": []}
+# built-ins on element types encoded below depth 0, whose formulas hold
+# ``_under``'s hop chains and ``_moved``'s nested paths
+NESTED_FOT_CASES = {"reverse": ["({a}+{b})^*"], "append": ["{a}^*"],
+                    "coappend": ["({a,b}^*)^*"], "flat": ["{a}*{b}+{c}"],
+                    "block": ["{a}^*", "{b}*{c}"]}
 
 GOLDEN = {
     "check-all-text":
@@ -46,6 +52,16 @@ GOLDEN = {
         "d5199a75723a9a2aedc40c9f204934e912709e997973bf718f3777b15c597de3",
     "ab_example.lfot":
         "55ae454f233272214cdf74c7e1c55355d606b56be471a297d3938c9d9970b86f",
+    "reverse@({a}+{b})^*.lfot":
+        "8e12643c89b3a0c76f7d8f61f3862c840ab9c661f3791e57510628efafc0ae66",
+    "append@{a}^*.lfot":
+        "627953e65ea3417e903b0580a224b8007c3c1a55a1e504febceba7554d4d9ce4",
+    "coappend@({a,b}^*)^*.lfot":
+        "f0a207f50d1a4f4e55e007e59768a94fcbc2fd48b13492f340b83422505df682",
+    "flat@{a}*{b}+{c}.lfot":
+        "e6b1caf241d0ecd77bae4493b574e2c0044562b4d24944deb79a9cb309fcd496",
+    "block@{a}^*,{b}*{c}.lfot":
+        "2b055a4552b2c2bea8252d1b4ed92e2191e17608f05ff17536367b6d1c766f4f",
     "keep-a.lrational":
         "51035945444d4ed95873c597ef46d47f48623cb04b1c520b9e3fa56fcd9f62c8",
     "mark-after-ab.lrational":
@@ -86,8 +102,12 @@ def _catalog(tmp_path):
                    for i, instance in enumerate(entry.instances)).encode()
 
 
-def _fot(name):
-    return lambda: builtin_fot(name, *map(parse_type, FOT_CASES[name]))
+def _fot(name, types):
+    return lambda: builtin_fot(name, *map(parse_type, types))
+
+
+def _nested_key(name):
+    return f"{name}@{','.join(NESTED_FOT_CASES[name])}.lfot"
 
 
 PRODUCERS = {
@@ -95,7 +115,10 @@ PRODUCERS = {
     "check-all-json-lines": _check_all("json-lines"),
     "catalog-terms": _catalog,
     "t3.lmonoid": _saved(save_monoid, lambda: t_k_monoid(3)[0]),
-    **{f"{name}.lfot": _saved(save_fot, _fot(name)) for name in FOT_CASES},
+    **{f"{name}.lfot": _saved(save_fot, _fot(name, types))
+       for name, types in FOT_CASES.items()},
+    **{_nested_key(name): _saved(save_fot, _fot(name, types))
+       for name, types in NESTED_FOT_CASES.items()},
     **{f"{name}.lrational": _saved(save_rational, lambda r=r: r)
        for name, r in SAMPLE_RATIONALS.items()},
     **{f"{name}.lpipe": _saved(save_pipeline, lambda r=r: compile_rational(r))
@@ -107,3 +130,15 @@ PRODUCERS = {
 def test_output_matches_its_golden_hash(tmp_path, name):
     data = PRODUCERS[name](tmp_path)
     assert hashlib.sha256(data).hexdigest() == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name,types", [*FOT_CASES.items(), *NESTED_FOT_CASES.items()],
+                         ids=[*FOT_CASES, *map(_nested_key, NESTED_FOT_CASES)])
+def test_builtin_formulas_round_trip_through_text(name, types):
+    # equal saved text then means equal formulas, whichever way they were built
+    t = builtin_fot(name, *map(parse_type, types))
+    formulas = [*t.universe.values(),
+                *(phi for _, table in t.relations.values() for phi in table.values())]
+    assert formulas
+    for phi in formulas:
+        assert parse_formula(render_formula(phi)) == phi

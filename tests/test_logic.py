@@ -113,6 +113,16 @@ def test_parse_formula_raises_only_parse_errors(text):
     assert parse_formula(render_formula(phi)) == phi
 
 
+def test_derived_relation_names_mean_plain_relations_in_parsed_text():
+    # only the built-ins' own formula text expands root(x), nsib(x,y), ...
+    phi = parse_formula("root(x) & nsib(x,y)")
+    assert free_vars(phi) == {"x", "y"}
+    s = Structure((0, 1), {"root": 1, "nsib": 2},
+                  {"root": frozenset({(0,)}), "nsib": frozenset({(0, 1)})})
+    assert eval_formula(s, phi, {"x": 0, "y": 1})
+    assert not eval_formula(s, phi, {"x": 1, "y": 0})
+
+
 def test_free_vars():
     assert free_vars(parse_formula("Q_a(x)")) == {"x"}
     assert free_vars(parse_formula("E x. lt(x,y)")) == {"y"}

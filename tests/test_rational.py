@@ -1,4 +1,5 @@
 """Letterwise rational functions and their compiled pipelines."""
+import dataclasses
 import itertools
 import random
 
@@ -66,6 +67,17 @@ def test_empty_word_maps_to_empty_word():
         r = SAMPLE_RATIONALS[name]
         assert eval_rational_direct(r, "") == ()
         assert eval_pipeline(compile_rational(r), "") == ()
+
+
+@pytest.mark.parametrize("context,message", [
+    (("1", "a", "zz"), r"context \(1,zz\) unknown"),
+    (("zz", "a", "1"), r"context \(zz,1\) unknown"),
+    (("1", "c", "1"), "letter c not in the input"),
+], ids=["right", "left", "letter"])
+def test_rational_fn_refuses_an_unknown_context(context, message):
+    keep_a = SAMPLE_RATIONALS["keep-a"]
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(keep_a, out={**keep_a.out, context: ("a",)})
 
 
 def test_output_table_covers_every_context():

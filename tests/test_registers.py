@@ -13,6 +13,7 @@ from listfn import registers
 from listfn.registers import (
     Lit,
     Reg,
+    SSTSpec,
     UpdateError,
     abstraction,
     abstraction_name,
@@ -38,7 +39,7 @@ from listfn.registers import (
     t_k_monoid,
     update_product,
 )
-from listfn.samples import SAMPLE_SSTS, SAMPLE_UPDATE_RATIONALS
+from listfn.samples import SAMPLE_SSTS, SAMPLE_UPDATE_RATIONALS, _constant_update_rational
 
 
 def random_valuation(k, rng, letters="ab"):
@@ -264,6 +265,25 @@ def test_sst_rejects_missing_transition():
     sst = SAMPLE_SSTS["identity"]
     with pytest.raises(UpdateError):
         run_sst_naive(sst, "az")
+
+
+@pytest.mark.parametrize("eta,message", [
+    (((Reg(5),),), "out of range"),
+    (((Reg(1),), ()), "register counts differ"),
+    (((Reg(1), Reg(1)),), "nonduplicating and monotone"),
+], ids=["range", "count", "duplicating"])
+def test_sst_refuses_a_bad_transition_update_at_construction(eta, message):
+    with pytest.raises(UpdateError, match=message):
+        SSTSpec("x", ("a",), ("q",), "q", 1, {("q", "a"): ("q", eta)})
+
+
+def test_update_pipeline_refuses_bad_updates():
+    g = _constant_update_rational("dup", {"a": "1 := [$1, $1]", "b": "1 := [$1]"})
+    assert fot_pipeline_eval(g, 1, "bb") == ()
+    with pytest.raises(UpdateError, match="nonduplicating and monotone"):
+        fot_pipeline_eval(g, 1, "ba")
+    with pytest.raises(UpdateError, match="not over 2 registers"):
+        fot_pipeline_eval(g, 2, "b")
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLE_UPDATE_RATIONALS))
