@@ -89,9 +89,8 @@ def _read_body(path: str | Path, kind: str, raw: bool = False) -> list[str]:
     if " ".join(header) != _header(kind):
         raise FileFormatError(f"{path}: unsupported version {header[1]}")
     body = lines[1:]
-    if not raw:
-        body = [ln for ln in body
-                if ln.strip() and not ln.lstrip().startswith("#")]
+    if not raw:  # drop blank and comment lines
+        body = [ln for ln in body if ln.lstrip()[:1] not in ("", "#")]
     return body
 
 
@@ -325,9 +324,10 @@ def load_sst(path: str | Path) -> SSTSpec:
 def _structure_body(s: Structure) -> list[str]:
     body = [" ".join(map(str, ("universe", *s.universe)))]  # integers: no quoting
     for name in sorted(s.vocabulary):
-        body.append(_line("rel", name, s.vocabulary[name]))
-        for row in sorted(s.relations.get(name, frozenset())):
-            body.append(" ".join(map(str, ("tuple", *row))))
+        arity = s.vocabulary[name]
+        body.append(_line("rel", name, arity))
+        row_line = "tuple" + " %s" * arity
+        body.extend(row_line % row for row in sorted(s.relations.get(name, ())))
     return body
 
 
@@ -342,7 +342,7 @@ def save_structure(path: str | Path, s: Structure) -> None:
 
 def _int_fields(row: list[str], where: str) -> tuple[int, ...]:
     try:
-        return tuple(int(f) for f in row)
+        return tuple(map(int, row))
     except ValueError:
         raise FileFormatError(f"{where}: elements must be integers") from None
 

@@ -34,7 +34,7 @@ import re
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import product as iproduct
-from operator import itemgetter
+from operator import contains, getitem, itemgetter
 
 from .terms import BASICS, Term, eval_term, infer_type
 from .types import (
@@ -675,7 +675,7 @@ def _cylindrify(
     order: tuple[str, ...], rows: Rows, target: tuple[str, ...], univ: tuple[int, ...]
 ) -> Rows:
     """Rows over ``order`` as rows over ``target``, any value in the other places."""
-    if order == target:
+    if order == target or not rows:
         return set(rows)
     missing = tuple(v for v in target if v not in order)
     pick = _getter([(order + missing).index(v) for v in target])
@@ -836,19 +836,19 @@ def apply_transduction(t: FOTransduction, s: Structure) -> Structure:
     n = len(s.universe)
     pos = {u: p for p, u in enumerate(s.universe)}
     ctx = _Ctx(s)
-    universe = sorted((i - 1) * n + pos[u]
-                      for i, phi in t.universe.items() for (u,) in _solve(ctx, phi, ("x",)))
-    inside = set(universe)
+    # copy i: each kept u -> its output id; a copy with no formula keeps none
+    ids: dict[int, dict[int, int]] = {i: {} for i in range(1, t.k + 1)}
+    for i, phi in t.universe.items():
+        ids[i] = {u: (i - 1) * n + pos[u] for (u,) in _solve(ctx, phi, ("x",))}
     rels: dict[str, frozenset] = {}
     for name, (order, table) in t.relations.items():
         rows = set()
         for key, phi in table.items():
-            offsets = [(i - 1) * n for i in key]
-            for r in _solve(ctx, phi, order):
-                row = tuple(o + pos[u] for o, u in zip(offsets, r))
-                if inside.issuperset(row):
-                    rows.add(row)
+            maps = [ids[i] for i in key]
+            rows.update(tuple(map(getitem, maps, r)) for r in _solve(ctx, phi, order)
+                        if all(map(contains, maps, r)))
         rels[name] = frozenset(rows)
+    universe = sorted(j for a in ids.values() for j in a.values())
     return Structure(tuple(universe), dict(t.output_vocab), rels)
 
 

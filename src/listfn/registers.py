@@ -117,29 +117,6 @@ def update_product(eta1: RegUpdate, eta2: RegUpdate) -> RegUpdate:
     return tuple(_substituted(rhs, eta1) for rhs in eta2)
 
 
-def is_nonduplicating(eta: RegUpdate) -> bool:
-    seen = set()
-    for rhs in eta:
-        for item in rhs:
-            if isinstance(item, Reg):
-                if item.index in seen:
-                    return False
-                seen.add(item.index)
-    return True
-
-
-def is_monotone(eta: RegUpdate) -> bool:
-    """Register reads strictly increase across the concatenated sides."""
-    last = 0
-    for rhs in eta:
-        for item in rhs:
-            if isinstance(item, Reg):
-                if item.index <= last:
-                    return False
-                last = item.index
-    return True
-
-
 def abstraction(eta: RegUpdate) -> RegUpdate:
     """Erase all literals, keeping only register reads."""
     return tuple(tuple(i for i in rhs if isinstance(i, Reg)) for rhs in eta)

@@ -5,9 +5,12 @@ Python, independently of the evaluator, so agreement checks are two-sided.
 """
 from __future__ import annotations
 
+import itertools
 import signal
 from contextlib import contextmanager
 
+from listfn.logic import Structure, eval_formula
+from listfn.registers import Reg
 from listfn.terms import (
     Append,
     Block,
@@ -170,3 +173,50 @@ BASICS = [
      else ListV(tuple(x for row in v.value.items for x in row.items))),
     ("compose-rev-rev", Compose(Reverse(AB), Reverse(AB)), lambda v: v),
 ]
+
+
+def is_nonduplicating(eta) -> bool:
+    """No register is read twice across the update's right-hand sides."""
+    seen = set()
+    for rhs in eta:
+        for item in rhs:
+            if isinstance(item, Reg):
+                if item.index in seen:
+                    return False
+                seen.add(item.index)
+    return True
+
+
+def is_monotone(eta) -> bool:
+    """Register reads strictly increase across the concatenated sides."""
+    last = 0
+    for rhs in eta:
+        for item in rhs:
+            if isinstance(item, Reg):
+                if item.index <= last:
+                    return False
+                last = item.index
+    return True
+
+
+def apply_transduction_by_definition(t, s):
+    """The output of the transduction ``t`` on ``s``, formula by formula.
+
+    (i, u) is kept where copy i's universe formula holds at u, and gets id
+    (i-1)*n + the position of u. A row of copies ``key`` is in a relation
+    where its formula holds, among kept elements only. ``eval_formula``
+    decides every formula at every tuple; no planner is involved.
+    """
+    n = len(s.universe)
+    kept = {(i, u): (i - 1) * n + p
+            for i, phi in t.universe.items()
+            for p, u in enumerate(s.universe) if eval_formula(s, phi, {"x": u})}
+    rels = {
+        name: frozenset(
+            tuple(kept[i, u] for i, u in zip(key, us))
+            for key, phi in table.items()
+            for us in itertools.product(s.universe, repeat=len(order))
+            if all((i, u) in kept for i, u in zip(key, us))
+            and eval_formula(s, phi, dict(zip(order, us))))
+        for name, (order, table) in t.relations.items()}
+    return Structure(tuple(sorted(kept.values())), dict(t.output_vocab), rels)

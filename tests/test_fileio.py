@@ -26,6 +26,7 @@ from listfn.fileio import (
     load_fot,
 )
 from listfn.logic import (
+    Structure,
     apply_transduction,
     builtin_fot,
     builtin_term,
@@ -134,6 +135,33 @@ def test_structure_file_round_trip(tmp_path):
     assert load_structure(p) == s
     # format_structure is the same text that save writes
     assert format_structure(s) in p.read_text()
+
+
+def test_structure_files_skip_blank_and_comment_lines(tmp_path):
+    p = tmp_path / "s.lstruct"
+    p.write_text("listfn-structure 1\n\n  # a comment\nuniverse 0 1\n \t\n"
+                 "#rel q 1\nrel q 1\n\ttuple 1\n\u3000\n", encoding="utf-8")
+    assert load_structure(p) == Structure((0, 1), {"q": 1}, {"q": frozenset({(1,)})})
+
+
+@pytest.mark.parametrize("body,message", [
+    ("universe 0 1\ntuple 0\nrel q 1", "tuple before any rel line"),
+    ("universe 0 1\nrel q 2\ntuple 0", "tuple arity mismatch under q"),
+    ("universe 0 1\nrel q 1\ntuple x", "elements must be integers"),
+    ("universe 0 1.5\nrel q 1", "elements must be integers"),
+    ("universe 0 1\nrel q 2\ntuple 0 \u00b2", "elements must be integers"),
+    ("universe 0\nuniverse 0", "repeated universe line"),
+    ("universe 0\nrel q 1\ntuple 0\nrel q 1", "repeated relation q"),
+    ("rel q 1\ntuple 0", "missing universe line"),
+    ("universe 0 1\nrel q 1\ntuple 5", "bad tuple (5,) in relation q"),
+], ids=["tuple-before-rel", "arity", "letter", "decimal-point", "superscript",
+        "repeated-universe", "repeated-rel", "no-universe", "outside"])
+def test_malformed_structure_files_name_their_fault(tmp_path, body, message):
+    p = tmp_path / "s.lstruct"
+    p.write_text(f"listfn-structure 1\n{body}\n", encoding="utf-8")
+    with pytest.raises(FileFormatError) as caught:
+        load_structure(p)
+    assert str(caught.value) == f"{p}: {message}"
 
 
 def test_fot_file_round_trip(tmp_path):

@@ -2,9 +2,11 @@
 
 The hashes hold the program's visible output still while its insides change:
 the seeded ``check all`` reports, the built-in transductions (also on nested
-element types), catalog terms, sample rationals and pipelines as saved, and
-T_3 as a monoid file.  A change that alters any of them on purpose updates the
-hash here and says why.
+element types), catalog terms, sample rationals and pipelines as saved, T_3
+as a monoid file, and structure files: encoded values, a word, transduction
+outputs with sparse ids, and a hand-built structure with an arity-3 and an
+empty relation.  A change that alters any of them on purpose updates the hash
+here and says why.
 """
 import hashlib
 import io
@@ -13,14 +15,28 @@ from contextlib import redirect_stdout
 import pytest
 
 from listfn.cli import main
-from listfn.fileio import save_fot, save_monoid, save_pipeline, save_rational
-from listfn.logic import builtin_fot, parse_formula, render_formula
+from listfn.fileio import (
+    save_fot,
+    save_monoid,
+    save_pipeline,
+    save_rational,
+    save_structure,
+)
+from listfn.logic import (
+    Structure,
+    apply_transduction,
+    builtin_fot,
+    encode_value,
+    parse_formula,
+    render_formula,
+    word_structure,
+)
 from listfn.rational import compile_rational
 from listfn.registers import t_k_monoid
 from listfn.samples import SAMPLE_RATIONALS
 from listfn.stdlib import CATALOG
 from listfn.syntax import render_term
-from listfn.types import parse_type
+from listfn.types import parse_type, parse_value
 
 # the built-in instances whose formula files CI compares with the built-ins
 FOT_CASES = {"reverse": ["{a,b}"], "append": ["{a,b}"], "coappend": ["{a,b}"],
@@ -74,6 +90,18 @@ GOLDEN = {
         "9416347d034986191ebb04bc7f23eafa6c6d6dafda4c888f77e41ee08d25bde6",
     "double-last-b.lpipe":
         "8d1d5731fcb8605cabb555f96693cb498e4a5390d94191986dc5d8fad8f49269",
+    "[[a,b],[b]].lstruct":
+        "8f78c8b21557e24de4863be6c4cffa8bd57ef6e2633f4e0eac302d56d12524ec",
+    "[inl a,inr b,inr c,inl a].lstruct":
+        "cccad1de5c9c69e8d69de2f80227f4269d91ca5d21078c7ab072931a8a5a63bf",
+    "babba.lstruct":
+        "8c47b6409434bfc3a31f346ae75f34ba9ff54896f67fdc7a6414cc70bb08098f",
+    "ab_example(babba).lstruct":
+        "54b10880bd20b821bf6a9504a1fa53f4081683721236861e3ba5e3794ee4dde9",
+    "coappend@{a,b}([a,b,b]).lstruct":
+        "00ea781352b5d089d2737a244d36298650a7f5b4739ae975d78f460371a54603",
+    "hand.lstruct":
+        "4c3c60c9372ce3bf10e59b8ccc0685526812f28de73e7c92355f8b3d3cbd2bf2",
 }
 
 
@@ -106,6 +134,30 @@ def _fot(name, types):
     return lambda: builtin_fot(name, *map(parse_type, types))
 
 
+def _encoded(value, ty):
+    return lambda: encode_value(parse_value(value, parse_type(ty)), parse_type(ty))
+
+
+# elements other than 0..n-1, an arity-3 relation and an empty one
+HAND_STRUCTURE = Structure(
+    (3, 7, 10, 12), {"r": 3, "e": 1, "p": 2},
+    {"r": frozenset({(3, 7, 10), (12, 3, 3), (7, 7, 12)}), "e": frozenset(),
+     "p": frozenset({(10, 12), (3, 3), (12, 7)})})
+
+STRUCTURES = {
+    "[[a,b],[b]].lstruct": _encoded("[[a,b],[b]]", "({a,b}^*)^*"),
+    "[inl a,inr b,inr c,inl a].lstruct":
+        _encoded("[inl a,inr b,inr c,inl a]", "({a}+{b,c})^*"),
+    "babba.lstruct": lambda: word_structure("babba"),
+    "ab_example(babba).lstruct":
+        lambda: apply_transduction(builtin_fot("ab_example"), word_structure("babba")),
+    "coappend@{a,b}([a,b,b]).lstruct":
+        lambda: apply_transduction(_fot("coappend", ["{a,b}"])(),
+                                   _encoded("[a,b,b]", "{a,b}^*")()),
+    "hand.lstruct": lambda: HAND_STRUCTURE,
+}
+
+
 def _nested_key(name):
     return f"{name}@{','.join(NESTED_FOT_CASES[name])}.lfot"
 
@@ -123,6 +175,7 @@ PRODUCERS = {
        for name, r in SAMPLE_RATIONALS.items()},
     **{f"{name}.lpipe": _saved(save_pipeline, lambda r=r: compile_rational(r))
        for name, r in SAMPLE_RATIONALS.items()},
+    **{name: _saved(save_structure, build) for name, build in STRUCTURES.items()},
 }
 
 

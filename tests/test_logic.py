@@ -7,9 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import AB, DEEP_MIX_TYPE, FOT_CASES, sym_list, time_limit
+from helpers import (
+    AB,
+    DEEP_MIX_TYPE,
+    FOT_CASES,
+    apply_transduction_by_definition,
+    sym_list,
+    time_limit,
+)
 from listfn.logic import (
     LogicError,
+    FOTransduction,
     Not,
     Structure,
     TrueF,
@@ -28,6 +36,7 @@ from listfn.logic import (
     parse_formula,
     render_formula,
     sat_rows,
+    WORD_VOCAB,
     word_structure,
 )
 from listfn.terms import eval_term, infer_type
@@ -178,6 +187,11 @@ def test_iff_chains_solve_each_side_once(links):
                 itertools.product(s.universe, repeat=len(wanted))) - brute, w
 
 
+def _words(up_to):
+    return [word_structure("".join(w))
+            for n in range(up_to + 1) for w in itertools.product("ab", repeat=n)]
+
+
 @pytest.mark.parametrize("name,types", FOT_CASES, ids=[c[0] for c in FOT_CASES])
 def test_transduction_formulas_agree_with_pointwise_evaluation(name, types):
     fot = builtin_fot(name, *types)
@@ -185,8 +199,7 @@ def test_transduction_formulas_agree_with_pointwise_evaluation(name, types):
         dom = infer_type(builtin_term(name, *types))[0]
         inputs = [encode_value(v, dom) for v in enumerate_values(dom, 5)]
     else:
-        inputs = [word_structure("".join(w))
-                  for n in range(6) for w in itertools.product("ab", repeat=n)]
+        inputs = _words(5)
     formulas = [(phi, ("x",)) for phi in fot.universe.values()]
     formulas += [(phi, order) for order, table in fot.relations.values()
                  for phi in table.values()]
@@ -196,6 +209,34 @@ def test_transduction_formulas_agree_with_pointwise_evaluation(name, types):
                 tup for tup in itertools.product(s.universe, repeat=len(order))
                 if eval_formula(s, phi, dict(zip(order, tup)))}
             assert sat_rows(s, phi, order) == brute, (name, render_formula(phi))
+        assert apply_transduction(fot, s) == apply_transduction_by_definition(fot, s)
+
+
+# three copies: copy 1 keeps the a positions, copy 2 has no universe formula,
+# copy 3 keeps every position; many entries reach dropped elements
+THREE_COPIES = FOTransduction(
+    3, dict(WORD_VOCAB), {"m": 1, "p": 2, "r": 3},
+    {1: parse_formula("Q_a(x)"), 3: TrueF()},
+    {"m": (("x",), {(1,): parse_formula("Q_b(x) | lt(x,x)"),
+                    (2,): TrueF(),
+                    (3,): parse_formula("E y. S(x,y) & Q_a(y)")}),
+     "p": (("x", "y"), {(1, 3): parse_formula("lt(x,y)"),
+                        (3, 1): parse_formula("S(x,y)"),
+                        (2, 3): TrueF()}),
+     "r": (("x", "y", "z"), {(1, 3, 1): parse_formula("lt(x,y) & lt(y,z)"),
+                             (3, 3, 3): parse_formula("S(x,y) & S(y,z)"),
+                             (3, 2, 1): TrueF(),
+                             (1, 1, 3): parse_formula("x = y & !(y = z)")})})
+
+
+def test_apply_transduction_agrees_with_its_definition_on_three_copies():
+    rows = {name: 0 for name in THREE_COPIES.output_vocab}
+    for s in _words(5):
+        out = apply_transduction(THREE_COPIES, s)
+        assert out == apply_transduction_by_definition(THREE_COPIES, s)
+        for name, got in out.relations.items():
+            rows[name] += len(got)
+    assert all(rows.values()), rows  # no relation is checked only on empty rows
 
 
 @pytest.mark.parametrize("change", [

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import listfn
+from helpers import is_monotone, is_nonduplicating
 from listfn import registers
 from listfn.registers import (
     Lit,
@@ -24,8 +25,6 @@ from listfn.registers import (
     fot_pipeline_eval,
     homogeneous_product,
     identity_update,
-    is_monotone,
-    is_nonduplicating,
     normalise,
     output_first,
     parse_update,
