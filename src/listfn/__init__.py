@@ -38,7 +38,6 @@ from .logic import (
     eval_formula,
     parse_formula,
     render_formula,
-    word_structure,
 )
 from .rational import (
     Pipeline,

@@ -408,26 +408,13 @@ def _check_registers_fold(seed: int, count: int, args):
                got == normalise(reduce(update_product, etas)))
 
 
-def _sorted_ab(word: str) -> str:
-    return ("".join(c for c in word if c == "a")
-            + "".join(c for c in word if c == "b"))
-
-
 def _check_fot_commute(seed: int, count: int, args):
     """The built-in ``args.target``, or every built-in, each from Random(seed)."""
     names = [args.target] if args.target else list(builtin_names())
     yield {"cases": 0, "builtins": ", ".join(names)}
     for name in names:
         rng = random.Random(seed)
-        if name == "ab_example":
-            transduction = builtin_fot(name)
-            for letters in _words(rng, "ab", count, 0, 60):
-                word = "".join(letters)
-                got = decode_word_structure(
-                    apply_transduction(transduction, word_structure(word)))
-                yield f"{name}: {word} -> {got}", got == _sorted_ab(word)
-            continue
-        texts = args.types or {"block": ["{a,b}", "{c,d}"]}.get(name, ["{a,b}"])
+        texts = args.types or ["{a,b}", "{c,d}"][:builtin_names()[name]]
         types = [parse_type(t) for t in texts]
         term = builtin_term(name, *types)
         transduction = builtin_fot(name, *types)
@@ -634,7 +621,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("structure", nargs="?", help="structure file")
     p.add_argument("--type", dest="types", action="append",
                    help="element type(s) for a builtin")
-    p.add_argument("--word", help="run on a word structure instead of a file")
+    p.add_argument("--word", help="run on this word over {a,b}, encoded and "
+                                  "decoded as {a,b}^*, instead of a file")
     p.add_argument("--decode", help="decode the output at this type")
     p.add_argument("-o", "--output", help="structure file to write")
     p.set_defaults(func=cmd_fot)

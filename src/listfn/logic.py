@@ -7,13 +7,13 @@ the type's own parse tree.  A transduction keeps up to k copies of each input
 element and is given by per-copy formula tables over the *input*
 vocabulary: one formula per copy for the universe, and one per tuple of
 copies for each output relation.  Each formula is solved once on the input
-structure.  ``builtin_fot`` builds the transductions matching the basic list
-combinators, each typed by its basic: it maps the encoding of the basic's
-domain to the encoding of its codomain.  Their formulas are text in the
-formula syntax below, parsed when a built-in is built; the encoding's derived
-relations (``root``, ``nsib``, ``root_child``, ...) are defined once, as text,
-and expanded before parsing.  ``check_commutes`` runs a combinator and its
-transduction side by side through encode/decode.
+structure.  ``builtin_fot`` builds the built-in transductions, each typed by
+its paired term (a basic combinator, or catalog parts for ``ab_example``): it
+maps the encoding of the term's domain to that of its codomain.  Their
+formulas are text in the formula syntax below, parsed when a built-in is
+built; the encoding's derived relations (``root``, ``nsib``, ...) are defined
+once, as text, and expanded before parsing.  ``check_commutes`` runs a term
+and its transduction side by side through encode/decode.
 Formulas parse on ``types._Cursor``, the one token cursor and nesting limit
 that also serves the type, value and term parsers.
 
@@ -31,12 +31,15 @@ against each other in tests.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
 from operator import contains, getitem, itemgetter
 
-from .terms import BASICS, Term, eval_term, infer_type
+from .stdlib import concat, filter_left, filter_right, finite_function
+from .terms import (
+    Append, Block, CoAppend, Compose, Flat, Map, Pair, Reverse, Term, eval_term, infer_type,
+)
 from .types import (
     Atom,
     Bot,
@@ -739,53 +742,6 @@ def sat_rows(s: Structure, phi: Formula, want: tuple[str, ...]) -> Rows:
     return _solve(_Ctx(s), phi, want)
 
 
-# ----------------------------------------------------------- word structures
-
-WORD_VOCAB = {"S": 2, "lt": 2, "Q_a": 1, "Q_b": 1}
-
-
-def word_structure(word: str) -> Structure:
-    """Positions 0..n-1 with successor ``S``, order ``lt`` and letter tests
-    ``Q_a``, ``Q_b``: words over {a, b}."""
-    alphabet = ("a", "b")
-    bad = [c for c in word if c not in alphabet]
-    if bad:
-        raise LogicError(f"letters {bad} not in alphabet {alphabet}")
-    n = len(word)
-    rels: dict[str, frozenset] = {
-        "S": frozenset((i, i + 1) for i in range(n - 1)),
-        "lt": frozenset((i, j) for i in range(n) for j in range(i + 1, n)),
-    }
-    for c in alphabet:
-        rels[f"Q_{c}"] = frozenset((i,) for i in range(n) if word[i] == c)
-    return Structure(tuple(range(n)), dict(WORD_VOCAB), rels)
-
-
-def decode_word_structure(s: Structure) -> str:
-    """Read a word back from letter predicates and the ``lt`` order."""
-    if "lt" not in s.relations:
-        raise LogicError("word structure needs an lt relation")
-    lt = s.relations["lt"]
-    before = {u: 0 for u in s.universe}
-    for x, y in lt:
-        if x == y:
-            raise LogicError("lt is reflexive")
-        before[y] += 1
-    order = sorted(s.universe, key=lambda u: before[u])
-    for i, x in enumerate(order):
-        for y in order[i + 1 :]:
-            if (x, y) not in lt or (y, x) in lt:
-                raise LogicError("lt is not a strict total order")
-    letters = []
-    qnames = [n for n in s.vocabulary if n.startswith("Q_")]
-    for u in order:
-        hits = [n[2:] for n in qnames if (u,) in s.relations[n]]
-        if len(hits) != 1:
-            raise LogicError(f"position {u} carries {len(hits)} letters")
-        letters.append(hits[0])
-    return "".join(letters)
-
-
 # ------------------------------------------------------------ transductions
 
 
@@ -1019,6 +975,22 @@ def decode_structure(s: Structure, t: TypeExpr) -> Value:
     return build(roots[0], t, (), [])
 
 
+_AB = FinSet(("a", "b"))
+
+
+def word_structure(word: str) -> Structure:
+    """The encoding of a word over {a, b} as a value of {a,b}^*."""
+    bad = [c for c in word if c not in _AB.names]
+    if bad:
+        raise LogicError(f"letters {bad} not in alphabet {_AB.names}")
+    return encode_value(ListV(tuple(map(Sym, word))), List(_AB))
+
+
+def decode_word_structure(s: Structure) -> str:
+    """The word that ``s`` encodes at {a,b}^*."""
+    return "".join(x.name for x in decode_structure(s, List(_AB)).items)
+
+
 # --------------------------------------------------- built-in transductions
 #
 # Built-in formulas are text in the syntax ``parse_formula`` reads and
@@ -1083,15 +1055,21 @@ def _moved(elem: TypeExpr, to: tuple[int, ...], *sources: tuple[int, ...],
     return tables
 
 
-def fot_reverse(elem: TypeExpr) -> _Built:
-    """Reverse a list: flip the sibling order among root children only."""
-    both = "(root_child(x) & root_child(y))"
+def _reordered(elem: TypeExpr, sib: str) -> _Built:
+    """A list of ``elem`` with every node and parent kept, its siblings
+    ordered by the formula ``sib``."""
     tables = {
         "pare": {(1, 1): _fo("pare(x,y)")},
-        "sib": {(1, 1): _fo(f"{both} & sib(y,x) | !{both} & sib(x,y)")},
+        "sib": {(1, 1): _fo(sib)},
         **_moved(List(elem), (), ()),
     }
     return 1, {1: _fo("true")}, tables
+
+
+def fot_reverse(elem: TypeExpr) -> _Built:
+    """Reverse a list: flip the sibling order among root children only."""
+    both = "(root_child(x) & root_child(y))"
+    return _reordered(elem, f"{both} & sib(y,x) | !{both} & sib(x,y)")
 
 
 def fot_append(elem: TypeExpr) -> _Built:
@@ -1192,58 +1170,53 @@ def fot_block(left: TypeExpr, right: TypeExpr) -> _Built:
     return 2, universe, tables
 
 
-def fot_ab_example() -> FOTransduction:
-    """Over word structures on {a,b}: move all a's in front of all b's."""
-    next_same = "lt(x,y) & !E z. lt(x,z) & lt(z,y) & Q_{}(z)"
-    last_a_first_b = ("(Q_a(x) & A z. lt(x,z) -> !Q_a(z))"
-                      " & (Q_b(y) & A z. lt(z,y) -> !Q_b(z))")
-    true, false, lt = _fo("true"), _fo("false"), _fo("lt(x,y)")
-    relations = {
-        "S": (("x", "y"), {(1, 1): _fo(next_same.format("a")), (2, 2): _fo(next_same.format("b")),
-                           (1, 2): _fo(last_a_first_b), (2, 1): false}),
-        "lt": (("x", "y"), {(1, 1): lt, (2, 2): lt, (1, 2): true, (2, 1): false}),
-        "Q_a": (("x",), {(1,): true}),
-        "Q_b": (("x",), {(2,): true}),
-    }
-    universe = {1: _fo("Q_a(x)"), 2: _fo("Q_b(x)")}
-    return FOTransduction(2, WORD_VOCAB, WORD_VOCAB, universe, relations)
+def fot_ab_example() -> _Built:
+    """Over {a,b}^*, move every a in front of every b: equal letters keep
+    their order, and each a goes before each b."""
+    return _reordered(_AB, "sib(x,y) & (t_0__a(x) <-> t_0__a(y)) | t_0__a(x) & t_0__b(y)")
 
 
+def _ab_example_term() -> Term:
+    """ab_example's list function: tag each letter as a left or a right
+    summand, keep each side's letters in order, and concatenate them."""
+    tag = Map(finite_function(_AB, {"a": InL(Sym("a")), "b": InR(Sym("b"))}, Sum(_AB, _AB)))
+    return Compose(concat(_AB), Pair(Compose(filter_left(_AB, _AB), tag),
+                                     Compose(filter_right(_AB, _AB), tag)))
+
+
+# name -> (term constructor, formula builder); both take the element types
 _BUILTINS = {
-    "reverse": fot_reverse,
-    "append": fot_append,
-    "coappend": fot_coappend,
-    "flat": fot_flat,
-    "block": fot_block,
+    "reverse": (Reverse, fot_reverse),
+    "append": (Append, fot_append),
+    "coappend": (CoAppend, fot_coappend),
+    "flat": (Flat, fot_flat),
+    "block": (Block, fot_block),
+    "ab_example": (_ab_example_term, fot_ab_example),
 }
 
 
 def builtin_names() -> dict[str, int]:
     """Built-in transduction names mapped to their type-argument counts."""
-    return {**{name: len(fields(BASICS[name])) for name in _BUILTINS}, "ab_example": 0}
+    return {name: build.__code__.co_argcount for name, (_, build) in _BUILTINS.items()}
 
 
 def builtin_fot(name: str, *types: TypeExpr) -> FOTransduction:
     """A named built-in transduction; type arguments are the element types."""
-    if name == "ab_example" and not types:
-        return fot_ab_example()
-    if name not in builtin_names():
-        raise LogicError(f"unknown builtin transduction {name}")
     dom, cod = infer_type(builtin_term(name, *types))
-    k, universe, tables = _BUILTINS[name](*types)
+    k, universe, tables = _BUILTINS[name][1](*types)
     out = encoding_vocabulary(cod)
     relations = {r: (("x", "y")[:a], tables.get(r, {})) for r, a in out.items()}
     return FOTransduction(k, encoding_vocabulary(dom), out, universe, relations)
 
 
 def builtin_term(name: str, *types: TypeExpr) -> Term:
-    """The combinator that a built-in transduction must agree with."""
-    arity = builtin_names().get(name, len(types))
+    """The term that a built-in transduction must agree with."""
+    if name not in _BUILTINS:
+        raise LogicError(f"unknown builtin transduction {name}")
+    arity = builtin_names()[name]
     if len(types) != arity:
         raise LogicError(f"{name} takes {arity} type argument(s)")
-    if name not in _BUILTINS:
-        raise LogicError(f"no combinator is paired with {name}")
-    return BASICS[name](*types)
+    return _BUILTINS[name][0](*types)
 
 
 # ------------------------------------------------------------ commuting runs

@@ -9,7 +9,7 @@ import itertools
 import signal
 from contextlib import contextmanager
 
-from listfn.logic import Structure, eval_formula
+from listfn.logic import FOTransduction, Structure, eval_formula, parse_formula
 from listfn.registers import Reg
 from listfn.terms import (
     Append,
@@ -220,3 +220,39 @@ def apply_transduction_by_definition(t, s):
             and eval_formula(s, phi, dict(zip(order, us))))
         for name, (order, table) in t.relations.items()}
     return Structure(tuple(sorted(kept.values())), dict(t.output_vocab), rels)
+
+
+# Word structures: positions with a successor S, a strict linear order lt and
+# letter tests Q_a, Q_b.  The planner tests use them as formula fixtures whose
+# lt is a linear order; no built-in transduction reads this vocabulary.
+WORD_VOCAB = {"S": 2, "lt": 2, "Q_a": 1, "Q_b": 1}
+
+
+def ordered_word_structure(word: str) -> Structure:
+    """Positions 0..n-1 of a word over {a, b}, in the word vocabulary."""
+    n = len(word)
+    rels = {
+        "S": frozenset((i, i + 1) for i in range(n - 1)),
+        "lt": frozenset((i, j) for i in range(n) for j in range(i + 1, n)),
+        **{f"Q_{c}": frozenset((i,) for i in range(n) if word[i] == c) for c in "ab"},
+    }
+    return Structure(tuple(range(n)), dict(WORD_VOCAB), rels)
+
+
+def word_sort_fot() -> FOTransduction:
+    """Two copies over word structures: copy 1 keeps the a positions, copy 2
+    the b positions, and every a comes before every b."""
+    next_same = "lt(x,y) & !E z. lt(x,z) & lt(z,y) & Q_{}(z)"
+    last_a_first_b = ("(Q_a(x) & A z. lt(x,z) -> !Q_a(z))"
+                      " & (Q_b(y) & A z. lt(z,y) -> !Q_b(z))")
+    true, false, lt = parse_formula("true"), parse_formula("false"), parse_formula("lt(x,y)")
+    relations = {
+        "S": (("x", "y"), {(1, 1): parse_formula(next_same.format("a")),
+                           (2, 2): parse_formula(next_same.format("b")),
+                           (1, 2): parse_formula(last_a_first_b), (2, 1): false}),
+        "lt": (("x", "y"), {(1, 1): lt, (2, 2): lt, (1, 2): true, (2, 1): false}),
+        "Q_a": (("x",), {(1,): true}),
+        "Q_b": (("x",), {(2,): true}),
+    }
+    universe = {1: parse_formula("Q_a(x)"), 2: parse_formula("Q_b(x)")}
+    return FOTransduction(2, WORD_VOCAB, WORD_VOCAB, universe, relations)

@@ -1,4 +1,5 @@
 """Command-line interface: outputs, exit codes, and seeded checks."""
+import hashlib
 import json
 import os
 import re
@@ -12,9 +13,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import listfn
-from helpers import time_limit
+from helpers import time_limit, word_sort_fot
 from listfn.cli import main
-from listfn.fileio import save_monoid
+from listfn.fileio import save_fot, save_monoid
 from listfn.registers import t_k_monoid
 
 
@@ -152,6 +153,25 @@ def test_fot_on_word_structures(capsys):
     assert (code, out.strip()) == (0, "aaabb")
 
 
+@pytest.mark.parametrize("transduction, word, code, message", [
+    ("ab_example", "abc", 3, "letters ['c'] not in alphabet ('a', 'b')"),
+    ("flat@{a,b}", "ab", 3, "vocabulary mismatch: input needs t_0_0/1"),
+    ("word-vocabulary.lfot", "ab", 3, "vocabulary mismatch: input needs Q_a/1"),
+    ("coappend@{a,b}", "ab", 3, "vocabulary does not match the encoding of the type"),
+    ("reverse@{a,b}", "abb", 0, "bba"),
+], ids=["letter", "input-type", "word-vocabulary-file", "output-type", "reverse"])
+def test_fot_word_is_encoded_and_decoded_at_ab_star(capsys, tmp_path, transduction,
+                                                    word, code, message):
+    if transduction.endswith(".lfot"):
+        # the ab_example file saved before ab_example moved to {a,b}^*
+        transduction = str(tmp_path / transduction)
+        save_fot(transduction, word_sort_fot())
+        assert hashlib.sha256(Path(transduction).read_bytes()).hexdigest() == (
+            "55ae454f233272214cdf74c7e1c55355d606b56be471a297d3938c9d9970b86f")
+    got, out, err = run(capsys, "fot", transduction, "--word", word)
+    assert (got, (out if code == 0 else err).strip()) == (code, message)
+
+
 def test_fot_builtin_on_structure_file(capsys, tmp_path):
     f = tmp_path / "v.lstruct"
     run(capsys, "encode", "[[a,b],[b]]", "({a,b}^*)^*", "-o", str(f))
@@ -269,7 +289,7 @@ def test_check_all_records_keep_their_keys_and_counts(capsys):
                      ("functions", "keep-a, mark-after-ab, double-last-b"),
                      ("cases", 6), *tail],
         "registers-fold": [("check", "registers-fold"), ("cases", 2), *tail],
-        "fot-commute": [("check", "fot-commute"), ("cases", 147),
+        "fot-commute": [("check", "fot-commute"), ("cases", 162),
                         ("builtins", "reverse, append, coappend, flat, block, "
                                      "ab_example"), *tail],
         "sst": [("check", "sst"), ("ssts", "identity, reverse, drop-last"),

@@ -11,14 +11,26 @@ from helpers import (
     AB,
     DEEP_MIX_TYPE,
     FOT_CASES,
+    WORD_VOCAB,
     apply_transduction_by_definition,
+    ordered_word_structure,
     sym_list,
     time_limit,
+    word_sort_fot,
 )
 from listfn.logic import (
+    And,
+    Eq,
+    Exists,
+    FalseF,
+    Forall,
+    Iff,
+    Implies,
     LogicError,
     FOTransduction,
     Not,
+    Or,
+    Rel,
     Structure,
     TrueF,
     apply_transduction,
@@ -31,12 +43,10 @@ from listfn.logic import (
     encode_value,
     encoding_vocabulary,
     eval_formula,
-    fot_ab_example,
     free_vars,
     parse_formula,
     render_formula,
     sat_rows,
-    WORD_VOCAB,
     word_structure,
 )
 from listfn.terms import eval_term, infer_type
@@ -146,7 +156,7 @@ def test_word_structures_decode_back():
 
 
 def test_eval_formula_on_word_structures():
-    s = word_structure("ab")
+    s = ordered_word_structure("ab")
     assert eval_formula(s, parse_formula("E x. Q_a(x)"), {})
     assert not eval_formula(s, parse_formula("A x. Q_a(x)"), {})
     assert eval_formula(s, parse_formula(
@@ -160,7 +170,7 @@ def test_sat_rows_agrees_with_pointwise_evaluation(text):
     f = parse_formula(text)
     wanted = tuple(sorted(free_vars(f)))
     for w in ["", "a", "ab", "bba", "abab"]:
-        s = word_structure(w)
+        s = ordered_word_structure(w)
         rows = sat_rows(s, f, wanted)
         brute = {
             tup for tup in itertools.product(s.universe, repeat=len(wanted))
@@ -178,7 +188,7 @@ def test_iff_chains_solve_each_side_once(links):
     wanted = tuple(sorted(free_vars(f)))
     with time_limit(5):
         for w in ["", "a", "abab", "bbaab"]:
-            s = word_structure(w)
+            s = ordered_word_structure(w)
             brute = {
                 tup for tup in itertools.product(s.universe, repeat=len(wanted))
                 if eval_formula(s, f, dict(zip(wanted, tup)))}
@@ -187,19 +197,67 @@ def test_iff_chains_solve_each_side_once(links):
                 itertools.product(s.universe, repeat=len(wanted))) - brute, w
 
 
+def _random_formula(rng, depth):
+    """A formula at most ``depth`` deep over P/1, R/2, T/3 and =, with every
+    connective; its three variables are quantified again inside their scope."""
+    var = lambda: rng.choice("xyz")
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice([
+            lambda: Rel("P", (var(),)), lambda: Rel("R", (var(), var())),
+            lambda: Rel("T", (var(), var(), var())), lambda: Eq(var(), var()),
+            TrueF, FalseF])()
+    sub = lambda: _random_formula(rng, depth - 1)
+    return rng.choice([
+        lambda: Not(sub()), lambda: And(tuple(sub() for _ in range(rng.randint(2, 3)))),
+        lambda: Or(tuple(sub() for _ in range(rng.randint(2, 3)))),
+        lambda: Implies(sub(), sub()), lambda: Iff(sub(), sub()),
+        lambda: Exists(var(), sub()), lambda: Forall(var(), sub())])()
+
+
+def _fuzz_structures(rng):
+    """Structures of 0-4 elements over P/1, R/2, T/3: from word structures,
+    where R is the linear order lt, and random ones on scattered ids."""
+    out = []
+    for word in ["", "a", "ab", "bba", "abab", "bbab"]:
+        s = ordered_word_structure(word)
+        steps = s.relations["S"]
+        out.append(Structure(s.universe, {"P": 1, "R": 2, "T": 3}, {
+            "P": s.relations["Q_a"], "R": s.relations["lt"],
+            "T": frozenset((x, y, z) for x, y in steps for y2, z in steps if y == y2)}))
+    for n in [0, 1, 2, 3, 3, 4, 4, 4]:
+        univ = tuple(rng.sample(range(10), n))
+        out.append(Structure(univ, {"P": 1, "R": 2, "T": 3}, {
+            "P": frozenset((u,) for u in univ if rng.random() < 0.5),
+            "R": frozenset(t for t in itertools.product(univ, repeat=2) if rng.random() < 0.3),
+            "T": frozenset(t for t in itertools.product(univ, repeat=3) if rng.random() < 0.15)}))
+    return out
+
+
+def test_sat_rows_agrees_with_eval_formula_on_random_formulas():
+    rng = random.Random(2024)
+    structures = _fuzz_structures(rng)
+    with time_limit(10):
+        for _ in range(200):
+            phi = _random_formula(rng, 6)
+            assert parse_formula(render_formula(phi)) == phi, render_formula(phi)
+            want = tuple(sorted(free_vars(phi)))
+            for s in structures:
+                brute = {tup for tup in itertools.product(s.universe, repeat=len(want))
+                         if eval_formula(s, phi, dict(zip(want, tup)))}
+                assert sat_rows(s, phi, want) == brute, (render_formula(phi), s)
+
+
 def _words(up_to):
-    return [word_structure("".join(w))
+    return [ordered_word_structure("".join(w))
             for n in range(up_to + 1) for w in itertools.product("ab", repeat=n)]
 
 
 @pytest.mark.parametrize("name,types", FOT_CASES, ids=[c[0] for c in FOT_CASES])
 def test_transduction_formulas_agree_with_pointwise_evaluation(name, types):
     fot = builtin_fot(name, *types)
-    if types:
-        dom = infer_type(builtin_term(name, *types))[0]
-        inputs = [encode_value(v, dom) for v in enumerate_values(dom, 5)]
-    else:
-        inputs = _words(5)
+    dom = infer_type(builtin_term(name, *types))[0]
+    size = 6 if name == "ab_example" else 5  # every word to length 5
+    inputs = [encode_value(v, dom) for v in enumerate_values(dom, size)]
     formulas = [(phi, ("x",)) for phi in fot.universe.values()]
     formulas += [(phi, order) for order, table in fot.relations.values()
                  for phi in table.values()]
@@ -251,7 +309,7 @@ def test_apply_transduction_agrees_with_its_definition_on_three_copies():
 ], ids=["universe-copy", "copy-zero", "order-arity", "key-arity",
         "repeated-var", "undeclared-var", "universe-var", "no-copies"])
 def test_malformed_transductions_raise_logic_errors(change):
-    t = fot_ab_example()
+    t = word_sort_fot()
     if "relations" in change:
         change = {"relations": {**t.relations, **change["relations"]}}
     with pytest.raises(LogicError):
@@ -260,15 +318,15 @@ def test_malformed_transductions_raise_logic_errors(change):
 
 def test_transduction_numbers_copy_i_of_u_after_i_minus_1_copies():
     # ids follow the input's universe order, whatever its element names
-    t = fot_ab_example()
-    s = word_structure("ba")
+    t = word_sort_fot()
+    s = ordered_word_structure("ba")
     s = Structure((7, 3), s.vocabulary, {
         name: frozenset(tuple({0: 7, 1: 3}[u] for u in row) for row in rows)
         for name, rows in s.relations.items()})
     out = apply_transduction(t, s)
     assert out.universe == (1, 2)
     assert out.relations["lt"] == {(1, 2)}
-    assert decode_word_structure(out) == "ab"
+    assert (out.relations["Q_a"], out.relations["Q_b"]) == ({(1,)}, {(2,)})  # "ab"
 
 
 def _sorted_ab(word):
@@ -276,7 +334,7 @@ def _sorted_ab(word):
 
 
 def test_ab_example_sorts_the_letters():
-    t = fot_ab_example()
+    t = builtin_fot("ab_example")
     out = apply_transduction(t, word_structure("ababa"))
     assert decode_word_structure(out) == "aaabb"
     for n in range(0, 6):
@@ -327,6 +385,7 @@ def test_builtin_catalog_is_complete():
     ("coappend", (AB,)),
     ("flat", (AB,)),
     ("block", (AB, FinSet(("c", "d")))),
+    ("ab_example", ()),
 ])
 def test_builtins_commute_with_their_terms(name, types):
     term = builtin_term(name, *types)
