@@ -368,14 +368,3 @@ def forest_depth_bound(s: FiniteSemigroup, generators: int) -> int:
         c = 1 + (m - 1) * (c + 3)
     return 2 + (g - 1) * (c + 3)
 
-
-def eval_hom_via_forest(h: Homomorphism, word: Sequence[Hashable]) -> str:
-    """Image of a word computed through a factorisation tree."""
-    if not word:
-        target = h.target
-        if isinstance(target, FiniteMonoid):
-            return target.identity
-        raise ValueError("empty word under a semigroup homomorphism")
-    tree = build_factorisation(h, word)
-    assert isinstance(tree, Node)
-    return tree.label

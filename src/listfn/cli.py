@@ -9,10 +9,10 @@ Subcommands::
     run-pipeline FILE WORD             run a pipeline, cross-check against
                                        direct evaluation
     check WHICH [TARGET] [--type T]    randomized equivalence checks
-    sst SST WORD [--mode ...]          run a streaming transducer
+    sst SST WORD                       run a transducer two ways, cross-check
     encode VALUE TYPE [-o FILE]        value to relational structure
     decode FILE TYPE                   structure back to a value
-    fot TRANS [FILE] [-o FILE]         apply a transduction to a structure
+    fot TRANS FILE|--word W [-o FILE]  apply a transduction to a structure
 
 TERM, MONOID, RAT, SST and TRANS arguments may name a file or a built-in
 sample; anything that is not an existing file is parsed as inline text or
@@ -20,8 +20,8 @@ looked up by name.  Words are written as plain strings of one-letter symbols
 ("abab") or comma-separated ("a,b,ab").
 
 Exit codes: 0 success, 2 syntax error, 3 type or runtime error (input
-nested too deeply included), 4 a cross-check found disagreeing routes, 141
-standard output closed before the output ended (as under ``| head``).
+nested too deeply included), 4 a cross-check failed, 141 standard output
+closed before the output ended (as under ``| head``).
 ``--seed N`` (or the ``LISTFN_SEED`` environment variable) fixes the
 randomized checks; reports repeat the seed they used.  ``--format
 json-lines`` switches every command to one JSON record per result with keys
@@ -44,7 +44,6 @@ from .algebra import (
     Homomorphism,
     Leaf,
     build_factorisation,
-    eval_hom_via_forest,
     forest_depth_bound,
     tree_depth,
     tree_yield,
@@ -136,10 +135,8 @@ def _is_file(text: str) -> bool:
         return False
 
 
-def _word_arg(text: str) -> tuple[str, ...]:
-    if not text:
-        return ()
-    return tuple(text.split(",")) if "," in text else tuple(text)
+def _word_arg(text: str) -> list[str]:
+    return text.split(",") if "," in text else list(text)
 
 
 def _show_word(letters) -> str:
@@ -239,6 +236,22 @@ def _render_tree(t: FactTree, indent: str = "") -> list[str]:
     return lines
 
 
+def _forest(hom: Homomorphism, word: list) -> tuple[FactTree, dict, bool]:
+    """The factorisation tree of ``word``, its report fields, and whether it
+    passes: valid, yield-preserving and no deeper than the bound."""
+    tree = build_factorisation(hom, word)
+    result = validate_factorisation(hom, tree)
+    fields = {
+        "depth": tree_depth(tree),
+        "bound": forest_depth_bound(hom.target, len(set(hom.letter_map.values()))),
+        "valid": "yes" if result.ok else f"no: {result.message}",
+        "yield": "preserved" if tree_yield(tree) == word else "changed",
+    }
+    ok = (result.ok and fields["yield"] == "preserved"
+          and fields["depth"] <= fields["bound"])
+    return tree, fields, ok
+
+
 def cmd_forest(args, rep: Reporter) -> int:
     monoid, letters = _sample_or_file(args.monoid, _FOREST_SAMPLES,
                                       fileio.load_monoid, "a monoid")
@@ -254,26 +267,12 @@ def cmd_forest(args, rep: Reporter) -> int:
         if letters.get(a) not in monoid.elements:
             raise ParseError(f"letter {a!r} has no image in the monoid")
     hom = Homomorphism(monoid, letters)
-    tree = build_factorisation(hom, list(word))
-    result = validate_factorisation(hom, tree)
-    bound = forest_depth_bound(monoid, len(set(letters.values())))
-    output = {
-        "value": hom.image(word),
-        "depth": tree_depth(tree),
-        "bound": bound,
-        "valid": "yes" if result.ok else f"no: {result.message}",
-        "yield": "preserved" if tree_yield(tree) == list(word) else "changed",
-    }
-    if args.audit:
-        agree = result.ok and eval_hom_via_forest(hom, word) == output["value"]
-        output["audit"] = ("revalidated, consistent" if agree
-                           else "INCONSISTENT on revalidation")
-    output["tree"] = "\n".join(_render_tree(tree))
-    bad = (not result.ok or output["yield"] != "preserved"
-           or output.get("audit", "").startswith("INCONSISTENT"))
+    tree, fields, ok = _forest(hom, word)
+    output = {"value": hom.image(word), **fields,
+              "tree": "\n".join(_render_tree(tree))}
     rep.emit("forest", {"monoid": args.monoid, "word": args.word}, output,
-             status="ok" if not bad else "mismatch")
-    return 4 if bad else 0
+             status="ok" if ok else "mismatch")
+    return 0 if ok else 4
 
 
 def cmd_compile_rational(args, rep: Reporter) -> int:
@@ -288,36 +287,40 @@ def cmd_compile_rational(args, rep: Reporter) -> int:
     return 0
 
 
+def _cross_checked(rep: Reporter, kind: str, input_: dict, **routes) -> int:
+    """Print the word that two routes agree on, or report a mismatch with
+    both outputs and their first differing position and return 4."""
+    (name1, got), (name2, want) = routes.items()
+    if got == want:
+        rep.emit(kind, input_, _show_word(got))
+        return 0
+    cut = next((i for i, (x, y) in enumerate(zip(got, want)) if x != y),
+               min(len(got), len(want)))
+    rep.emit(kind, input_, {f"{name1}-output": _show_word(got),
+                            f"{name2}-output": _show_word(want),
+                            "first-difference": f"position {cut}"},
+             status="mismatch")
+    return 4
+
+
 def cmd_run_pipeline(args, rep: Reporter) -> int:
     pipeline = fileio.load_pipeline(args.pipeline)
     word = _word_arg(args.word)
     for a in word:
         if a not in pipeline.rational.input_letters:
             raise TypeMismatch(f"letter {a!r} is not in the input alphabet")
-    got = eval_pipeline(pipeline, word)
-    want = eval_rational_direct(pipeline.rational, word)
-    if got != want:
-        cut = next((i for i, (x, y) in enumerate(zip(got, want)) if x != y),
-                   min(len(got), len(want)))
-        rep.emit("run-pipeline", {"pipeline": args.pipeline, "word": args.word},
-                 {"pipeline-output": _show_word(got),
-                  "direct-output": _show_word(want),
-                  "first-difference": f"position {cut}"},
-                 status="mismatch")
-        return 4
-    rep.emit("run-pipeline", {"pipeline": args.pipeline, "word": args.word},
-             _show_word(got))
-    return 0
+    return _cross_checked(
+        rep, "run-pipeline", {"pipeline": args.pipeline, "word": args.word},
+        pipeline=eval_pipeline(pipeline, word),
+        direct=eval_rational_direct(pipeline.rational, word))
 
 
 def cmd_sst(args, rep: Reporter) -> int:
     sst = _sample_or_file(args.sst, SAMPLE_SSTS, fileio.load_sst, "an SST")
     word = _word_arg(args.word)
-    run = run_sst_structured if args.mode == "structured" else run_sst_naive
-    out = run(sst, list(word))
-    rep.emit("sst", {"sst": sst.name, "word": args.word, "mode": args.mode},
-             _show_word(out))
-    return 0
+    return _cross_checked(rep, "sst", {"sst": sst.name, "word": args.word},
+                          structured=run_sst_structured(sst, word),
+                          naive=run_sst_naive(sst, word))
 
 
 def _emit_structure(rep: Reporter, kind: str, input_: dict, s, path) -> None:
@@ -351,27 +354,30 @@ def cmd_decode(args, rep: Reporter) -> int:
 def cmd_fot(args, rep: Reporter) -> int:
     transduction = _fot_arg(args.transduction, args.types)
     if args.word is not None:
+        if args.structure is not None:
+            raise ParseError("fot takes a structure file or --word, not both")
         s = word_structure(args.word)
-        out_s = apply_transduction(transduction, s)
-        rep.emit("fot", {"transduction": args.transduction, "word": args.word},
-                 decode_word_structure(out_s))
-        return 0
-    if args.structure is None:
+        input_ = {"transduction": args.transduction, "word": args.word}
+    elif args.structure is None:
         raise ParseError("fot needs a structure file or --word")
-    s = fileio.load_structure(args.structure)
+    else:
+        s = fileio.load_structure(args.structure)
+        input_ = {"transduction": args.transduction, "structure": args.structure}
     out_s = apply_transduction(transduction, s)
-    input_ = {"transduction": args.transduction, "structure": args.structure}
     if args.decode:
         v = decode_structure(out_s, parse_type(args.decode))
         rep.emit("fot", input_, render_value(v))
-    else:
+    elif args.output or args.word is None:
         _emit_structure(rep, "fot", input_, out_s, args.output)
+    else:
+        rep.emit("fot", input_, decode_word_structure(out_s))
     return 0
 
 
 # ------------------------------------------------------------------- checks
 #
-# A check family is a generator over (seed, count, parsed arguments).  It
+# A check family is a generator over (seed, count, built-ins), the last being
+# the built-ins that fot-commute checks, each with its element types.  It
 # first yields its report fields, with a "cases" slot that cmd_check fills,
 # then one (label, ok) pair per case.
 
@@ -381,7 +387,7 @@ def _words(rng: random.Random, letters, count: int, lo: int, hi: int):
         yield [rng.choice(letters) for _ in range(_ramp(i, count, lo, hi))]
 
 
-def _check_rational(seed: int, count: int, args):
+def _check_rational(seed: int, count: int, builtins):
     yield {"functions": ", ".join(SAMPLE_RATIONALS), "cases": 0}
     rng = random.Random(seed)
     for name, r in SAMPLE_RATIONALS.items():
@@ -391,7 +397,7 @@ def _check_rational(seed: int, count: int, args):
                    eval_pipeline(pipeline, word) == eval_rational_direct(r, word))
 
 
-def _check_registers_fold(seed: int, count: int, args):
+def _check_registers_fold(seed: int, count: int, builtins):
     yield {"cases": 0}
     rng = random.Random(seed)
     for i in range(count):
@@ -408,14 +414,11 @@ def _check_registers_fold(seed: int, count: int, args):
                got == normalise(reduce(update_product, etas)))
 
 
-def _check_fot_commute(seed: int, count: int, args):
-    """The built-in ``args.target``, or every built-in, each from Random(seed)."""
-    names = [args.target] if args.target else list(builtin_names())
-    yield {"cases": 0, "builtins": ", ".join(names)}
-    for name in names:
+def _check_fot_commute(seed: int, count: int, builtins):
+    """Each built-in at its element types, each from Random(seed)."""
+    yield {"cases": 0, "builtins": ", ".join(builtins)}
+    for name, types in builtins.items():
         rng = random.Random(seed)
-        texts = args.types or ["{a,b}", "{c,d}"][:builtin_names()[name]]
-        types = [parse_type(t) for t in texts]
         term = builtin_term(name, *types)
         transduction = builtin_fot(name, *types)
         dom, _ = infer_type(term)
@@ -427,7 +430,7 @@ def _check_fot_commute(seed: int, count: int, args):
                    not check_commutes(term, transduction, [v]).failures)
 
 
-def _check_sst(seed: int, count: int, args):
+def _check_sst(seed: int, count: int, builtins):
     yield {"ssts": ", ".join(SAMPLE_SSTS), "cases": 0}
     rng = random.Random(seed)
     for name, sst in SAMPLE_SSTS.items():
@@ -436,20 +439,16 @@ def _check_sst(seed: int, count: int, args):
                    run_sst_naive(sst, word) == run_sst_structured(sst, word))
 
 
-def _check_forest(seed: int, count: int, args):
+def _check_forest(seed: int, count: int, builtins):
     yield {"monoids": ", ".join(_FOREST_SAMPLES), "cases": 0}
     rng = random.Random(seed)
     for name, (monoid, letters) in _FOREST_SAMPLES.items():
         hom = Homomorphism(monoid, letters)
-        bound = forest_depth_bound(monoid, len(set(letters.values())))
         for word in _words(rng, list(letters), count, 1, 300):
-            tree = build_factorisation(hom, word)
-            yield (f"{name} on {_show_word(word)}",
-                   validate_factorisation(hom, tree).ok
-                   and tree_yield(tree) == word and tree_depth(tree) <= bound)
+            yield f"{name} on {_show_word(word)}", _forest(hom, word)[2]
 
 
-def _check_stdlib(seed: int, count: int, args):
+def _check_stdlib(seed: int, count: int, builtins):
     yield {"entries": len(CATALOG), "cases": 0}
     rng = random.Random(seed)
     pairs = [(entry, instance) for entry in CATALOG.values()
@@ -480,24 +479,27 @@ def cmd_check(args, rep: Reporter) -> int:
     if args.count < 1:
         raise ParseError(f"--count must be at least 1, got {args.count}")
     which = list(_CHECKS) if args.which == "all" else [args.which]
-    names = ", ".join(builtin_names())
+    arities = builtin_names()
+    names = ", ".join(arities)
     if args.which == "fot-commute" and args.target is None:
         raise ParseError(f"check fot-commute needs a builtin name: {names}")
     if args.target is not None and args.which not in ("fot-commute", "all"):
         raise ParseError(f"check {args.which} takes no target, got {args.target!r}")
-    if args.target is not None and args.target not in builtin_names():
+    if args.target is not None and args.target not in arities:
         raise ParseError(f"{args.target!r} is not one of {names}")
     if args.types and args.which not in ("fot-commute", "all"):
         raise ParseError(f"check {args.which} takes no --type")
     types = [parse_type(t) for t in args.types or ()]
-    for name in [args.target] if args.target else builtin_names():
-        arity = builtin_names()[name]
+    builtins = {}
+    for name in [args.target] if args.target else arities:
+        arity = arities[name]
         if types and len(types) != arity:
             raise ParseError(f"{name} takes {arity} type argument(s), "
                              f"got {len(types)}")
+        builtins[name] = types or [parse_type(t) for t in ["{a,b}", "{c,d}"][:arity]]
     worst = 0
     for check in which:
-        family = _CHECKS[check](seed, args.count, args)
+        family = _CHECKS[check](seed, args.count, builtins)
         fields = next(family)
         failures = []
         for label, ok in family:
@@ -561,9 +563,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                   "(u1, contains-ab)")
     p.add_argument("word")
     p.add_argument("--hom", help="letter images, e.g. a=1,b=0")
-    p.add_argument("--audit", action="store_true",
-                   help="cross-check the forest's image against the "
-                        "direct product")
     p.set_defaults(func=cmd_forest)
 
     p = sub.add_parser("compile-rational", parents=[common],
@@ -592,12 +591,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("sst", parents=[common],
-                       help="run a streaming transducer")
+                       help="run a streaming transducer both ways")
     p.add_argument("sst", help="SST file or sample name "
                                f"({', '.join(SAMPLE_SSTS)})")
     p.add_argument("word")
-    p.add_argument("--mode", choices=["naive", "structured"],
-                   default="naive")
     p.set_defaults(func=cmd_sst)
 
     p = sub.add_parser("encode", parents=[common],
@@ -621,8 +618,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("structure", nargs="?", help="structure file")
     p.add_argument("--type", dest="types", action="append",
                    help="element type(s) for a builtin")
-    p.add_argument("--word", help="run on this word over {a,b}, encoded and "
-                                  "decoded as {a,b}^*, instead of a file")
+    p.add_argument("--word", help="run on this word, encoded as {a,b}^*, instead "
+                                  "of a file; without -o or --decode, print a word")
     p.add_argument("--decode", help="decode the output at this type")
     p.add_argument("-o", "--output", help="structure file to write")
     p.set_defaults(func=cmd_fot)

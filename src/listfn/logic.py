@@ -62,7 +62,6 @@ from .types import (
     _tokenize,
     render_value,
     require_value,
-    type_nodes,
 )
 
 
@@ -811,26 +810,24 @@ def apply_transduction(t: FOTransduction, s: Structure) -> Structure:
 # ------------------------------------------------------- encoding of values
 
 
-def _node_pred(path: tuple[int, ...]) -> str:
-    return "t" if not path else "t_" + "_".join(str(i) for i in path)
+def _pred_name(path: tuple[int, ...], letter: str | None = None) -> str:
+    """The unary predicate of the type node at ``path``, or of its ``letter``."""
+    name = "t_" + "_".join(map(str, path)) if path else "t"
+    return name if letter is None else name + "__" + letter
 
 
-def _letter_pred(path: tuple[int, ...], letter: str) -> str:
-    return _node_pred(path) + "__" + letter
-
-
-def _pred_entries(t: TypeExpr) -> list[tuple[tuple[int, ...], str | None]]:
-    """Unary predicate entries of a type: one per node, plus letter variants."""
-    out: list[tuple[tuple[int, ...], str | None]] = []
-    for node in type_nodes(t):
-        out.append((node.path, None))
-        if isinstance(node.label, FinSet):
-            out.extend((node.path, letter) for letter in node.label.names)
-    return out
-
-
-def _pred_name(path: tuple[int, ...], letter: str | None) -> str:
-    return _node_pred(path) if letter is None else _letter_pred(path, letter)
+def _pred_entries(t: TypeExpr, path: tuple[int, ...] = ()):
+    """``(path, letter)`` per unary predicate of a type, its nodes in preorder:
+    ``letter`` is None for the node itself, then each letter of a finite set."""
+    yield path, None
+    if isinstance(t, FinSet):
+        for letter in t.names:
+            yield path, letter
+    elif isinstance(t, (Sum, Prod)):
+        yield from _pred_entries(t.left, path + (0,))
+        yield from _pred_entries(t.right, path + (1,))
+    elif isinstance(t, List):
+        yield from _pred_entries(t.elem, path + (0,))
 
 
 def encoding_vocabulary(t: TypeExpr) -> dict[str, int]:
@@ -855,16 +852,16 @@ def encode_value(v: Value, t: TypeExpr) -> Structure:
 
     def walk(val: Value, ty: TypeExpr, path: tuple[int, ...], chain: list[str]) -> int:
         if isinstance(ty, Sum):
-            chain = chain + [_node_pred(path)]
+            chain = chain + [_pred_name(path)]
             if isinstance(val, InL):
                 return walk(val.value, ty.left, path + (0,), chain)
             return walk(val.value, ty.right, path + (1,), chain)
         nid = counter[0]
         counter[0] += 1
-        for name in chain + [_node_pred(path)]:
+        for name in chain + [_pred_name(path)]:
             preds[name].add((nid,))
         if isinstance(ty, FinSet):
-            preds[_letter_pred(path, val.name)].add((nid,))
+            preds[_pred_name(path, val.name)].add((nid,))
             return nid
         if isinstance(ty, (Atom, Bot)):
             return nid
@@ -936,21 +933,21 @@ def decode_structure(s: Structure, t: TypeExpr) -> Value:
 
     def build(node: int, ty: TypeExpr, path: tuple[int, ...], acc: list[str]) -> Value:
         if isinstance(ty, Sum):
-            here = acc + [_node_pred(path)]
-            has_left = _node_pred(path + (0,)) in node_preds[node]
-            has_right = _node_pred(path + (1,)) in node_preds[node]
+            here = acc + [_pred_name(path)]
+            has_left = _pred_name(path + (0,)) in node_preds[node]
+            has_right = _pred_name(path + (1,)) in node_preds[node]
             if has_left == has_right:
                 raise EncodingError(f"node {node} must select exactly one summand")
             if has_left:
                 return InL(build(node, ty.left, path + (0,), here))
             return InR(build(node, ty.right, path + (1,), here))
-        expected = set(acc) | {_node_pred(path)}
+        expected = set(acc) | {_pred_name(path)}
         kids = children[node]
         if isinstance(ty, FinSet):
-            letters = [l for l in ty.names if _letter_pred(path, l) in node_preds[node]]
+            letters = [l for l in ty.names if _pred_name(path, l) in node_preds[node]]
             if len(letters) != 1:
                 raise EncodingError(f"node {node} must carry exactly one letter predicate")
-            expected.add(_letter_pred(path, letters[0]))
+            expected.add(_pred_name(path, letters[0]))
             value: Value = Sym(letters[0])
         elif isinstance(ty, Atom):
             value = Sym(ty.name)

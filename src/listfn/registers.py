@@ -274,13 +274,6 @@ def product_list_updates(etas: Sequence[RegUpdate],
     return evaluate(tree)
 
 
-def apply_update_sequence(etas: Sequence[RegUpdate],
-                          k: int | None = None) -> tuple:
-    """Product applied to the all-empty valuation."""
-    total = product_list_updates(etas, k)
-    return apply_update(empty_valuation(len(total)), total)
-
-
 def random_abstraction(k: int, rng) -> RegUpdate:
     """Uniformly shaped monotone nonduplicating abstraction."""
     kept = sorted(rng.sample(range(1, k + 1), rng.randint(0, k)))
@@ -308,12 +301,6 @@ def random_update_like(tau: RegUpdate, rng) -> RegUpdate:
 
 def random_update(k: int, rng) -> RegUpdate:
     return random_update_like(random_abstraction(k, rng), rng)
-
-
-def output_first(etas: Sequence[RegUpdate], k: int | None = None) -> tuple:
-    if not etas and k is None:
-        raise UpdateError("register count needed for an empty sequence")
-    return apply_update_sequence(etas, k)[0]
 
 
 # --------------------------------------------------------------- update text
@@ -433,4 +420,4 @@ def fot_pipeline_eval(g: RationalFn, k: int, word: Sequence[str]) -> tuple:
         if len(eta) != k:
             raise UpdateError(f"update {letter!r} is not over {k} registers")
         etas.append(eta)
-    return output_first(etas, k)
+    return apply_update(empty_valuation(k), product_list_updates(etas, k))[0]

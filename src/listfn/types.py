@@ -162,36 +162,6 @@ def require_value(v: Value, t: TypeExpr) -> Value:
     return v
 
 
-# ---------------------------------------------------------------- type nodes
-
-@dataclass(frozen=True)
-class TypeNode:
-    """Node of a type's parse tree, addressed by its path from the root."""
-    path: tuple[int, ...]
-    label: TypeExpr
-
-
-def type_children(t: TypeExpr) -> tuple[TypeExpr, ...]:
-    if isinstance(t, (Sum, Prod)):
-        return (t.left, t.right)
-    if isinstance(t, List):
-        return (t.elem,)
-    return ()
-
-
-def type_nodes(t: TypeExpr) -> list[TypeNode]:
-    """All parse-tree nodes of ``t`` in preorder.  Finite sets are single nodes."""
-    out: list[TypeNode] = []
-
-    def walk(sub: TypeExpr, path: tuple[int, ...]) -> None:
-        out.append(TypeNode(path, sub))
-        for i, c in enumerate(type_children(sub)):
-            walk(c, path + (i,))
-
-    walk(t, ())
-    return out
-
-
 # ------------------------------------------------------------------- parsing
 
 _RESERVED_VALUE = {"bot", "inl", "inr"}

@@ -23,7 +23,6 @@ from helpers import (
 )
 from listfn.algebra import (
     build_factorisation,
-    eval_hom_via_forest,
     forest_depth_bound,
     tree_depth,
     tree_yield,
@@ -170,7 +169,7 @@ def test_forest_depth_is_independent_of_word_length():
                 assert validate_factorisation(h, t)
                 assert "".join(tree_yield(t)) == w
                 assert tree_depth(t) <= bound
-                assert eval_hom_via_forest(h, w) == h.image(w)
+                assert build_factorisation(h, w).label == h.image(w)
             assert max(sample(30)) == max(sample(300))
 
 

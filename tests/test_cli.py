@@ -75,17 +75,23 @@ def test_eval_term_from_file(capsys, tmp_path):
     assert (code, out.strip()) == (0, "[a,b]")
 
 
-def test_forest_reports_validity_and_audit(capsys):
-    code, out, _ = run(capsys, "forest", "contains-ab", "abab", "--audit")
+def test_forest_reports_validity_and_bound(capsys):
+    code, out, _ = run(capsys, "forest", "contains-ab", "abab")
     assert code == 0
     assert "valid: yes" in out
     assert "yield: preserved" in out
-    assert "audit: revalidated, consistent" in out
     depth = int(next(ln.split()[1] for ln in out.splitlines()
                      if ln.startswith("depth:")))
     bound = int(next(ln.split()[1] for ln in out.splitlines()
                      if ln.startswith("bound:")))
     assert depth <= bound
+
+
+def test_forest_deeper_than_its_bound_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr("listfn.cli.forest_depth_bound", lambda monoid, generators: 0)
+    code, out, err = run(capsys, "forest", "contains-ab", "abab")
+    assert (code, out) == (4, "")
+    assert "bound: 0\nvalid: yes\nyield: preserved\n" in err
 
 
 def test_forest_rejects_empty_word(capsys):
@@ -131,13 +137,23 @@ def test_pipeline_with_a_tampered_bound_exits_2(capsys, tmp_path):
     assert "bound 1 differs from the recomputed bound 6" in err
 
 
-def test_sst_modes_agree(capsys):
+def test_sst_prints_the_word_its_two_runs_agree_on(capsys):
     code, out, _ = run(capsys, "sst", "reverse", "abb")
     assert (code, out.strip()) == (0, "bba")
-    code, out, _ = run(capsys, "sst", "reverse", "abb", "--mode", "naive")
-    assert (code, out.strip()) == (0, "bba")
-    code, out, _ = run(capsys, "sst", "drop-last", "ab")
-    assert (code, out.strip()) == (0, "a")
+    code, out, _ = run(capsys, "sst", "drop-last", "ab", "--format", "json-lines")
+    assert code == 0
+    assert json.loads(out) == {"kind": "sst", "input": {"sst": "drop-last", "word": "ab"},
+                               "output": "a", "status": "ok"}
+
+
+def test_sst_runs_that_disagree_exit_4(capsys, monkeypatch):
+    monkeypatch.setattr("listfn.cli.run_sst_structured", lambda sst, word: ("b", "a"))
+    code, out, _ = run(capsys, "sst", "reverse", "abb", "--format", "json-lines")
+    assert code == 4
+    (record,) = [json.loads(ln) for ln in out.splitlines()]
+    assert record["status"] == "mismatch"
+    assert record["output"] == {"structured-output": "ba", "naive-output": "bba",
+                                "first-difference": "position 1"}
 
 
 def test_encode_decode_round_trip(capsys, tmp_path):
@@ -170,6 +186,35 @@ def test_fot_word_is_encoded_and_decoded_at_ab_star(capsys, tmp_path, transducti
             "55ae454f233272214cdf74c7e1c55355d606b56be471a297d3938c9d9970b86f")
     got, out, err = run(capsys, "fot", transduction, "--word", word)
     assert (got, (out if code == 0 else err).strip()) == (code, message)
+
+
+def test_fot_word_output_can_be_written_to_a_file(capsys, tmp_path):
+    f = tmp_path / "out.lstruct"
+    code, out, _ = run(capsys, "fot", "ab_example", "--word", "bab", "-o", str(f))
+    assert (code, out) == (0, f"structure: {f}\nuniverse: 4\n")
+    code, out, _ = run(capsys, "decode", str(f), "{a,b}^*")
+    assert (code, out) == (0, "[a,b,b]\n")
+
+
+@pytest.mark.parametrize("decode, code, message", [
+    ("{a,b}^*", 0, "[a,b,b]"),
+    ("{a}", 3, "vocabulary does not match the encoding of the type"),
+], ids=["ab-star", "other-type"])
+def test_fot_word_output_is_decoded_at_the_given_type(capsys, tmp_path, decode, code,
+                                                      message):
+    f = tmp_path / "out.lstruct"
+    got, out, err = run(capsys, "fot", "ab_example", "--word", "bab", "-o", str(f),
+                        "--decode", decode)
+    assert (got, (out if code == 0 else err).strip()) == (code, message)
+    assert not f.exists()  # --decode prints, as it does for a structure file
+
+
+def test_fot_word_and_structure_file_together_exit_2(capsys, tmp_path):
+    f = tmp_path / "v.lstruct"
+    run(capsys, "encode", "[a,b]", "{a,b}^*", "-o", str(f))
+    code, out, err = run(capsys, "fot", "ab_example", str(f), "--word", "ab")
+    assert (code, out) == (2, "")
+    assert "fot takes a structure file or --word, not both" in err
 
 
 def test_fot_builtin_on_structure_file(capsys, tmp_path):
@@ -410,16 +455,16 @@ _POOLS = {
 }
 _SHAPES = {  # positionals, then the options the subcommand takes
     "typecheck": (["term"], []), "eval": (["term", "value"], []),
-    "forest": (["monoid", "word"], ["--hom", "--audit"]),
+    "forest": (["monoid", "word"], ["--hom"]),
     "compile-rational": (["rational"], ["-o"]), "run-pipeline": (["file", "word"], []),
-    "check": (["check", "builtin"], ["--type"]), "sst": (["sst", "word"], ["--mode"]),
+    "check": (["check", "builtin"], ["--type"]), "sst": (["sst", "word"], []),
     "encode": (["value", "type"], ["-o"]), "decode": (["file", "type"], []),
     "fot": (["builtin", "file"], ["--type", "--word", "--decode", "-o"]),
 }
 _OPTIONS = [
     ("--format", "json-lines"), ("--seed", "7"), ("--type", "{a,b}"), ("--type", "{a}^*"),
     ("--word", "abab"), ("--word", "abc"), ("--decode", "{a,b}^*"), ("--decode", "{a}"),
-    ("--hom", "a=1,b=0"), ("--hom", "a=9"), ("--audit",), ("--mode", "structured"),
+    ("--hom", "a=1,b=0"), ("--hom", "a=9"),
     ("-o", "out.lstruct"), ("-o", "out.lpipe"), ("--help",), ("--type",),
 ]
 _ANY = sorted({w for pool in _POOLS.values() for w in pool})

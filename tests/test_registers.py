@@ -19,14 +19,12 @@ from listfn.registers import (
     abstraction,
     abstraction_name,
     apply_update,
-    apply_update_sequence,
     empty_valuation,
     enumerate_abstractions,
     fot_pipeline_eval,
     homogeneous_product,
     identity_update,
     normalise,
-    output_first,
     parse_update,
     product_list_updates,
     random_abstraction,
@@ -238,9 +236,8 @@ def test_apply_update_reads_before_writing():
     assert apply_update(v, swap) == (("y", "a"), ("x",))
     # the forest-structured sequence product needs monotone updates
     e = parse_update('1 := ["b", $1]; 2 := [$2, "a"]')
-    assert apply_update_sequence([e, e], 2) == \
+    assert apply_update(empty_valuation(2), product_list_updates([e, e], 2)) == \
         apply_update(apply_update(empty_valuation(2), e), e)
-    assert output_first([e, e], 2) == apply_update_sequence([e, e], 2)[0]
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLE_SSTS))
