@@ -51,12 +51,14 @@ from listfn.logic import (
 )
 from listfn.terms import eval_term, infer_type
 from listfn.types import (
+    EncodingError,
     FinSet,
     List,
     ParseError,
     Sym,
     TypeMismatch,
     enumerate_values,
+    parse_type,
     parse_value,
     random_value,
 )
@@ -353,7 +355,6 @@ def test_structure_round_trip_on_panel():
 
 
 def test_decode_rejects_corrupt_structures():
-    from listfn.types import EncodingError
     t = List(AB)
     s = encode_value(sym_list("ab"), t)
     # drop the letter tag from one leaf
@@ -363,6 +364,38 @@ def test_decode_rejects_corrupt_structures():
          "t_0__a": frozenset(), "t_0__b": frozenset({(2,)})})
     with pytest.raises(EncodingError):
         decode_structure(broken, t)
+
+
+# an atom, a finite set, a sum with bot, a product and nested lists
+_DECODE_PANEL = ["a", "{a,b,c}", "{a,b}+bot", "{a}*{b,c}", "({a,b}^*)^*", "(a*({a}+bot))^*"]
+
+
+@pytest.mark.parametrize("text", _DECODE_PANEL)
+def test_decode_rejects_every_one_tuple_toggle(text):
+    """Adding or dropping any one tuple of any relation breaks an encoding,
+    and the error says so in one short line."""
+    t = parse_type(text)
+    for v in enumerate_values(t, 5):
+        s = encode_value(v, t)
+        for name, arity in s.vocabulary.items():
+            for row in itertools.product(s.universe, repeat=arity):
+                rels = {**s.relations, name: s.relations[name] ^ {row}}
+                with pytest.raises(EncodingError) as err:
+                    decode_structure(Structure(s.universe, s.vocabulary, rels), t)
+                assert "\n" not in str(err.value) and len(str(err.value)) < 120
+
+
+@pytest.mark.parametrize("text", _DECODE_PANEL)
+def test_decode_reads_an_encoding_under_any_ids(text):
+    t = parse_type(text)
+    rng = random.Random(23)
+    for v in enumerate_values(t, 5):
+        s = encode_value(v, t)
+        ids = rng.sample(range(100), len(s.universe))
+        rename = dict(zip(s.universe, ids))
+        rels = {name: frozenset(tuple(map(rename.get, row)) for row in rows)
+                for name, rows in s.relations.items()}
+        assert decode_structure(Structure(tuple(ids), s.vocabulary, rels), t) == v
 
 
 @pytest.mark.parametrize("v", [Sym("z"), sym_list("ab")], ids=["symbol", "list"])
