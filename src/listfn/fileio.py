@@ -96,7 +96,10 @@ def _read_body(path: str | Path, kind: str, raw: bool = False) -> list[str]:
 
 def _write(path: str | Path, kind: str, body: list[str]) -> None:
     text = "\n".join([_header(kind), *body]) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as e:
+        raise FileFormatError(f"{path}: {e.strerror or e}") from None
 
 
 class _Body:

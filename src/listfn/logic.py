@@ -3,7 +3,10 @@
 Values of the nested-list types are encoded as relational structures: one
 element per parse-tree node, a parent relation ``pare``, the strict sibling
 order ``sib`` (stored transitively closed), and a unary predicate per node of
-the type's own parse tree.  A transduction keeps up to k copies of each input
+the type's own parse tree.  ``_encoding`` alone builds these relations:
+``decode_structure`` reads a value off ``pare`` and ``sib`` and accepts the
+structure only if ``_encoding`` gives it back on the nodes in the order
+read.  A transduction keeps up to k copies of each input
 element and is given by per-copy formula tables over the *input*
 vocabulary: one formula per copy for the universe, and one per tuple of
 copies for each output relation.  Each formula is solved once on the input
@@ -31,9 +34,10 @@ against each other in tests.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as iproduct
+from itertools import combinations, count, product as iproduct
 from operator import contains, getitem, itemgetter
 
 from .stdlib import concat, filter_left, filter_right, finite_function
@@ -837,18 +841,15 @@ def encoding_vocabulary(t: TypeExpr) -> dict[str, int]:
     return vocab
 
 
-def encode_value(v: Value, t: TypeExpr) -> Structure:
-    """Parse tree of ``v`` as a structure; ids are preorder positions.
+def _encoding(v: Value, t: TypeExpr, ids) -> dict[str, frozenset]:
+    """The relations of the encoding of ``v`` at ``t``, keyed in vocabulary
+    order; each node takes the next id of ``ids``, in preorder.
 
     Sum injections do not get nodes of their own: descending through them
     only accumulates extra type predicates on the node underneath.
     """
-    require_value(v, t)
-    vocab = encoding_vocabulary(t)
-    pare: set[tuple[int, int]] = set()
-    sib: set[tuple[int, int]] = set()
-    preds: dict[str, set[tuple[int]]] = {name: set() for name, a in vocab.items() if a == 1}
-    counter = [0]
+    rels: dict[str, set] = {name: set() for name in encoding_vocabulary(t)}
+    pare, sib = rels["pare"], rels["sib"]
 
     def walk(val: Value, ty: TypeExpr, path: tuple[int, ...], chain: list[str]) -> int:
         if isinstance(ty, Sum):
@@ -856,12 +857,11 @@ def encode_value(v: Value, t: TypeExpr) -> Structure:
             if isinstance(val, InL):
                 return walk(val.value, ty.left, path + (0,), chain)
             return walk(val.value, ty.right, path + (1,), chain)
-        nid = counter[0]
-        counter[0] += 1
+        nid = next(ids)
         for name in chain + [_pred_name(path)]:
-            preds[name].add((nid,))
+            rels[name].add((nid,))
         if isinstance(ty, FinSet):
-            preds[_pred_name(path, val.name)].add((nid,))
+            rels[_pred_name(path, val.name)].add((nid,))
             return nid
         if isinstance(ty, (Atom, Bot)):
             return nid
@@ -869,107 +869,72 @@ def encode_value(v: Value, t: TypeExpr) -> Structure:
             kids = [walk(val.fst, ty.left, path + (0,), []), walk(val.snd, ty.right, path + (1,), [])]
         else:
             kids = [walk(item, ty.elem, path + (0,), []) for item in val.items]
-        for c in kids:
-            pare.add((nid, c))
-        for i in range(len(kids)):
-            for j in range(i + 1, len(kids)):
-                sib.add((kids[i], kids[j]))
+        pare.update((nid, c) for c in kids)
+        sib.update(combinations(kids, 2))
         return nid
 
     walk(v, t, (), [])
-    rels: dict[str, frozenset] = {"pare": frozenset(pare), "sib": frozenset(sib)}
-    for name, rows in preds.items():
-        rels[name] = frozenset(rows)
-    return Structure(tuple(range(counter[0])), vocab, rels)
+    return {name: frozenset(rows) for name, rows in rels.items()}
+
+
+def encode_value(v: Value, t: TypeExpr) -> Structure:
+    """Parse tree of ``v`` as a structure; ids are preorder positions."""
+    require_value(v, t)
+    ids = count()
+    rels = _encoding(v, t, ids)
+    return Structure(tuple(range(next(ids))), encoding_vocabulary(t), rels)
 
 
 def decode_structure(s: Structure, t: TypeExpr) -> Value:
     """Inverse of encode_value, for any structure isomorphic to an encoding.
 
-    Raises EncodingError naming the first property of the encoding that the
-    structure violates.
+    Reads a value down ``pare`` from its one root, each node's children
+    ranked by their number of ``sib`` predecessors, then encodes that value
+    again on the nodes in the order read: ``s`` is an encoding iff every
+    relation is the same.  A node the read never reached keeps a ``pare``
+    tuple that the new encoding lacks.  Raises EncodingError, in one line
+    naming the relation at fault.
     """
     if dict(s.vocabulary) != encoding_vocabulary(t):
         raise EncodingError("vocabulary does not match the encoding of the type")
-    if not s.universe:
-        raise EncodingError("empty universe: an encoding has at least a root node")
-    parent: dict[int, int] = {}
-    for p, c in s.relations["pare"]:
-        if c in parent:
-            raise EncodingError(f"node {c} has more than one parent")
-        parent[c] = p
-    roots = [u for u in s.universe if u not in parent]
-    if len(roots) != 1:
-        raise EncodingError(f"expected one root node, found {len(roots)}")
+    rels = s.relations
     children: dict[int, list[int]] = {u: [] for u in s.universe}
-    for p, c in s.relations["pare"]:
+    for p, c in rels["pare"]:
         children[p].append(c)
-    seen = {roots[0]}
-    stack = [roots[0]]
-    while stack:
-        for c in children[stack.pop()]:
-            seen.add(c)
-            stack.append(c)
-    if len(seen) != len(s.universe):
-        raise EncodingError("parent relation does not reach every node from the root")
-    sib = s.relations["sib"]
-    for x, y in sib:
-        if x == y:
-            raise EncodingError(f"sib is reflexive at node {x}")
-        if parent.get(x) is None or parent.get(x) != parent.get(y):
-            raise EncodingError(f"sib relates non-siblings {x} and {y}")
-    for p, kids in children.items():
-        rank = {c: sum(1 for d in kids if (d, c) in sib) for c in kids}
-        kids.sort(key=lambda c: rank[c])
-        for i in range(len(kids)):
-            for j in range(i + 1, len(kids)):
-                if (kids[i], kids[j]) not in sib or (kids[j], kids[i]) in sib:
-                    raise EncodingError(f"children of node {p} are not totally ordered by sib")
-    node_preds: dict[int, set[str]] = {u: set() for u in s.universe}
-    for name, arity in s.vocabulary.items():
-        if arity == 1:
-            for (u,) in s.relations[name]:
-                node_preds[u].add(name)
+    roots = children.keys() - {c for _, c in rels["pare"]}
+    if len(roots) != 1 or len(rels["pare"]) != len(children) - 1:
+        raise EncodingError(f"pare is not a tree: {len(roots)} root(s) and "
+                            f"{len(rels['pare'])} tuple(s) on {len(children)} nodes")
+    rank = Counter(c for _, c in rels["sib"])
+    order: list[int] = []
 
-    def build(node: int, ty: TypeExpr, path: tuple[int, ...], acc: list[str]) -> Value:
+    def read(node: int, ty: TypeExpr, path: tuple[int, ...]) -> Value:
         if isinstance(ty, Sum):
-            here = acc + [_pred_name(path)]
-            has_left = _pred_name(path + (0,)) in node_preds[node]
-            has_right = _pred_name(path + (1,)) in node_preds[node]
-            if has_left == has_right:
-                raise EncodingError(f"node {node} must select exactly one summand")
-            if has_left:
-                return InL(build(node, ty.left, path + (0,), here))
-            return InR(build(node, ty.right, path + (1,), here))
-        expected = set(acc) | {_pred_name(path)}
-        kids = children[node]
+            if (node,) in rels[_pred_name(path + (0,))]:
+                return InL(read(node, ty.left, path + (0,)))
+            return InR(read(node, ty.right, path + (1,)))
+        order.append(node)
         if isinstance(ty, FinSet):
-            letters = [l for l in ty.names if _pred_name(path, l) in node_preds[node]]
-            if len(letters) != 1:
-                raise EncodingError(f"node {node} must carry exactly one letter predicate")
-            expected.add(_pred_name(path, letters[0]))
-            value: Value = Sym(letters[0])
-        elif isinstance(ty, Atom):
-            value = Sym(ty.name)
-        elif isinstance(ty, Bot):
-            value = BotV()
-        elif isinstance(ty, Prod):
-            if len(kids) != 2:
-                raise EncodingError(f"pair node {node} must have exactly two children")
-            value = PairV(
-                build(kids[0], ty.left, path + (0,), []),
-                build(kids[1], ty.right, path + (1,), []),
-            )
-        else:
-            value = ListV(tuple(build(c, ty.elem, path + (0,), []) for c in kids))
-        if isinstance(ty, (FinSet, Atom, Bot)) and kids:
-            raise EncodingError(f"leaf node {node} must not have children")
-        if node_preds[node] != expected:
-            off = sorted(node_preds[node] ^ expected)
-            raise EncodingError(f"node {node} carries the wrong type predicates: {off}")
-        return value
+            return Sym(next((l for l in ty.names if (node,) in rels[_pred_name(path, l)]),
+                            ty.names[0]))
+        if isinstance(ty, Atom):
+            return Sym(ty.name)
+        if isinstance(ty, Bot):
+            return BotV()
+        kids = sorted(children[node], key=rank.__getitem__)
+        if isinstance(ty, List):
+            return ListV(tuple(read(c, ty.elem, path + (0,)) for c in kids))
+        if len(kids) != 2:
+            raise EncodingError(f"pair node {node} has {len(kids)} children in pare, not 2")
+        return PairV(read(kids[0], ty.left, path + (0,)), read(kids[1], ty.right, path + (1,)))
 
-    return build(roots[0], t, (), [])
+    v = read(next(iter(roots)), t, ())
+    for name, rows in _encoding(v, t, iter(order)).items():
+        if rows != rels[name]:
+            row = min(rows ^ rels[name])
+            raise EncodingError(f"{name} does not match the encoding of the value read: "
+                                f"{'missing' if row in rows else 'extra'} tuple {row}")
+    return v
 
 
 _AB = FinSet(("a", "b"))

@@ -164,6 +164,46 @@ def test_encode_decode_round_trip(capsys, tmp_path):
     assert (code, out.strip()) == (0, "[a,b,a]")
 
 
+def _tampered(capsys, tmp_path, value, old, new):
+    """The encoding of ``value`` at {a,b}^*, saved with the line ``old`` replaced."""
+    f = tmp_path / "v.lstruct"
+    run(capsys, "encode", value, "{a,b}^*", "-o", str(f))
+    text = f.read_text()
+    assert text.count(f"\n{old}\n") == 1
+    f.write_text(text.replace(f"\n{old}\n", f"\n{new}\n" if new else "\n"))
+    return f
+
+
+@pytest.mark.parametrize("value, old, new, message", [
+    ("[a,b,b]", "tuple 1 3", "tuple 3 1",
+     "sib does not match the encoding of the value read: missing tuple (1, 3)"),
+    ("[a,b]", "tuple 0 2", None, "pare is not a tree: 2 root(s) and 1 tuple(s) on 3 nodes"),
+], ids=["sib-cycle", "two-roots"])
+def test_decode_names_the_relation_of_a_tampered_structure(capsys, tmp_path, value, old,
+                                                           new, message):
+    f = _tampered(capsys, tmp_path, value, old, new)
+    assert run(capsys, "decode", str(f), "{a,b}^*") == (3, "", message + "\n")
+
+
+def test_decode_reads_a_reversed_sib_as_the_reversed_list(capsys, tmp_path):
+    # with two letters, reversing the one sib tuple gives an encoding again
+    f = _tampered(capsys, tmp_path, "[a,b]", "tuple 1 2", "tuple 2 1")
+    assert run(capsys, "decode", str(f), "{a,b}^*") == (0, "[b,a]\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("encode", "[a]", "{a}^*"),
+    ("compile-rational", "keep-a"),
+    ("fot", "ab_example", "--word", "ab"),
+], ids=["encode", "compile-rational", "fot-word"])
+@pytest.mark.parametrize("target", ["missing/out", "."], ids=["missing-dir", "dir"])
+def test_output_that_cannot_be_written_exits_2(capsys, tmp_path, monkeypatch, argv, target):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, "-o", target)
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    assert err.startswith(f"{target}: ")
+
+
 def test_fot_on_word_structures(capsys):
     code, out, _ = run(capsys, "fot", "ab_example", "--word", "ababa")
     assert (code, out.strip()) == (0, "aaabb")
@@ -465,7 +505,8 @@ _OPTIONS = [
     ("--format", "json-lines"), ("--seed", "7"), ("--type", "{a,b}"), ("--type", "{a}^*"),
     ("--word", "abab"), ("--word", "abc"), ("--decode", "{a,b}^*"), ("--decode", "{a}"),
     ("--hom", "a=1,b=0"), ("--hom", "a=9"),
-    ("-o", "out.lstruct"), ("-o", "out.lpipe"), ("--help",), ("--type",),
+    ("-o", "out.lstruct"), ("-o", "out.lpipe"), ("-o", "missing/out.lstruct"),
+    ("--help",), ("--type",),
 ]
 _ANY = sorted({w for pool in _POOLS.values() for w in pool})
 
