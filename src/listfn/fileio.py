@@ -43,7 +43,8 @@ from .types import ParseError
 
 
 class FileFormatError(ParseError):
-    """A persisted artifact does not match its declared format."""
+    """A persisted artifact cannot be read or written, or does not match its
+    declared format."""
 
 
 _HEADER_PREFIX = "listfn-"

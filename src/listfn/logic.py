@@ -914,7 +914,7 @@ def decode_structure(s: Structure, t: TypeExpr) -> Value:
                 return InL(read(node, ty.left, path + (0,)))
             return InR(read(node, ty.right, path + (1,)))
         order.append(node)
-        if isinstance(ty, FinSet):
+        if isinstance(ty, FinSet):  # no letter reads as the first; the compare finds it missing
             return Sym(next((l for l in ty.names if (node,) in rels[_pred_name(path, l)]),
                             ty.names[0]))
         if isinstance(ty, Atom):
