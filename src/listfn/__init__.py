@@ -10,6 +10,7 @@ parse-tree encodings (``logic``).  ``samples`` holds shared example objects,
 """
 
 from .algebra import (
+    AlgebraError,
     FactTree,
     FiniteMonoid,
     FiniteSemigroup,
@@ -76,6 +77,7 @@ from .types import (
     Bot,
     FinSet,
     List,
+    ListfnError,
     ParseError,
     Prod,
     Sum,

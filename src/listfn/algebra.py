@@ -21,8 +21,14 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Callable, Hashable, Iterable, Sequence
 
+from .types import ListfnError
 
-class NotAperiodicError(ValueError):
+
+class AlgebraError(ListfnError, ValueError):
+    """Raised on a malformed semigroup, group, homomorphism or rational function."""
+
+
+class NotAperiodicError(AlgebraError):
     """Raised when a construction needs an aperiodic semigroup but got none."""
 
 
@@ -47,7 +53,7 @@ class FiniteSemigroup:
     def __init__(self, elements: Sequence[str], mult: dict[tuple[str, str], str]):
         self.elements = tuple(elements)
         if len(set(self.elements)) != len(self.elements) or not self.elements:
-            raise ValueError("elements must be distinct and nonempty")
+            raise AlgebraError("elements must be distinct and nonempty")
         self.index = {e: i for i, e in enumerate(self.elements)}
         self.table = self._check_table(mult)
         self.aperiodicity = _aperiodicity(self.table)
@@ -64,9 +70,9 @@ class FiniteSemigroup:
             for b in els:
                 c = mult.get((a, b))
                 if c is None:
-                    raise ValueError(f"product {a}·{b} missing from the table")
+                    raise AlgebraError(f"product {a}·{b} missing from the table")
                 if c not in index:
-                    raise ValueError(f"product {a}·{b}={c} outside the elements")
+                    raise AlgebraError(f"product {a}·{b}={c} outside the elements")
                 table[index[a]][index[b]] = index[c]
         for g in _generators(table):
             tg = table[g]
@@ -74,7 +80,7 @@ class FiniteSemigroup:
                 tig = table[ti[g]]
                 for k in range(n):
                     if tig[k] != ti[tg[k]]:
-                        raise ValueError(
+                        raise AlgebraError(
                             "associativity fails at "
                             f"({els[i]},{els[g]},{els[k]})")
         return table
@@ -88,7 +94,7 @@ class FiniteSemigroup:
         for x in items:
             acc = x if acc is None else self.mult(acc, x)
         if acc is None:
-            raise ValueError("empty product in a semigroup without identity")
+            raise AlgebraError("empty product in a semigroup without identity")
         return acc
 
     def __len__(self) -> int:
@@ -101,10 +107,10 @@ class FiniteMonoid(FiniteSemigroup):
         super().__init__(elements, mult)
         self.identity = identity
         if identity not in self.elements:
-            raise ValueError("identity not among the elements")
+            raise AlgebraError("identity not among the elements")
         for a in self.elements:
             if self.mult(identity, a) != a or self.mult(a, identity) != a:
-                raise ValueError(f"identity law fails at {a}")
+                raise AlgebraError(f"identity law fails at {a}")
 
     def product(self, items: Iterable[str]) -> str:
         acc = self.identity
@@ -174,7 +180,10 @@ class Homomorphism:
     def __call__(self, letter: Hashable) -> str:
         if callable(self.letter_map):
             return self.letter_map(letter)
-        return self.letter_map[letter]
+        try:
+            return self.letter_map[letter]
+        except KeyError:
+            raise AlgebraError(f"letter {letter!r} has no image") from None
 
     def image(self, word: Sequence[Hashable]) -> str:
         return self.target.product(self(a) for a in word)
@@ -268,7 +277,7 @@ def build_factorisation(h: Homomorphism, word: Sequence[Hashable]) -> FactTree:
     if s.aperiodicity is None:
         raise NotAperiodicError("factorisation trees need an aperiodic target")
     if not word:
-        raise ValueError("cannot factorise the empty word")
+        raise AlgebraError("cannot factorise the empty word")
     index = s.index
     leaves: dict[Hashable, tuple[FactTree, int]] = {}
     items = []
@@ -277,7 +286,7 @@ def build_factorisation(h: Homomorphism, word: Sequence[Hashable]) -> FactTree:
         if item is None:
             name = h(a)
             if name not in index:
-                raise ValueError(
+                raise AlgebraError(
                     f"letter {a!r} maps to {name!r}, not an element")
             item = leaves[a] = (Node(name, (Leaf(a),)), index[name])
         items.append(item)

@@ -19,9 +19,9 @@ sample; anything that is not an existing file is parsed as inline text or
 looked up by name.  Words are written as plain strings of one-letter symbols
 ("abab") or comma-separated ("a,b,ab").
 
-Exit codes: 0 success, 2 syntax error, 3 type or runtime error (input
-nested too deeply included), 4 a cross-check failed, 141 standard output
-closed before the output ended (as under ``| head``).
+Exit codes: 0 success, 2 a ``ParseError`` (bad syntax or file), 3 any other
+``ListfnError`` (text nested too deeply included) or a recursion limit hit,
+4 a cross-check failed, 141 standard output closed early (as under ``| head``).
 ``--seed N`` (or the ``LISTFN_SEED`` environment variable) fixes the
 randomized checks; reports repeat the seed they used.  ``--format
 json-lines`` switches every command to one JSON record per result with keys
@@ -80,8 +80,9 @@ from .samples import (
 )
 from .stdlib import CATALOG
 from .syntax import _split_args, parse_term
-from .terms import EvalError, TermTypeError, infer_type, eval_term
+from .terms import infer_type, eval_term
 from .types import (
+    ListfnError,
     NestingError,
     ParseError,
     TypeMismatch,
@@ -645,16 +646,14 @@ def main(argv=None) -> int:
 def _run(args, rep: Reporter) -> int:
     try:
         return args.func(args, rep) or 0
-    except (NestingError, RecursionError) as e:
-        msg = str(e) if isinstance(e, NestingError) else "input nested too deeply"
-        rep.emit(args.command, None, msg, status="error")
+    except RecursionError:
+        rep.emit(args.command, None,
+                 "input too large to process: recursion limit reached", status="error")
         return 3
-    except ParseError as e:
-        rep.emit(args.command, None, str(e), status="syntax-error")
-        return 2
-    except (TermTypeError, TypeMismatch, EvalError, ValueError) as e:
-        rep.emit(args.command, None, str(e), status="error")
-        return 3
+    except ListfnError as e:
+        syntax = isinstance(e, ParseError) and not isinstance(e, NestingError)
+        rep.emit(args.command, None, str(e), status="syntax-error" if syntax else "error")
+        return 2 if syntax else 3
 
 
 if __name__ == "__main__":

@@ -36,10 +36,10 @@ from .rational import (
     output_table,
     triple_alphabet,
 )
-from .registers import SSTSpec, UpdateError, parse_update, render_update
+from .registers import SSTSpec, parse_update, render_update
 from .syntax import parse_term, render_term
 from .terms import Term
-from .types import ParseError
+from .types import ListfnError, ParseError
 
 
 class FileFormatError(ParseError):
@@ -122,6 +122,13 @@ class _Body:
                 f"{self.where}: {keyword!r} takes {count} field(s)")
         return args
 
+    def build(self, make, *args, **kw):
+        """``make(*args, **kw)``, a library error in it read as this file's."""
+        try:
+            return make(*args, **kw)
+        except ListfnError as e:
+            raise FileFormatError(f"{self.where}: {e}") from None
+
     def all(self, keyword: str) -> list[list[str]]:
         return [r[1:] for r in self.rows if r and r[0] == keyword]
 
@@ -168,10 +175,7 @@ def _parse_monoid_rows(b: _Body) -> FiniteMonoid:
         if len(row) != len(elements) + 1:
             raise FileFormatError(f"{b.where}: row needs 1+{len(elements)} fields")
         table.update(((row[0], y), p) for y, p in zip(elements, row[1:]))
-    try:
-        return FiniteMonoid(elements, table, identity)
-    except ValueError as e:
-        raise FileFormatError(f"{b.where}: {e}") from None
+    return b.build(FiniteMonoid, elements, table, identity)
 
 
 def save_monoid(path: str | Path, m: FiniteMonoid,
@@ -236,10 +240,7 @@ def _parse_rational(b: _Body, extra_keywords: set[str] = frozenset()) -> Rationa
         if len(row) < 3:
             raise FileFormatError(f"{b.where}: out lines need m, letter, m'")
         out[(row[0], row[1], row[2])] = tuple(row[3:])
-    try:
-        return RationalFn(name, inputs, outputs, monoid, h, out, empty)
-    except ValueError as e:
-        raise FileFormatError(f"{b.where}: {e}") from None
+    return b.build(RationalFn, name, inputs, outputs, monoid, h, out, empty)
 
 
 def load_rational(path: str | Path) -> RationalFn:
@@ -301,26 +302,15 @@ def load_sst(path: str | Path) -> SSTSpec:
         if len(row) != 4:
             raise FileFormatError(
                 f"{b.where}: trans lines take state, letter, target, update")
-        try:
-            eta = parse_update(row[3])
-        except UpdateError as e:
-            raise FileFormatError(f"{b.where}: {e}") from None
-        transitions[(row[0], row[1])] = (row[2], eta)
+        transitions[(row[0], row[1])] = (row[2], b.build(parse_update, row[3]))
     registers = b.take("registers", 1)[0]
     output_register = b.take("output-register", 1)[0]
     if not (registers.isdecimal() and output_register.isdecimal()):
         raise FileFormatError(f"{b.where}: register counts must be numbers")
-    try:
-        return SSTSpec(
-            name=b.take("name", 1)[0],
-            input_letters=tuple(b.take("input")),
-            states=tuple(b.take("states")),
-            initial=b.take("initial", 1)[0],
-            registers=int(registers),
-            transitions=transitions,
-            output_register=int(output_register))
-    except UpdateError as e:
-        raise FileFormatError(f"{b.where}: {e}") from None
+    return b.build(SSTSpec, name=b.take("name", 1)[0], input_letters=tuple(b.take("input")),
+                   states=tuple(b.take("states")), initial=b.take("initial", 1)[0],
+                   registers=int(registers), transitions=transitions,
+                   output_register=int(output_register))
 
 
 # -------------------------------------------------------------- structures
@@ -384,11 +374,8 @@ def load_structure(path: str | Path) -> Structure:
             raise FileFormatError(f"{b.where}: unknown line keyword {row[0]!r}")
     if universe is None:
         raise FileFormatError(f"{b.where}: missing universe line")
-    try:
-        return Structure(universe, vocabulary,
-                         {n: frozenset(rows) for n, rows in relations.items()})
-    except ValueError as e:
-        raise FileFormatError(f"{b.where}: {e}") from None
+    return b.build(Structure, universe, vocabulary,
+                   {n: frozenset(rows) for n, rows in relations.items()})
 
 
 # ------------------------------------------------------------ transductions
@@ -443,9 +430,5 @@ def load_fot(path: str | Path) -> FOTransduction:
             raise FileFormatError(
                 f"{b.where}: case lines take a rel name, new copy numbers, formula")
         relations[row[0]][1][key] = parse_formula(row[-1])
-    try:
-        return FOTransduction(int(copies), _vocab(b.all("input"), b.where, "input"),
-                              _vocab(b.all("output"), b.where, "output"),
-                              universe, relations)
-    except ValueError as e:
-        raise FileFormatError(f"{b.where}: {e}") from None
+    return b.build(FOTransduction, int(copies), _vocab(b.all("input"), b.where, "input"),
+                   _vocab(b.all("output"), b.where, "output"), universe, relations)

@@ -54,6 +54,7 @@ from .types import (
     InR,
     List,
     ListV,
+    ListfnError,
     PairV,
     ParseError,
     Prod,
@@ -69,7 +70,7 @@ from .types import (
 )
 
 
-class LogicError(ValueError):
+class LogicError(ListfnError, ValueError):
     """Semantic error: unknown relation, unbound variable, bad structure."""
 
 
@@ -584,18 +585,19 @@ _NONE: frozenset = frozenset()
 
 
 def _tests(ctx: _Ctx, cols: tuple[str, ...], parts, join):
-    """One row test for ``parts`` joined by ``join``: atoms first, sparsest first."""
+    """One row test for ``parts`` joined by ``join``: atoms first, sparsest
+    first, the joins folded balanced so a wide formula nests them shallowly."""
 
     def cost(p: _Node) -> tuple[int, float]:
         if isinstance(p, _Atom):
             return (0, len(ctx.rows(p.name, len(p.args))) / max(1, len(ctx.univ)) ** len(p.args))
         return (0 if p.direct else 1, 0)
 
-    tests = [p.test(ctx, cols) for p in sorted(parts, key=cost)]
-    out = tests.pop()
-    for t in reversed(tests):
-        out = join(t, out)
-    return out
+    def fold(tests: list):
+        half = len(tests) // 2
+        return join(fold(tests[:half]), fold(tests[half:])) if half else tests[0]
+
+    return fold([p.test(ctx, cols) for p in sorted(parts, key=cost)])
 
 
 class _All(_Node):

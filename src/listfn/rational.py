@@ -20,12 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .algebra import (FiniteMonoid, Homomorphism, Leaf, FactTree,
+from .algebra import (AlgebraError, FiniteMonoid, Homomorphism, Leaf, FactTree,
                       NotAperiodicError, aperiodicity_index,
                       build_factorisation, forest_depth_bound)
 from .stdlib import chain, finite_function
 from .terms import Flat, Map, Term, eval_term
-from .types import FinSet, List, ListV, Sym, Value
+from .types import FinSet, List, ListV, Sym, TypeMismatch, Value
 
 DEAD = "dead"
 
@@ -48,17 +48,20 @@ class RationalFn:
     def __post_init__(self) -> None:
         if aperiodicity_index(self.monoid) is None:
             raise NotAperiodicError(f"{self.name}: monoid is not aperiodic")
+        for side, letters in (("input", self.input_letters), ("output", self.output_letters)):
+            if len(set(letters)) != len(letters):
+                raise AlgebraError(f"{self.name}: {side} letters must be distinct")
         for a in self.input_letters:
             if self.h.get(a) not in self.monoid.elements:
-                raise ValueError(f"{self.name}: no image for letter {a}")
+                raise AlgebraError(f"{self.name}: no image for letter {a}")
         for (m, a, mr), block in self.out.items():
             if m not in self.monoid.elements or mr not in self.monoid.elements:
-                raise ValueError(f"{self.name}: context ({m},{mr}) unknown")
+                raise AlgebraError(f"{self.name}: context ({m},{mr}) unknown")
             if a not in self.input_letters:
-                raise ValueError(f"{self.name}: letter {a} not in the input")
+                raise AlgebraError(f"{self.name}: letter {a} not in the input")
             for g in block + self.empty_output:
                 if g not in self.output_letters:
-                    raise ValueError(f"{self.name}: output letter {g} unknown")
+                    raise AlgebraError(f"{self.name}: output letter {g} unknown")
 
     def block(self, m: str, a: str, mr: str) -> tuple[str, ...]:
         return self.out.get((m, a, mr), ())
@@ -73,12 +76,16 @@ def eval_rational_direct(r: RationalFn, word: Sequence[str]) -> tuple[str, ...]:
     if n == 0:
         return r.empty_output
     m = r.monoid
+    try:
+        images = [r.h[a] for a in word]
+    except KeyError as e:
+        raise TypeMismatch(f"{r.name}: letter {e.args[0]!r} not in the input") from None
     prefix = [m.identity]
-    for a in word:
-        prefix.append(m.mult(prefix[-1], r.h[a]))
+    for x in images:
+        prefix.append(m.mult(prefix[-1], x))
     suffix = [m.identity] * (n + 1)
     for i in range(n - 1, -1, -1):
-        suffix[i] = m.mult(r.h[word[i]], suffix[i + 1])
+        suffix[i] = m.mult(images[i], suffix[i + 1])
     pieces: list[str] = []
     for i, a in enumerate(word):
         pieces.extend(r.block(prefix[i], a, suffix[i + 1]))

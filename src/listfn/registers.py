@@ -22,9 +22,10 @@ from typing import Iterable, Sequence
 from .algebra import (FiniteMonoid, Homomorphism, Leaf, FactTree,
                       build_factorisation)
 from .rational import RationalFn, eval_rational_direct
+from .types import ListfnError
 
 
-class UpdateError(ValueError):
+class UpdateError(ListfnError, ValueError):
     pass
 
 

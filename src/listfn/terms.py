@@ -11,18 +11,18 @@ from dataclasses import dataclass
 from itertools import chain, groupby
 from typing import Callable
 
-from .algebra import FiniteMonoid
+from .algebra import AlgebraError, FiniteMonoid
 from .types import (
-    BOT, BOT_T, FinSet, InL, InR, List, ListV, PairV, Prod, Sum, Sym,
-    TypeExpr, Value, check_value, render_type, render_value,
+    BOT, BOT_T, FinSet, InL, InR, List, ListV, ListfnError, PairV, Prod, Sum,
+    Sym, TypeExpr, Value, check_value, render_type, render_value,
 )
 
 
-class TermTypeError(TypeError):
+class TermTypeError(ListfnError, TypeError):
     """Raised when a term's parts do not compose."""
 
 
-class EvalError(RuntimeError):
+class EvalError(ListfnError, RuntimeError):
     """Raised when evaluation meets a value outside the expected domain."""
 
 
@@ -43,12 +43,12 @@ class GroupSpec:
         """Check the group laws; the monoid laws are ``FiniteMonoid``'s."""
         els = self.elements
         if len(self.rows) != len(els) or any(len(r) != len(els) for r in self.rows):
-            raise ValueError("multiplication table must be square")
+            raise AlgebraError("multiplication table must be square")
         FiniteMonoid(els, {(a, b): x for a, row in zip(els, self.rows)
                            for b, x in zip(els, row)}, self.identity)
         for a, row in zip(els, self.rows):
             if self.identity not in row:
-                raise ValueError(f"no inverse for {a}")
+                raise AlgebraError(f"no inverse for {a}")
 
     def mult(self, a: str, b: str) -> str:
         return self.rows[self.elements.index(a)][self.elements.index(b)]

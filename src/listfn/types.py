@@ -6,6 +6,7 @@ both have a text syntax.
 One token cursor, ``_Cursor``, serves four recursive-descent parsers: the
 type and value parsers here, the term parser in ``syntax`` and the formula
 parser in ``logic``.  It also keeps their one nesting limit, ``MAX_NESTING``.
+``ListfnError``, defined here, is the root of every error class in the package.
 """
 from __future__ import annotations
 
@@ -15,7 +16,11 @@ from functools import lru_cache
 from typing import Iterator
 
 
-class ParseError(ValueError):
+class ListfnError(Exception):
+    """Root of the library's errors; each also keeps a builtin base."""
+
+
+class ParseError(ListfnError, ValueError):
     """Raised on malformed type, value, term or formula text."""
 
 
@@ -31,11 +36,11 @@ class NestingError(ParseError):
 MAX_NESTING = 100
 
 
-class TypeMismatch(TypeError):
+class TypeMismatch(ListfnError, TypeError):
     """Raised when a value does not inhabit the expected type."""
 
 
-class EncodingError(ValueError):
+class EncodingError(ListfnError, ValueError):
     """Raised when a structure is not a valid encoding at the given type."""
 
 
@@ -54,9 +59,9 @@ class FinSet:
 
     def __post_init__(self) -> None:
         if not self.names:
-            raise ValueError("finite set needs at least one name")
+            raise ParseError("finite set needs at least one name")
         if len(set(self.names)) != len(self.names):
-            raise ValueError("finite set names must be distinct")
+            raise ParseError("finite set names must be distinct")
 
 
 @dataclass(frozen=True)
@@ -299,10 +304,7 @@ class _TypeParser(_Cursor):
                 names.append(tok[1])
                 tok = self.next()
                 if tok[0] == "}":
-                    try:
-                        return FinSet(tuple(names))
-                    except ValueError as e:
-                        raise ParseError(str(e)) from None
+                    return FinSet(tuple(names))
                 if tok[0] != ",":
                     raise ParseError(f"expected ',' or '}}' at position {tok[2]}")
         if kind == "(":

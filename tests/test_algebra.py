@@ -7,6 +7,7 @@ import pytest
 
 from helpers import LOOP_ROWS, cubic_associativity_failure, generated
 from listfn.algebra import (
+    AlgebraError,
     FiniteMonoid,
     FiniteSemigroup,
     Homomorphism,
@@ -223,6 +224,14 @@ def test_factorisation_rejects_empty_word():
 def test_factorisation_rejects_letters_outside_the_semigroup():
     with pytest.raises(ValueError, match="not an element"):
         build_factorisation(Homomorphism(CONTAINS_AB, {"a": "zz"}), "a")
+
+
+@pytest.mark.parametrize("use", [
+    lambda h: build_factorisation(h, "abc"), lambda h: h.image("abc"), lambda h: h("c"),
+], ids=["build_factorisation", "image", "call"])
+def test_a_letter_without_an_image_is_an_algebra_error(use):
+    with pytest.raises(AlgebraError, match="letter 'c' has no image"):
+        use(hom_u1_keep_a())
 
 
 @pytest.mark.parametrize("style", ["dict", "callable"])

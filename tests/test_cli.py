@@ -14,8 +14,11 @@ from hypothesis import strategies as st
 
 import listfn
 from helpers import time_limit, word_sort_fot
+from listfn.algebra import FiniteMonoid
 from listfn.cli import main
-from listfn.fileio import save_fot, save_monoid
+from listfn.fileio import save_fot, save_monoid, save_rational, save_structure
+from listfn.logic import FOTransduction, Structure, parse_formula
+from listfn.samples import SAMPLE_RATIONALS
 from listfn.registers import t_k_monoid
 
 
@@ -475,6 +478,80 @@ def test_over_deep_formula_in_a_file_exits_3(capsys, tmp_path):
                  f"universe 1 {'!' * 150}true\n")
     code, _, err = run(capsys, "fot", str(p), "--word", "ab")
     assert (code, err.strip()) == (3, "formula nested too deeply")
+
+
+@pytest.mark.parametrize("argv,code,status", [
+    (["typecheck", "(compose reverse@{a,b}"], 2, "syntax-error"),
+    (["run-pipeline", "missing.lpipe", "ab"], 2, "syntax-error"),
+    (["typecheck", "reverse@" + "[" * DEEP + "{a}" + "]" * DEEP], 3, "error"),
+    (["typecheck", "(compose reverse@{a,b} proj1@{a,b},{c,d})"], 3, "error"),
+    (["eval", "reverse@{a,b}", "[c]"], 3, "error"),
+    (["sst", "identity", "abc"], 3, "error"),
+    (["fot", "ab_example", "--word", "abc"], 3, "error"),
+    (["decode", "a.lstruct", "{b}^*"], 3, "error"),
+], ids=["ParseError", "FileFormatError", "NestingError", "TermTypeError",
+        "TypeMismatch", "UpdateError", "LogicError", "EncodingError"])
+def test_each_library_error_maps_to_its_exit_code(capsys, monkeypatch, tmp_path,
+                                                  argv, code, status):
+    """A ParseError other than a NestingError exits 2; every other
+    ListfnError exits 3, with one record naming the fault."""
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "encode", "[a]", "{a}^*", "-o", "a.lstruct")[0] == 0
+    got, out, err = run(capsys, *argv, "--format", "json-lines")
+    (record,) = [json.loads(ln) for ln in out.splitlines()]
+    assert (got, record["status"], err) == (code, status, "")
+    assert record["output"]
+
+
+def test_a_recursion_limit_reached_exits_3_with_one_line(capsys, tmp_path):
+    """The forest builder recurses once per level of the ideal chain, and on
+    the chain x·y = max(x, y) a descending word takes every level: a flat
+    monoid file, refused only for the stack it needs."""
+    n = 120
+    els = [f"e{i}" for i in range(n)]
+    chain = FiniteMonoid(els, {(a, b): els[max(i, j)] for i, a in enumerate(els)
+                               for j, b in enumerate(els)}, "e0")
+    p = tmp_path / "chain.lmonoid"
+    save_monoid(p, chain, {f"l{i}": e for i, e in enumerate(els)})
+    word = ",".join(f"l{i}" for i in reversed(range(n)))
+    assert run(capsys, "forest", str(p), word)[0] == 0
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + n)
+    try:
+        got = run(capsys, "forest", str(p), word)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == (3, "", "input too large to process: recursion limit reached\n")
+
+
+@pytest.mark.parametrize("line", ["input a a b", "output a a b"])
+def test_a_rational_file_with_a_repeated_letter_exits_2_naming_it(capsys, tmp_path, line):
+    p = tmp_path / "dup.lrat"
+    save_rational(p, SAMPLE_RATIONALS["keep-a"])
+    side = line.split()[0]
+    text = p.read_text(encoding="utf-8")
+    assert f"\n{side} a b\n" in text
+    p.write_text(text.replace(f"\n{side} a b\n", f"\n{line}\n"), encoding="utf-8")
+    code, out, err = run(capsys, "compile-rational", str(p), "-o", str(tmp_path / "x.lpipe"))
+    assert (code, out) == (2, "")
+    assert err == f"{p}: keep-a: {side} letters must be distinct\n"
+
+
+def test_fot_file_with_a_3000_wide_connective_runs(capsys, tmp_path):
+    """A universe formula holding a 3000-part conjunction under a negation
+    is solved without a recursion limit reached."""
+    names = ["t"] + [f"t_{i}" for i in range(3000)]
+    rel = {name: frozenset({(0,), (1,)}) for name in names}
+    rel["t"] = frozenset({(0,), (1,), (2,)})
+    save_structure(tmp_path / "in.lstruct",
+                   Structure((0, 1, 2), dict.fromkeys(names, 1), rel))
+    phi = parse_formula("t(x) & !(%s)" % " & ".join(f"t_{i}(x)" for i in range(3000)))
+    save_fot(tmp_path / "wide.lfot", FOTransduction(1, dict.fromkeys(names, 1), {}, {1: phi}, {}))
+    code, out, err = run(capsys, "fot", str(tmp_path / "wide.lfot"), str(tmp_path / "in.lstruct"))
+    assert (code, out, err) == (0, "listfn-structure 1\nuniverse 2\n", "")
 
 
 # Fragments by the positional they fit; argv mixes fitting and unfitting ones.

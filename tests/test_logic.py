@@ -235,6 +235,29 @@ def _fuzz_structures(rng):
     return out
 
 
+WIDE = 3000
+
+
+def wide_structure():
+    """Unary ``t`` on all of 0..3, and ``t_0``..``t_2999`` on 0 and 1 only."""
+    names = ["t"] + [f"t_{i}" for i in range(WIDE)]
+    rel = {name: frozenset({(0,), (1,)}) for name in names}
+    rel["t"] = frozenset({(0,), (1,), (2,), (3,)})
+    return Structure((0, 1, 2, 3), dict.fromkeys(names, 1), rel)
+
+
+@pytest.mark.parametrize("text,rows", [
+    ("t(x) & !(%s)" % " & ".join(f"t_{i}(x)" for i in range(WIDE)), {(2,), (3,)}),
+    ("t(x) & (%s)" % " | ".join(f"t_{i}(x)" for i in range(WIDE)), {(0,), (1,)}),
+], ids=["and", "or"])
+def test_a_wide_connective_is_tested_without_deep_recursion(text, rows):
+    """Each row test runs all 3000 parts on two of the elements; the
+    tests are joined balanced, not nested as deep as the formula is wide."""
+    s, phi = wide_structure(), parse_formula(text)
+    assert sat_rows(s, phi, ("x",)) == rows == {
+        (u,) for u in s.universe if eval_formula(s, phi, {"x": u})}
+
+
 def test_sat_rows_agrees_with_eval_formula_on_random_formulas():
     rng = random.Random(2024)
     structures = _fuzz_structures(rng)

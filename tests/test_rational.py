@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from listfn.algebra import Leaf, Node, build_factorisation, tree_depth
+from listfn.algebra import AlgebraError, Leaf, Node, build_factorisation, tree_depth
 from listfn.rational import (
     DEAD,
     RationalFn,
@@ -21,7 +21,7 @@ from listfn.rational import (
 from listfn.registers import t_k_monoid
 from listfn.samples import SAMPLE_RATIONALS
 from listfn.terms import eval_term
-from listfn.types import ListV, Sym
+from listfn.types import ListV, Sym, TypeMismatch
 
 NAMES = sorted(SAMPLE_RATIONALS)
 
@@ -78,6 +78,22 @@ def test_rational_fn_refuses_an_unknown_context(context, message):
     keep_a = SAMPLE_RATIONALS["keep-a"]
     with pytest.raises(ValueError, match=message):
         dataclasses.replace(keep_a, out={**keep_a.out, context: ("a",)})
+
+
+@pytest.mark.parametrize("field", ["input_letters", "output_letters"])
+def test_rational_fn_refuses_repeated_letters(field):
+    keep_a = SAMPLE_RATIONALS["keep-a"]
+    side = field.split("_")[0]
+    with pytest.raises(AlgebraError, match=f"keep-a: {side} letters must be distinct"):
+        dataclasses.replace(keep_a, **{field: ("a", "a", "b")})
+
+
+def test_a_letter_outside_the_input_is_a_library_error():
+    keep_a = SAMPLE_RATIONALS["keep-a"]
+    with pytest.raises(TypeMismatch, match="keep-a: letter 'c' not in the input"):
+        eval_rational_direct(keep_a, "abc")
+    with pytest.raises(AlgebraError, match="letter 'c' has no image"):
+        eval_pipeline(compile_rational(keep_a), "abc")
 
 
 def test_output_table_covers_every_context():

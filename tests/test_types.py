@@ -1,10 +1,13 @@
 """Type and value layer: parsing, rendering, sizes, enumeration."""
+import importlib
+import pkgutil
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import listfn
 from helpers import AB, CD, DEEP_MIX_TYPE, sym_list, time_limit
 from listfn.logic import parse_formula
 from listfn.types import (
@@ -15,6 +18,7 @@ from listfn.types import (
     InR,
     List,
     ListV,
+    ListfnError,
     MAX_NESTING,
     NestingError,
     PairV,
@@ -224,3 +228,14 @@ def test_parse_value_raises_only_parse_errors(text):
         except ParseError:
             return
     assert parse_value(render_value(v)) == v
+
+
+def test_every_error_class_in_the_package_is_a_listfn_error():
+    """So the command line's one ``except ListfnError`` sees each of them."""
+    errors = {cls for info in pkgutil.iter_modules(listfn.__path__)
+              if info.name != "__main__"
+              for cls in vars(importlib.import_module(f"listfn.{info.name}")).values()
+              if isinstance(cls, type) and issubclass(cls, BaseException)
+              and cls.__module__.startswith("listfn.")}
+    assert len(errors) >= 13
+    assert [e.__name__ for e in errors if not issubclass(e, ListfnError)] == []
