@@ -199,16 +199,16 @@ def test_iff_chains_solve_each_side_once(links):
                 itertools.product(s.universe, repeat=len(wanted))) - brute, w
 
 
-def _random_formula(rng, depth):
+def _random_formula(rng, depth, names="xyz"):
     """A formula at most ``depth`` deep over P/1, R/2, T/3 and =, with every
-    connective; its three variables are quantified again inside their scope."""
-    var = lambda: rng.choice("xyz")
+    connective; its variables, ``names``, are quantified again inside their scope."""
+    var = lambda: rng.choice(names)
     if depth == 0 or rng.random() < 0.25:
         return rng.choice([
             lambda: Rel("P", (var(),)), lambda: Rel("R", (var(), var())),
             lambda: Rel("T", (var(), var(), var())), lambda: Eq(var(), var()),
             TrueF, FalseF])()
-    sub = lambda: _random_formula(rng, depth - 1)
+    sub = lambda: _random_formula(rng, depth - 1, names)
     return rng.choice([
         lambda: Not(sub()), lambda: And(tuple(sub() for _ in range(rng.randint(2, 3)))),
         lambda: Or(tuple(sub() for _ in range(rng.randint(2, 3)))),
@@ -270,6 +270,58 @@ def test_sat_rows_agrees_with_eval_formula_on_random_formulas():
                 brute = {tup for tup in itertools.product(s.universe, repeat=len(want))
                          if eval_formula(s, phi, dict(zip(want, tup)))}
                 assert sat_rows(s, phi, want) == brute, (render_formula(phi), s)
+
+
+def _chain_structure(rng, lengths, change=None):
+    """Chains of ``lengths`` elements on shuffled ids, R their strict orders
+    (transitively closed), then ``change`` (chains, R) -> R; P and T random,
+    and G every pair, so that ``G(x,y)`` binds both ends of a formula."""
+    n = sum(lengths)
+    ids = iter(rng.sample(range(3 * n + 1), n))
+    chains = [[next(ids) for _ in range(k)] for k in lengths]
+    rel = {(c[i], c[j]) for c in chains for i in range(len(c)) for j in range(i + 1, len(c))}
+    univ = tuple(rng.sample([u for c in chains for u in c], n))
+    return Structure(univ, {"P": 1, "R": 2, "T": 3, "G": 2}, {
+        "P": frozenset((u,) for u in univ if rng.random() < 0.5),
+        "R": frozenset(change(chains, rel) if change else rel),
+        "T": frozenset(t for t in itertools.product(univ, repeat=3) if rng.random() < 0.1),
+        "G": frozenset(itertools.product(univ, repeat=2))})
+
+
+# R near a union of chains, one fault each: chains [0..3] and [4, 5] or [4]
+NEAR_CHAINS = {
+    "transitive-pair-dropped": ([4, 2], lambda c, r: r - {(c[0][0], c[0][2])}),
+    "reflexive-pair": ([4, 2], lambda c, r: r | {(c[0][1], c[0][1])}),
+    "shared-successor": ([4, 1], lambda c, r: r | {(c[1][0], v) for v in c[0][1:]}),
+    "two-cycle": ([4, 2], lambda c, r: r | {(c[1][1], c[1][0])}),
+}
+
+
+def test_sat_rows_agrees_with_eval_formula_between_chain_elements():
+    """``[!]E z. R(a,z) & R(z,b) & phi``, phi random over z and none, one or
+    both of the ends a, b, on structures where R is a union of chains (empty,
+    singletons, several, shuffled ids) and on one near miss per fault."""
+    rng = random.Random(25)
+    structures = [_chain_structure(rng, lengths) for lengths in
+                  [[], [1], [1, 1, 1], [6], [3, 2, 1], [2, 2, 2], [4, 1, 1]]]
+    structures += [_chain_structure(rng, *case) for case in NEAR_CHAINS.values()]
+    with time_limit(10):
+        for _ in range(90):
+            a, b = rng.sample("xy", 2)
+            names = "z" + rng.choice(["", a, b, "xy"])
+            phi = _random_formula(rng, 2, names) if rng.random() < 0.8 else TrueF()
+            body = [Rel("R", (a, "z")), Rel("R", ("z", b)), phi]
+            rng.shuffle(body)
+            between = Exists("z", And(tuple(body)))
+            parts = [Rel("G", ("x", "y")), Not(between) if rng.random() < 0.5 else between]
+            if rng.random() < 0.2:  # z is also a column, which the witness shadows
+                parts.append(Rel("P", ("z",)))
+            f = And(tuple(parts))
+            want = tuple(sorted(free_vars(f)))
+            for s in structures:
+                brute = {tup for tup in itertools.product(s.universe, repeat=len(want))
+                         if eval_formula(s, f, dict(zip(want, tup)))}
+                assert sat_rows(s, f, want) == brute, (render_formula(f), s)
 
 
 def _words(up_to):
