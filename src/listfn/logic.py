@@ -26,7 +26,9 @@ serve as the reference.  ``sat_rows``, whose planner ``apply_transduction`` runs
 computes whole sets of satisfying assignments from a plan compiled once per
 formula: negations pushed inward, conjuncts joined in a connected order,
 smallest first, and negated or fully bound conjuncts applied as anti-joins
-and semi-joins instead of complements over the universe.  That is what makes
+and semi-joins instead of complements over the universe, and "nothing in
+between", ``E m. R(a,m) & R(m,b) & phi``, read off R's chains where R is a
+union of strict linear orders (the chain path).  That is what makes
 running whole transductions affordable; the two evaluators are played
 against each other in tests.
 """
@@ -270,18 +272,17 @@ class _FormulaParser(_Cursor):
         return phi
 
     def disjunction(self) -> Formula:
-        parts = [self.conjunction()]
-        while self.peek() == "|":
-            self.next()
-            parts.append(self.conjunction())
-        return parts[0] if len(parts) == 1 else Or(tuple(parts))
+        return self.junction(self.conjunction, "|", Or)
 
     def conjunction(self) -> Formula:
-        parts = [self.unary()]
-        while self.peek() == "&":
+        return self.junction(self.unary, "&", And)
+
+    def junction(self, operand, op: str, kind: type) -> Formula:
+        parts = [operand()]
+        while self.peek() == op:
             self.next()
-            parts.append(self.unary())
-        return parts[0] if len(parts) == 1 else And(tuple(parts))
+            parts.append(operand())
+        return parts[0] if len(parts) == 1 else kind(tuple(parts))
 
     def unary(self) -> Formula:
         kind, tok, pos = self.next()
@@ -381,7 +382,10 @@ def _render(phi: Formula, ctx: int, tail: bool = True) -> str:
 # conjunct at a time: bound conjuncts first, then the one sharing a variable
 # with the rows that adds the fewest rows per row, and a cross product only
 # when none shares one.  Only a negation or an Iff with unbound variables
-# enumerates the universe.
+# enumerates the universe.  The chain path answers ``E m. R(a,m) & R(m,b) &
+# phi``, a and b bound and phi on m and at most one of them, by ranks without
+# phi, else by one scan per anchor to the first m where phi holds; it needs R
+# a union of strict linear orders (``_Ctx.chains``), else the search runs.
 
 Rows = set  # of tuples, aligned with a variable order
 
@@ -409,6 +413,7 @@ class _Ctx:
         self.univ = s.universe
         self.structure = s
         self.indexes: dict[tuple, dict[tuple, set[tuple]]] = {}
+        self.orders: dict[str, tuple | None] = {}
 
     def rows(self, name: str, arity: int) -> frozenset:
         s = self.structure
@@ -428,11 +433,30 @@ class _Ctx:
             if index is None:
                 index = self.indexes[shape] = {}
                 key, rest = _getter(keys), _getter(keep)
-                for row in self.rows(name, len(args)):
-                    if all(row[i] == row[j] for i, j in dups):
+                for row in self.rows(name, len(args)):  # a repeated variable filters
+                    if not dups or all(row[i] == row[j] for i, j in dups):
                         index.setdefault(key(row), set()).add(rest(row))
             self.indexes[name, args, known] = index
         return index
+
+    def chains(self, name: str):
+        """(rank, chain) of each element if binary ``name`` is a union of strict
+        linear orders here, else None; found once.  Ranks count predecessors: a
+        chain ranked 0..L-1, every pair rising inside one, has all L(L-1)/2."""
+        if name not in self.orders:
+            rel = self.rows(name, 2)
+            rank = Counter(v for _, v in rel)
+            line: dict = {}
+            for u, v in rel:
+                if u not in rank:  # u heads v's chain
+                    line[v] = line.setdefault(u, [u])
+                    line[v].append(v)
+            for u in [u for u in line if not rank[u]]:
+                line[u].sort(key=rank.__getitem__)
+            ok = all(u in line and line[u] is line.get(v) and rank[u] < rank[v] < len(line[v])
+                     and line[v][rank[v]] == v for u, v in rel)
+            self.orders[name] = (rank, line) if ok else None
+        return self.orders[name]
 
 
 class _Node:
@@ -548,11 +572,21 @@ class _Some(_Node):
         return bcols[:i] + bcols[i + 1 :], {r[:i] + r[i + 1 :] for r in brows}
 
     def test(self, ctx, cols):
-        """A witness search per row.  The body's atoms on the variable give
-        candidate sets to intersect; its other conjuncts on the variable check
-        the candidates left, and those without it are checked once per row."""
+        """A witness test per row, after the body's conjuncts without the var.
+        A body ``R(a,var) & R(var,b) & phi``, a, b bound, phi on var and at most
+        one of them and R a union of chains, takes the chain path (``_between``);
+        else atoms on the var give candidate sets to intersect, the rest checks them."""
         var = self.var
         parts = self.body.parts if isinstance(self.body, _All) else (self.body,)
+        witness = _between(ctx, cols, var, parts) or self._search(ctx, cols, parts)
+        outside = [p for p in parts if var not in p.fset]
+        if outside:
+            first = _tests(ctx, cols, outside, _both)
+            return lambda row: first(row) and witness(row)
+        return witness
+
+    def _search(self, ctx, cols, parts):
+        var = self.var
         bound = set(cols) - {var}
         atoms = [p for p in parts if isinstance(p, _Atom) and var in p.fset]
         lookups = []
@@ -574,14 +608,40 @@ class _Some(_Node):
                     return False
             return bool(found) if check is None else any(check(row + e) for e in found)
 
-        outside = [p for p in parts if var not in p.fset]
-        if outside:
-            first = _tests(ctx, cols, outside, _both)
-            return lambda row: first(row) and witness(row)
         return witness
 
 
 _NONE: frozenset = frozenset()
+
+
+def _between(ctx: _Ctx, cols, var: str, parts):
+    """Row test for ``E var. R(a,var) & R(var,b) & phi`` (``parts``) by the
+    chain path, or None where that does not apply."""
+    atoms = [p for p in parts if isinstance(p, _Atom) and len(p.args) == 2]
+    into = {p.name: p for p in atoms if p.args[1] == var != p.args[0]}
+    ends = [(into[q.name], q) for q in atoms if q.name in into
+            and q.args[0] == var != q.args[1] != into[q.name].args[0]]
+    order = ctx.chains(ends[0][1].name) if ends and var not in cols else None
+    if order is None:
+        return None
+    (p, q), (rank, line) = ends[0], order
+    a, b, rel = p.args[0], q.args[1], ctx.rows(q.name, 2)
+    i, j = cols.index(a), cols.index(b)
+    phi = [r for r in parts if var in r.fset and r is not p and r is not q]
+    if not phi:
+        return lambda row: (row[i], row[j]) in rel and rank[row[j]] - rank[row[i]] > 1
+    free = {v for r in phi for v in r.free} - {var}
+    forward = free <= {a}
+    if not (forward or free <= {b}):
+        return None
+    k = i if forward else j
+    holds = _tests(ctx, (cols[k], var), phi, _both)
+    # each anchor's first m after it, or last m before it, where phi holds
+    first = {u: next((m for m in (c[rank[u] + 1:] if forward else c[:rank[u]][::-1])
+                      if holds((u, m))), None) for u, c in line.items()}
+    if forward:
+        return lambda row: (first.get(row[i]), row[j]) in rel
+    return lambda row: (row[i], first.get(row[j])) in rel
 
 
 def _tests(ctx: _Ctx, cols: tuple[str, ...], parts, join):
