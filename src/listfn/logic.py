@@ -272,17 +272,18 @@ class _FormulaParser(_Cursor):
         return phi
 
     def disjunction(self) -> Formula:
-        return self.junction(self.conjunction, "|", Or)
+        parts = [self.conjunction()]
+        while self.peek() == "|":
+            self.next()
+            parts.append(self.conjunction())
+        return parts[0] if len(parts) == 1 else Or(tuple(parts))
 
     def conjunction(self) -> Formula:
-        return self.junction(self.unary, "&", And)
-
-    def junction(self, operand, op: str, kind: type) -> Formula:
-        parts = [operand()]
-        while self.peek() == op:
+        parts = [self.unary()]
+        while self.peek() == "&":
             self.next()
-            parts.append(operand())
-        return parts[0] if len(parts) == 1 else kind(tuple(parts))
+            parts.append(self.unary())
+        return parts[0] if len(parts) == 1 else And(tuple(parts))
 
     def unary(self) -> Formula:
         kind, tok, pos = self.next()
@@ -586,8 +587,7 @@ class _Some(_Node):
         return witness
 
     def _search(self, ctx, cols, parts):
-        var = self.var
-        bound = set(cols) - {var}
+        var, bound = self.var, set(cols) - {self.var}
         atoms = [p for p in parts if isinstance(p, _Atom) and var in p.fset]
         lookups = []
         for atom in sorted(atoms, key=lambda p: p.fanout(ctx, bound)):
@@ -621,7 +621,7 @@ def _between(ctx: _Ctx, cols, var: str, parts):
     into = {p.name: p for p in atoms if p.args[1] == var != p.args[0]}
     ends = [(into[q.name], q) for q in atoms if q.name in into
             and q.args[0] == var != q.args[1] != into[q.name].args[0]]
-    order = ctx.chains(ends[0][1].name) if ends and var not in cols else None
+    order = ctx.chains(ends[0][1].name) if ends else None
     if order is None:
         return None
     (p, q), (rank, line) = ends[0], order
@@ -634,8 +634,7 @@ def _between(ctx: _Ctx, cols, var: str, parts):
     forward = free <= {a}
     if not (forward or free <= {b}):
         return None
-    k = i if forward else j
-    holds = _tests(ctx, (cols[k], var), phi, _both)
+    holds = _tests(ctx, (a if forward else b, var), phi, _both)
     # each anchor's first m after it, or last m before it, where phi holds
     first = {u: next((m for m in (c[rank[u] + 1:] if forward else c[:rank[u]][::-1])
                       if holds((u, m))), None) for u, c in line.items()}

@@ -19,6 +19,7 @@ from helpers import (
     word_sort_fot,
 )
 from listfn.logic import (
+    _Ctx,
     And,
     Eq,
     Exists,
@@ -322,6 +323,80 @@ def test_sat_rows_agrees_with_eval_formula_between_chain_elements():
                 brute = {tup for tup in itertools.product(s.universe, repeat=len(want))
                          if eval_formula(s, f, dict(zip(want, tup)))}
                 assert sat_rows(s, f, want) == brute, (render_formula(f), s)
+
+
+@pytest.mark.parametrize("text", ["{a,b}^*", "({a}^*)^*", "({a}+{b,c})^*"])
+def test_chain_check_accepts_sib_of_every_encoding(text):
+    """Each node's children, in list order, are one chain of ``sib``; the
+    chains' pairs make up ``sib`` and each element sits at its rank."""
+    t = parse_type(text)
+    for v in enumerate_values(t, 5):
+        s = encode_value(v, t)
+        order = _Ctx(s).chains("sib")
+        assert order is not None, v
+        rank, line = order
+        chains = {id(c): c for c in line.values()}.values()
+        assert {(c[i], c[j]) for c in chains for i in range(len(c))
+                for j in range(i + 1, len(c))} == s.relations["sib"]
+        assert all(line[u][rank[u]] == u for u in line)
+
+
+@pytest.mark.parametrize("case", NEAR_CHAINS.values(), ids=list(NEAR_CHAINS))
+def test_chain_check_refuses_near_misses(case):
+    rng = random.Random(7)
+    assert _Ctx(_chain_structure(rng, case[0])).chains("R") is not None
+    assert _Ctx(_chain_structure(rng, *case)).chains("R") is None
+
+
+def _is_union_of_chains(rel):
+    """The definition: a strict order in which no element has two incomparable
+    successors, or two incomparable predecessors."""
+    near = lambda x, y: x == y or (x, y) in rel or (y, x) in rel
+    return (all(u != v for u, v in rel)
+            and all((u, w) in rel for u, v in rel for v2, w in rel if v == v2)
+            and all(near(v, w) for u, v in rel for u2, w in rel if u == u2)
+            and all(near(u, u2) for u, v in rel for u2, w in rel if v == w))
+
+
+def test_chain_check_agrees_with_its_definition_on_small_relations():
+    """Every relation on 3 elements, and every union of chains on 4 elements
+    with one pair added or dropped."""
+    def verdict(rel):
+        s = Structure((0, 1, 2, 3), {"R": 2}, {"R": frozenset(rel)})
+        return _Ctx(s).chains("R") is not None
+
+    pairs3 = list(itertools.product(range(3), repeat=2))
+    for bits in itertools.product((0, 1), repeat=len(pairs3)):
+        rel = {p for p, b in zip(pairs3, bits) if b}
+        assert verdict(rel) == _is_union_of_chains(rel), sorted(rel)
+    unions = set()
+    for perm in itertools.permutations(range(4)):
+        for cuts in itertools.product((0, 1), repeat=3):
+            ends = [0] + [i + 1 for i, c in enumerate(cuts) if c] + [4]
+            chains = [perm[a:b] for a, b in zip(ends, ends[1:])]
+            unions.add(frozenset((c[i], c[j]) for c in chains for i in range(len(c))
+                                 for j in range(i + 1, len(c))))
+    for rel in unions:
+        assert verdict(rel)
+        for p in itertools.product(range(4), repeat=2):
+            assert verdict(rel ^ {p}) == _is_union_of_chains(rel ^ {p}), sorted(rel ^ {p})
+
+
+@pytest.mark.parametrize("text", [
+    "R(x,x)", "T(x,y,x)", "T(x,x,x)", "P(y) & T(x,y,x)", "R(x,y) & T(y,x,y)",
+    "E y. T(x,y,x) & R(y,y)", "A x. T(x,x,x) -> R(x,x)",
+])
+def test_atoms_with_repeated_variables_agree_with_eval_formula(text):
+    """Only atoms that repeat a variable filter the rows of their index."""
+    f = parse_formula(text)
+    want = tuple(sorted(free_vars(f)))
+    for s in _fuzz_structures(random.Random(11)):
+        s = dataclasses.replace(s, relations={  # rows that the filter keeps
+            **s.relations, "T": s.relations["T"] | {(u, u, u) for u in s.universe[:2]},
+            "R": s.relations["R"] | {(u, u) for u in s.universe[:1]}})
+        brute = {tup for tup in itertools.product(s.universe, repeat=len(want))
+                 if eval_formula(s, f, dict(zip(want, tup)))}
+        assert sat_rows(s, f, want) == brute, (text, s)
 
 
 def _words(up_to):
