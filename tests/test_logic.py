@@ -289,7 +289,7 @@ def _chain_structure(rng, lengths, change=None):
         "G": frozenset(itertools.product(univ, repeat=2))})
 
 
-# R near a union of chains, one fault each: chains [0..3] and [4, 5] or [4]
+# R near a union of chains, one fault each, on chains of 4 and 2 (or 1) elements
 NEAR_CHAINS = {
     "transitive-pair-dropped": ([4, 2], lambda c, r: r - {(c[0][0], c[0][2])}),
     "reflexive-pair": ([4, 2], lambda c, r: r | {(c[0][1], c[0][1])}),
