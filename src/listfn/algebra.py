@@ -18,6 +18,7 @@ long-lived semigroup such as the cached T_k computes each closure once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import groupby
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -37,7 +38,8 @@ class FiniteSemigroup:
 
     ``index`` numbers the elements, ``table[i][j]`` is the number of the
     product of elements i and j, and ``aperiodicity`` is the aperiodicity
-    index (None when some powers cycle).
+    index: the least n with mⁿ = mⁿ⁺¹ for every m, or None when some powers
+    cycle.
 
     The table is checked by Light's test (Clifford & Preston 1961, vol. 1,
     §1.2): (x·g)·y = x·(g·y) for all x, y and every g in a generating set
@@ -113,10 +115,7 @@ class FiniteMonoid(FiniteSemigroup):
                 raise AlgebraError(f"identity law fails at {a}")
 
     def product(self, items: Iterable[str]) -> str:
-        acc = self.identity
-        for x in items:
-            acc = self.mult(acc, x)
-        return acc
+        return reduce(self.mult, items, self.identity)
 
 
 def _closure(table: list[list[int]], gens: Sequence[int]) -> set[int]:
@@ -160,15 +159,6 @@ def _aperiodicity(table: list[list[int]]) -> int | None:
             return None
         worst = max(worst, n)
     return worst
-
-
-def aperiodicity_index(s: FiniteSemigroup) -> int | None:
-    """Least n with mⁿ = mⁿ⁺¹ for every m, or None when powers keep cycling."""
-    return s.aperiodicity
-
-
-def is_aperiodic(s: FiniteSemigroup) -> bool:
-    return aperiodicity_index(s) is not None
 
 
 @dataclass(frozen=True)
@@ -218,9 +208,11 @@ def tree_yield(t: FactTree) -> list:
 
 
 def tree_depth(t: FactTree) -> int:
-    if isinstance(t, Leaf):
-        return 0
-    return 1 + max(tree_depth(c) for c in t.children)
+    """Levels below the root, counted one level at a time, not by recursion."""
+    depth, level = 0, [t]
+    while level := [c for n in level if isinstance(n, Node) for c in n.children]:
+        depth += 1
+    return depth
 
 
 @dataclass(frozen=True)

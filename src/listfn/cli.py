@@ -62,8 +62,12 @@ from .logic import (
 )
 from .rational import compile_rational, eval_pipeline, eval_rational_direct
 from .registers import (
+    apply_update,
+    empty_valuation,
+    fot_pipeline_eval,
     homogeneous_product,
     normalise,
+    parse_update,
     product_list_updates,
     random_abstraction,
     random_update,
@@ -75,6 +79,7 @@ from .registers import (
 from .samples import (
     SAMPLE_RATIONALS,
     SAMPLE_SSTS,
+    SAMPLE_UPDATE_RATIONALS,
     hom_contains_ab,
     hom_u1_keep_a,
 )
@@ -173,10 +178,18 @@ def _fot_arg(text: str, type_texts: list[str] | None):
         texts = _split_args(annotation) + texts
     arities = builtin_names()
     if name in arities:
-        return builtin_fot(name, *[parse_type(t) for t in texts])
+        return builtin_fot(name, *_type_args(name, [parse_type(t) for t in texts]))
     raise ParseError(
         f"{text!r} is neither a transduction file nor one of "
         f"{', '.join(arities)}")
+
+
+def _type_args(name: str, types: list) -> list:
+    """``types``, once built-in ``name`` is known to take that many."""
+    arity = builtin_names()[name]
+    if len(types) != arity:
+        raise ParseError(f"{name} takes {arity} type argument(s), got {len(types)}")
+    return types
 
 
 def _hom_map(text: str) -> dict[str, str]:
@@ -399,12 +412,24 @@ def _check_rational(seed: int, count: int, builtins):
 
 
 def _check_registers_fold(seed: int, count: int, builtins):
+    """Products of random update lists against left folds; every third case
+    runs a rational function that emits update text, the paper's route to
+    first-order transductions, against its updates applied one by one."""
     yield {"cases": 0}
     rng = random.Random(seed)
     for i in range(count):
-        k = rng.randint(1, 4)
         n = _ramp(i, count, 1, 200)
-        if i % 2 == 0:
+        if i % 3 == 2:
+            name = rng.choice(list(SAMPLE_UPDATE_RATIONALS))
+            g, k = SAMPLE_UPDATE_RATIONALS[name]
+            word = [rng.choice(g.input_letters) for _ in range(n)]
+            etas = map(parse_update, eval_rational_direct(g, word))
+            yield (f"case {i} ({name}, n={n})",
+                   fot_pipeline_eval(g, k, word)
+                   == reduce(apply_update, etas, empty_valuation(k))[0])
+            continue
+        k = rng.randint(1, 4)
+        if i % 3 == 0:
             tau = random_abstraction(k, rng)
             etas = [random_update_like(tau, rng) for _ in range(n)]
             got = homogeneous_product(etas, tau)
@@ -491,13 +516,9 @@ def cmd_check(args, rep: Reporter) -> int:
     if args.types and args.which not in ("fot-commute", "all"):
         raise ParseError(f"check {args.which} takes no --type")
     types = [parse_type(t) for t in args.types or ()]
-    builtins = {}
-    for name in [args.target] if args.target else arities:
-        arity = arities[name]
-        if types and len(types) != arity:
-            raise ParseError(f"{name} takes {arity} type argument(s), "
-                             f"got {len(types)}")
-        builtins[name] = types or [parse_type(t) for t in ["{a,b}", "{c,d}"][:arity]]
+    defaults = [parse_type("{a,b}"), parse_type("{c,d}")]
+    builtins = {name: _type_args(name, types or defaults[:arities[name]])
+                for name in ([args.target] if args.target else arities)}
     worst = 0
     for check in which:
         family = _CHECKS[check](seed, args.count, builtins)

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .algebra import (AlgebraError, FiniteMonoid, Homomorphism, Leaf, FactTree,
-                      NotAperiodicError, aperiodicity_index,
-                      build_factorisation, forest_depth_bound)
+                      NotAperiodicError, build_factorisation,
+                      forest_depth_bound)
 from .stdlib import chain, finite_function
-from .terms import Flat, Map, Term, eval_term
+from .terms import Flat, Map, Term, compile_term
 from .types import FinSet, List, ListV, Sym, TypeMismatch, Value
 
 DEAD = "dead"
@@ -46,7 +46,7 @@ class RationalFn:
     empty_output: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if aperiodicity_index(self.monoid) is None:
+        if self.monoid.aperiodicity is None:
             raise NotAperiodicError(f"{self.name}: monoid is not aperiodic")
         for side, letters in (("input", self.input_letters), ("output", self.output_letters)):
             if len(set(letters)) != len(letters):
@@ -170,7 +170,7 @@ def triple_alphabet(r: RationalFn) -> FinSet:
 class Stage:
     name: str
     kind: str                      # "opaque" or "term"
-    run: Callable | None = None
+    run: Callable
     term: Term | None = None
 
 
@@ -213,14 +213,13 @@ def compile_rational(r: RationalFn,
     gens = len(set(r.h[a] for a in r.input_letters))
     bound = forest_depth_bound(r.monoid, gens)
     m, syms = r.monoid, triple_symbols(r)
+    term = output_table_term(r, table)
     stages = (
-        Stage("forest", "opaque",
-              run=lambda word: build_factorisation(hom, list(word))),
-        Stage("profiles", "opaque", run=lambda t: sibling_profiles(m, t)),
-        Stage("ancestors", "opaque", run=lambda t: ancestor_lists(m, t)),
-        Stage("classify", "opaque",
-              run=lambda ann: classify_positions(syms, bound, ann)),
-        Stage("table", "term", term=output_table_term(r, table)),
+        Stage("forest", "opaque", lambda word: build_factorisation(hom, list(word))),
+        Stage("profiles", "opaque", lambda t: sibling_profiles(m, t)),
+        Stage("ancestors", "opaque", lambda t: ancestor_lists(m, t)),
+        Stage("classify", "opaque", lambda ann: classify_positions(syms, bound, ann)),
+        Stage("table", "term", compile_term(term), term),
     )
     return Pipeline(r, stages, bound)
 
@@ -230,11 +229,5 @@ def eval_pipeline(p: Pipeline, word: Sequence[str]) -> tuple[str, ...]:
         return p.rational.empty_output
     current: object = list(word)
     for stage in p.stages:
-        if stage.kind == "opaque":
-            assert stage.run is not None
-            current = stage.run(current)
-        else:
-            assert stage.term is not None
-            current = eval_term(stage.term, current)
-    assert isinstance(current, ListV)
-    return tuple(v.name for v in current.items)  # type: ignore[union-attr]
+        current = stage.run(current)
+    return tuple(v.name for v in current.items)  # type: ignore[attr-defined]

@@ -129,17 +129,19 @@ def abstraction_name(tau: RegUpdate) -> str:
     return ";".join(",".join(str(i.index) for i in rhs) for rhs in tau)
 
 
+def _laid_out(k: int, kept: Sequence[int], cuts: Sequence[int]) -> RegUpdate:
+    """Abstraction reading ``kept`` in order, its k sides cut at ``cuts``."""
+    bounds = (0, *cuts, len(kept))
+    return tuple(tuple(Reg(i) for i in kept[bounds[c]:bounds[c + 1]])
+                 for c in range(k))
+
+
 def enumerate_abstractions(k: int) -> list[RegUpdate]:
     """All monotone nonduplicating k-register abstractions."""
-    out = []
-    for j in range(k + 1):
-        for kept in combinations(range(1, k + 1), j):
-            for cuts in combinations_with_replacement(range(j + 1), k - 1):
-                bounds = (0,) + cuts + (j,)
-                rhss = tuple(tuple(Reg(i) for i in kept[bounds[c]:bounds[c + 1]])
-                             for c in range(k))
-                out.append(rhss)
-    return out
+    return [_laid_out(k, kept, cuts)
+            for j in range(k + 1)
+            for kept in combinations(range(1, k + 1), j)
+            for cuts in combinations_with_replacement(range(j + 1), k - 1)]
 
 
 @lru_cache(maxsize=None)
@@ -278,10 +280,8 @@ def product_list_updates(etas: Sequence[RegUpdate],
 def random_abstraction(k: int, rng) -> RegUpdate:
     """Uniformly shaped monotone nonduplicating abstraction."""
     kept = sorted(rng.sample(range(1, k + 1), rng.randint(0, k)))
-    cuts = sorted(rng.randint(0, len(kept)) for _ in range(k - 1))
-    bounds = [0, *cuts, len(kept)]
-    return tuple(tuple(Reg(i) for i in kept[bounds[c]:bounds[c + 1]])
-                 for c in range(k))
+    return _laid_out(k, kept,
+                     sorted(rng.randint(0, len(kept)) for _ in range(k - 1)))
 
 
 def random_update_like(tau: RegUpdate, rng) -> RegUpdate:

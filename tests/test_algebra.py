@@ -14,10 +14,8 @@ from listfn.algebra import (
     Leaf,
     Node,
     NotAperiodicError,
-    aperiodicity_index,
     build_factorisation,
     forest_depth_bound,
-    is_aperiodic,
     tree_depth,
     tree_yield,
     validate_factorisation,
@@ -133,16 +131,16 @@ def test_t4_with_one_changed_entry_is_rejected():
 
 
 def test_sample_monoids_are_aperiodic():
-    assert is_aperiodic(U1)
-    assert is_aperiodic(CONTAINS_AB)
-    assert aperiodicity_index(U1) >= 1
-    n = aperiodicity_index(CONTAINS_AB)
+    assert U1.aperiodicity is not None
+    assert CONTAINS_AB.aperiodicity is not None
+    assert U1.aperiodicity >= 1
+    n = CONTAINS_AB.aperiodicity
     for m in CONTAINS_AB.elements:
         assert CONTAINS_AB.product([m] * n) == CONTAINS_AB.product([m] * (n + 1))
 
 
 def test_groups_are_not_aperiodic():
-    assert not is_aperiodic(Z2)
+    assert Z2.aperiodicity is None
     h = Homomorphism(Z2, {"a": "1", "b": "0"})
     with pytest.raises(NotAperiodicError):
         build_factorisation(h, "ab")
@@ -312,3 +310,14 @@ def test_depth_does_not_grow_with_length():
                     h, "".join(rng.choice("ab") for _ in range(length))))
                 for _ in range(60))
         assert max_depth(30) == max_depth(300)
+
+
+def test_tree_depth_needs_no_stack_per_level():
+    """A chain of 5,000 nodes, deeper than the default recursion limit."""
+    leaf_parent = Node("e", (Leaf("a"),))
+    assert tree_depth(Node("e", (leaf_parent, Node("e", (leaf_parent,))))) == 3
+    t = leaf_parent
+    for _ in range(4999):
+        t = Node("e", (t,))
+    assert sys.getrecursionlimit() < 5000
+    assert tree_depth(t) == 5000

@@ -280,6 +280,19 @@ def test_fot_builtin_takes_its_file_before_or_after_type(capsys, tmp_path,
     assert (code, out.strip()) == (0, "[b,b,a]")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["reverse", "--word", "ab"], "reverse takes 1 type argument(s), got 0"),
+    (["reverse", "--type", "{a}", "--type", "{b}", "--word", "ab"],
+     "reverse takes 1 type argument(s), got 2"),
+    (["block@{a}", "--word", "ab"], "block takes 2 type argument(s), got 1"),
+], ids=["type-none", "type-two", "at-one"])
+def test_fot_with_a_wrong_type_count_exits_2(capsys, argv, message):
+    """As ``check fot-commute`` does, with the same message."""
+    code, out, err = run(capsys, "fot", *argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_check_passes_and_reports_json(capsys):
     code, out, _ = run(capsys, "check", "sst", "--count", "20",
                        "--format", "json-lines")
@@ -402,6 +415,15 @@ def test_a_failing_check_exits_4_and_names_its_first_case(capsys, monkeypatch):
                 for rec in map(json.loads, out.splitlines())}
     assert statuses.pop("forest") == "fail"
     assert set(statuses.values()) == {"pass"}
+
+
+def test_registers_fold_runs_the_update_pipeline(capsys, monkeypatch):
+    """Every third case runs an update-emitting rational function through
+    ``fot_pipeline_eval``; a wrong answer there fails the check."""
+    monkeypatch.setattr("listfn.cli.fot_pipeline_eval", lambda g, k, word: ("x",))
+    code, out, err = run(capsys, "check", "registers-fold", "--count", "3")
+    assert (code, out) == (4, "")
+    assert "result: fail (1 case(s); first: case 2 (" in err
 
 
 def test_missing_file_exits_2(capsys, tmp_path):

@@ -1,7 +1,11 @@
 """Type and value layer: parsing, rendering, sizes, enumeration."""
 import importlib
+import os
 import pkgutil
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -239,3 +243,21 @@ def test_every_error_class_in_the_package_is_a_listfn_error():
               and cls.__module__.startswith("listfn.")}
     assert len(errors) >= 13
     assert [e.__name__ for e in errors if not issubclass(e, ListfnError)] == []
+
+
+_LOADED = "import sys, {0}; print(sorted(m for m in sys.modules if m.startswith('listfn')))"
+
+
+@pytest.mark.parametrize("module, loaded", [
+    ("listfn", ["listfn"]),
+    ("listfn.types", ["listfn", "listfn.types"]),
+], ids=["package", "types"])
+def test_importing_a_module_loads_only_what_it_uses(module, loaded):
+    """The package re-exports nothing, so importing it runs no submodule."""
+    src = str(Path(listfn.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _LOADED.format(module)],
+                          env=env, capture_output=True, text=True, timeout=60,
+                          check=True)
+    assert done.stdout.strip() == repr(loaded)
