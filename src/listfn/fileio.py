@@ -4,7 +4,10 @@ Every file opens with a one-line header naming its format and version, for
 example ``listfn-rational 1``.  Later lines hold whitespace-separated fields;
 a field containing spaces is shell-quoted, and ``#`` starts a comment line.
 Term files are the exception: after the header the rest of the file is raw
-term text, since terms carry their own quoting.
+term text, since terms carry their own quoting.  A structure file as
+``save_structure`` writes it (the universe line, then ``rel`` blocks; no tab,
+quote or backslash) is read a relation block at a time; any other text goes
+to the line reader, which is also the one path that raises.
 
 A pipeline file stores both the source rational function and the compiled
 position-class table.  Loading rebuilds the pipeline around the stored table,
@@ -89,9 +92,9 @@ def _read_body(path: str | Path, kind: str, raw: bool = False) -> list[str]:
             f"{path}: expected {_HEADER_PREFIX}{kind}, found {header[0]}")
     if " ".join(header) != _header(kind):
         raise FileFormatError(f"{path}: unsupported version {header[1]}")
-    body = lines[1:]
-    if not raw:  # drop blank and comment lines
-        body = [ln for ln in body if ln.lstrip()[:1] not in ("", "#")]
+    body = lines[1:] if raw else list(filter(str.strip, lines[1:]))  # drop blank lines
+    if not raw and "#" in text:  # and comment lines
+        body = [ln for ln in body if ln.lstrip()[0] != "#"]
     return body
 
 
@@ -341,8 +344,39 @@ def _int_fields(row: list[str], where: str) -> tuple[int, ...]:
         raise FileFormatError(f"{where}: elements must be integers") from None
 
 
-def load_structure(path: str | Path) -> Structure:
-    b = _Body(_read_body(path, "structure"), str(path))
+def _bulk_structure(body: list[str]) -> Structure | None:
+    """A saved body read a relation block at a time, or None for the line reader."""
+    text = "\n".join(body)
+    first, *blocks = text.split("\nrel ")
+    keyword, *spelled = first.split(" ")
+    vocabulary, relations = {}, {}
+    try:
+        ids = {u: int(u) for u in spelled}  # elements by the universe line's own spellings
+        if (keyword != "universe" or list(map(str, ids.values())) != spelled
+                or any(c in text for c in "\t'\"\\")):  # fields _fields splits otherwise
+            return None
+        for block in blocks:
+            header, _, rows = block.partition("\n")
+            name, _, arity = header.partition(" ")
+            if not name or name in vocabulary or not arity.isdecimal():
+                return None
+            k = vocabulary[name] = int(arity)
+            lines = rows.count("\n") + 1 if rows else 0
+            tokens = rows.replace("\n", " ").split(" ") if rows else []
+            # each line is "tuple" and k elements: every line starts "tuple ", there are
+            # lines*(k+1) tokens, and a "tuple" off every (k+1)-th one fails the lookup
+            if ("\n" + rows).count("\ntuple ") != lines or len(tokens) != lines * (k + 1):
+                return None
+            del tokens[::k + 1]  # a KeyError below: outside the universe, or spelled otherwise
+            elements = [map(ids.__getitem__, tokens)] * k if lines else []  # k < len(tokens)
+            relations[name] = frozenset(set(zip(*elements)))  # sized as the line reader's
+        return Structure(tuple(ids.values()), vocabulary, relations)
+    except (ValueError, KeyError):  # a LogicError from Structure is a ValueError
+        return None
+
+
+def _structure_lines(body: list[str], where: str) -> Structure:
+    b = _Body(body, where)
     universe: tuple[int, ...] | None = None
     vocabulary: dict[str, int] = {}
     relations: dict[str, set] = {}
@@ -376,6 +410,11 @@ def load_structure(path: str | Path) -> Structure:
         raise FileFormatError(f"{b.where}: missing universe line")
     return b.build(Structure, universe, vocabulary,
                    {n: frozenset(rows) for n, rows in relations.items()})
+
+
+def load_structure(path: str | Path) -> Structure:
+    body = _read_body(path, "structure")
+    return _bulk_structure(body) or _structure_lines(body, str(path))
 
 
 # ------------------------------------------------------------ transductions

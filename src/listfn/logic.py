@@ -502,12 +502,17 @@ class _Atom(_Node):
     def fanout(self, ctx: _Ctx, bound) -> float:
         """Rows that a row binding ``bound`` gains, on average, from this atom."""
         known = tuple(v for v in self.free if v in bound)
+        if not known and self.free == self.args:
+            return len(ctx.rows(self.name, len(self.args)))
         index = ctx.index(self.name, self.args, known)
         return sum(map(len, index.values())) / max(1, len(index))
 
     def sat(self, ctx, cols, rows):
         known = tuple(v for v in self.free if v in cols)
         new = tuple(v for v in self.free if v not in cols)
+        if new == self.args:  # nothing bound, no variable repeated: the rows as they are
+            rel = ctx.rows(self.name, len(self.args))
+            return cols + new, {r + e for r in rows for e in rel} if cols else rel
         get = ctx.index(self.name, self.args, known).get
         if known == cols:
             return cols + new, {r + e for r in rows for e in get(r, ())}

@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 from helpers import AB, FOT_CASES, sym_list, time_limit
 from listfn.fileio import (
     FileFormatError,
+    _bulk_structure,
     _fields,
+    _read_body,
+    _structure_lines,
     format_structure,
     load_monoid,
     load_pipeline,
@@ -40,7 +43,15 @@ from listfn.samples import (
 )
 from listfn.stdlib import comma, list_to_pair
 from listfn.terms import TermTypeError, eval_term, infer_type
-from listfn.types import FinSet, List, ParseError, Sym, TypeMismatch, enumerate_values
+from listfn.types import (
+    FinSet,
+    List,
+    ParseError,
+    Sym,
+    TypeMismatch,
+    enumerate_values,
+    parse_type,
+)
 
 
 def test_term_file_round_trip(tmp_path):
@@ -143,7 +154,7 @@ def test_structure_files_skip_blank_and_comment_lines(tmp_path):
     assert load_structure(p) == Structure((0, 1), {"q": 1}, {"q": frozenset({(1,)})})
 
 
-@pytest.mark.parametrize("body,message", [
+_MALFORMED_STRUCTURES = [
     ("universe 0 1\ntuple 0\nrel q 1", "tuple before any rel line"),
     ("universe 0 1\nrel q 2\ntuple 0", "tuple arity mismatch under q"),
     ("universe 0 1\nrel q 1\ntuple x", "elements must be integers"),
@@ -153,8 +164,12 @@ def test_structure_files_skip_blank_and_comment_lines(tmp_path):
     ("universe 0\nrel q 1\ntuple 0\nrel q 1", "repeated relation q"),
     ("rel q 1\ntuple 0", "missing universe line"),
     ("universe 0 1\nrel q 1\ntuple 5", "bad tuple (5,) in relation q"),
-], ids=["tuple-before-rel", "arity", "letter", "decimal-point", "superscript",
-        "repeated-universe", "repeated-rel", "no-universe", "outside"])
+]
+
+
+@pytest.mark.parametrize("body,message", _MALFORMED_STRUCTURES,
+                         ids=["tuple-before-rel", "arity", "letter", "decimal-point", "superscript",
+                              "repeated-universe", "repeated-rel", "no-universe", "outside"])
 def test_malformed_structure_files_name_their_fault(tmp_path, body, message):
     p = tmp_path / "s.lstruct"
     p.write_text(f"listfn-structure 1\n{body}\n", encoding="utf-8")
@@ -303,3 +318,115 @@ def test_mutated_files_raise_only_parse_errors(tmp_path, kind, edits):
             load(mutated)
         except allowed:
             pass
+
+
+# ------------------------------------- the bulk structure reader against the line reader
+
+def _outcome(read, p):
+    """The structure ``read`` gives for ``p``, or its FileFormatError's text."""
+    try:
+        return read(p)
+    except FileFormatError as e:
+        return f"FileFormatError: {e}"
+
+
+def _line_reader(p):
+    return _structure_lines(_read_body(p, "structure"), str(p))
+
+
+def _same_as_the_line_reader(p):
+    """load_structure (bulk where it applies) and the line reader agree on ``p``."""
+    assert _outcome(load_structure, p) == _outcome(_line_reader, p), p.read_bytes()
+
+
+# the nested element types that CI's fot-commute smoke runs the built-ins on
+_CI_NESTED = [("coappend", ["{a}^*"]), ("flat", ["{a}*{b}"]), ("block", ["{a}^*", "{b}"]),
+              ("reverse", ["({a}+{b})^*"]), ("append", ["{a}^*"])]
+
+
+@pytest.mark.parametrize("name,types", _CI_NESTED, ids=[c[0] for c in _CI_NESTED])
+def test_saved_encodings_are_read_in_bulk_as_the_line_reader_reads_them(tmp_path, name, types):
+    dom = infer_type(builtin_term(name, *map(parse_type, types)))[0]
+    p = tmp_path / "s.lstruct"
+    for v in enumerate_values(dom, 4):
+        s = encode_value(v, dom)
+        save_structure(p, s)
+        assert _bulk_structure(_read_body(p, "structure")) == s  # the bulk path is taken
+        assert load_structure(p) == _line_reader(p) == s
+
+
+_PLAIN = "universe 0 1 7\nrel p 1\ntuple 7\nrel q 2\ntuple 0 1\ntuple 1 7\n"
+
+
+# (body, whether the bulk reader takes it); every other body falls back
+_HAND_MADE = [
+    (_PLAIN, True),
+    (_PLAIN.replace("rel q 2", "# a comment\n\n  # another\nrel q 2\n \t"), True),
+    (_PLAIN + "rel r 1\n", True),  # an empty relation, last
+    (_PLAIN.replace("rel p 1\ntuple 7\n", "rel p 1\n"), True),  # and first
+    (_PLAIN + "rel t 3\ntuple 0 1 7\ntuple 7 7 7\n", True),
+    (_PLAIN.replace("universe 0 1 7", "universe -1 0 1 7"), True),
+    (_PLAIN + "rel t 99999999999999\n", True),
+    ("universe\n", True),
+    ("universe\nrel q 1\n", True),
+    (_PLAIN.replace("tuple 0 1", "tuple\t0\t1"), False),
+    (_PLAIN.replace("\n", "\r\n"), True),  # splitlines takes \r\n off
+    (_PLAIN.replace("tuple 7", "tuple 7 "), False),
+    (_PLAIN.replace("universe 0 1 7", "universe 0 1 7 "), False),
+    (_PLAIN.replace("rel q 2", "rel q 2 "), False),
+    (_PLAIN.replace("rel q 2", "rel  q 2"), False),
+    (_PLAIN.replace("tuple 0 1", "tuple 0  1"), False),
+    (_PLAIN.replace("tuple 0 1", "tuple 0\xa01"), False),
+    (_PLAIN.replace("tuple 0 1", "tuple 0\xa0 1"), False),
+    (_PLAIN.replace("tuple 0 1", "tuple 0 1\u3000"), False),
+    (_PLAIN.replace("tuple 0 1", "tuple 0\x0b1"), False),  # splitlines splits at \x0b
+    (_PLAIN.replace("tuple 1 7", "tuple 1 07"), False),
+    (_PLAIN.replace("universe 0 1 7", "universe 0 1 07"), False),
+    (_PLAIN.replace("tuple 1 7", "tuple 1 +7"), False),
+    (_PLAIN.replace("universe 0 1 7", "universe 0 1 10").replace("7", "1_0"), False),
+    (_PLAIN.replace("tuple 1 7", "tuple 1 \u00b2"), False),
+    (_PLAIN.replace("rel q 2", "rel q \u00b2"), False),
+    (_PLAIN + "rel t 3\ntuple 0 1 7\ntuple 7 7\n", False),
+    (_PLAIN + "rel t 3\ntuple 0 1 7 7\ntuple 7 7\n", False),
+    (_PLAIN + "rel t 2\ntuple 0\n7\n", False),
+    (_PLAIN + "rel t 1\ntuple 0 tuple\n1\n", False),  # the right count of tokens
+    (_PLAIN + "rel t 1\ntuple 0 tuple\n0 tuple\n1\n", False),
+    (_PLAIN + "rel t 0\ntuple\n", False),
+    (_PLAIN + "rel t 1\ntuple 7\ntuple\n", False),
+    (_PLAIN + "rel t 1\ntuple 7\nrel\n", False),
+    (_PLAIN + "rel p 1\n", False),
+    (_PLAIN + "rel  1\n", False),
+    (_PLAIN.replace("universe 0 1 7", "universe 0 1 7 1"), False),
+    (_PLAIN.replace("universe 0 1 7", "universe -0 1 7"), False),
+    (_PLAIN.replace("universe 0 1 7\n", "") + "universe 0 1 7\n", False),
+    (_PLAIN.replace("tuple 0 1", "tuple 0 '1'"), False),
+    (_PLAIN.replace("rel q 2", "rel 'q' 2"), False),
+    ("", False),
+    *((body + "\n", False) for body, _ in _MALFORMED_STRUCTURES),
+]
+
+
+@pytest.mark.parametrize("body,bulk", _HAND_MADE)
+def test_bulk_reader_agrees_with_the_line_reader_on_hand_made_files(tmp_path, body, bulk):
+    p = tmp_path / "s.lstruct"
+    p.write_text("listfn-structure 1\n" + body, encoding="utf-8", newline="")
+    assert (_bulk_structure(_read_body(p, "structure")) is not None) == bulk
+    _same_as_the_line_reader(p)
+
+
+# tmp_path is shared by a test's examples: each one rewrites the mutated file
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(_EDITS, min_size=1, max_size=4))
+def test_bulk_reader_agrees_with_the_line_reader_on_mutated_files(tmp_path, edits):
+    valid = tmp_path / "valid"
+    if not valid.exists():
+        _FILES["structure"][0](valid)
+    data = valid.read_bytes()
+    for pos, span, piece in edits:
+        i = pos % (len(data) + 1)
+        data = data[:i] + piece + data[i + span:]
+    mutated = tmp_path / "mutated"
+    mutated.write_bytes(data)
+    with time_limit(2):
+        _same_as_the_line_reader(mutated)

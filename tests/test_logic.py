@@ -19,7 +19,9 @@ from helpers import (
     word_sort_fot,
 )
 from listfn.logic import (
+    _Atom,
     _Ctx,
+    _solve,
     And,
     Eq,
     Exists,
@@ -397,6 +399,29 @@ def test_atoms_with_repeated_variables_agree_with_eval_formula(text):
         brute = {tup for tup in itertools.product(s.universe, repeat=len(want))
                  if eval_formula(s, f, dict(zip(want, tup)))}
         assert sat_rows(s, f, want) == brute, (text, s)
+
+
+@pytest.mark.parametrize("text,indexed", [
+    ("R(x,y)", False), ("R(y,x)", False), ("R(x,x)", True), ("P(x) & R(y,z)", False),
+    ("R(x)", False), ("T(x,y)", False),
+])
+def test_unbound_atoms_are_answered_from_the_relation_rows(text, indexed):
+    """An atom with no bound variable and distinct arguments is the relation's
+    rows, named in argument order (``R(y,x)`` reads a row (u, v) as y=u, x=v);
+    only a repeated variable builds an index.  The last two atoms' arity
+    differs from the vocabulary's, so they hold nowhere."""
+    f = parse_formula(text)
+    for s in _fuzz_structures(random.Random(12)):
+        for want in itertools.permutations(sorted(free_vars(f))):
+            brute = {tup for tup in itertools.product(s.universe, repeat=len(want))
+                     if eval_formula(s, f, dict(zip(want, tup)))}
+            ctx = _Ctx(s)
+            assert _solve(ctx, f, want) == sat_rows(s, f, want) == brute, (text, want, s)
+            assert bool(ctx.indexes) == indexed, text
+        for atom in f.parts if isinstance(f, And) else (f,):
+            node = _Atom(atom.name, atom.args)
+            index = _Ctx(s).index(atom.name, atom.args, ())  # what fanout read before
+            assert node.fanout(_Ctx(s), set()) == sum(map(len, index.values())) / max(1, len(index))
 
 
 def _words(up_to):
