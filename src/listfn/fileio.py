@@ -75,16 +75,17 @@ def _line(*fields: object) -> str:
     return " ".join(shlex.quote(str(f)) for f in fields)
 
 
-def _read_body(path: str | Path, kind: str, raw: bool = False) -> list[str]:
-    """Check the header, return the body lines; raw keeps comment lines."""
+def _read_body(path: str | Path, kind: str) -> str:
+    """Check the header line, return the text after it as read."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
         raise FileFormatError(f"{path}: {e}") from None
-    lines = text.splitlines()
-    if not lines:
+    if not text:
         raise FileFormatError(f"{path}: empty file")
-    header = lines[0].split()
+    # the header line ends where splitlines ends it (read_text turned \r\n and \r to \n)
+    first, *body = re.split("[\n\v\f\x1c-\x1e\x85\u2028\u2029]", text, maxsplit=1)
+    header = first.split()
     if len(header) != 2 or not header[0].startswith(_HEADER_PREFIX):
         raise FileFormatError(f"{path}: missing listfn format header")
     if header[0] != _HEADER_PREFIX + kind:
@@ -92,10 +93,15 @@ def _read_body(path: str | Path, kind: str, raw: bool = False) -> list[str]:
             f"{path}: expected {_HEADER_PREFIX}{kind}, found {header[0]}")
     if " ".join(header) != _header(kind):
         raise FileFormatError(f"{path}: unsupported version {header[1]}")
-    body = lines[1:] if raw else list(filter(str.strip, lines[1:]))  # drop blank lines
-    if not raw and "#" in text:  # and comment lines
-        body = [ln for ln in body if ln.lstrip()[0] != "#"]
-    return body
+    return "".join(body)
+
+
+def _decimal(field: str) -> int | None:
+    """A field of decimal digits as an int, or None, also if int() refuses its length."""
+    try:
+        return int(field) if field.isdecimal() else None
+    except ValueError:
+        return None
 
 
 def _write(path: str | Path, kind: str, body: list[str]) -> None:
@@ -107,22 +113,21 @@ def _write(path: str | Path, kind: str, body: list[str]) -> None:
 
 
 class _Body:
-    """Keyword-line cursor over a parsed body."""
+    """Keyword-line cursor over a body's lines, blank and comment lines dropped."""
 
-    def __init__(self, body: list[str], where: str) -> None:
-        self.rows = [_fields(ln, where) for ln in body]
+    def __init__(self, text: str, where: str) -> None:
+        self.rows = [_fields(ln, where) for ln in text.splitlines()
+                     if ln.strip()[:1] not in "#"]  # no blank ("" in "#") or comment lines
         self.where = where
 
     def take(self, keyword: str, count: int | None = None) -> list[str]:
         """The fields after the single required line starting with keyword."""
         hits = [r for r in self.rows if r and r[0] == keyword]
         if len(hits) != 1:
-            raise FileFormatError(
-                f"{self.where}: need exactly one {keyword!r} line")
+            raise FileFormatError(f"{self.where}: need exactly one {keyword!r} line")
         args = hits[0][1:]
         if count is not None and len(args) != count:
-            raise FileFormatError(
-                f"{self.where}: {keyword!r} takes {count} field(s)")
+            raise FileFormatError(f"{self.where}: {keyword!r} takes {count} field(s)")
         return args
 
     def build(self, make, *args, **kw):
@@ -138,8 +143,7 @@ class _Body:
     def check_keywords(self, allowed: set[str]) -> None:
         for r in self.rows:
             if r and r[0] not in allowed:
-                raise FileFormatError(
-                    f"{self.where}: unknown line keyword {r[0]!r}")
+                raise FileFormatError(f"{self.where}: unknown line keyword {r[0]!r}")
 
 
 # ------------------------------------------------------------------- terms
@@ -149,8 +153,7 @@ def save_term(path: str | Path, t: Term) -> None:
 
 
 def load_term(path: str | Path) -> Term:
-    body = _read_body(path, "term", raw=True)
-    text = "\n".join(body).strip()
+    text = "\n".join(_read_body(path, "term").splitlines()).strip()
     if not text:
         raise FileFormatError(f"{path}: term file has no term")
     return parse_term(text)
@@ -306,14 +309,14 @@ def load_sst(path: str | Path) -> SSTSpec:
             raise FileFormatError(
                 f"{b.where}: trans lines take state, letter, target, update")
         transitions[(row[0], row[1])] = (row[2], b.build(parse_update, row[3]))
-    registers = b.take("registers", 1)[0]
-    output_register = b.take("output-register", 1)[0]
-    if not (registers.isdecimal() and output_register.isdecimal()):
+    registers, output_register = (_decimal(b.take(k, 1)[0])
+                                  for k in ("registers", "output-register"))
+    if None in (registers, output_register):
         raise FileFormatError(f"{b.where}: register counts must be numbers")
     return b.build(SSTSpec, name=b.take("name", 1)[0], input_letters=tuple(b.take("input")),
                    states=tuple(b.take("states")), initial=b.take("initial", 1)[0],
-                   registers=int(registers), transitions=transitions,
-                   output_register=int(output_register))
+                   registers=registers, transitions=transitions,
+                   output_register=output_register)
 
 
 # -------------------------------------------------------------- structures
@@ -344,25 +347,24 @@ def _int_fields(row: list[str], where: str) -> tuple[int, ...]:
         raise FileFormatError(f"{where}: elements must be integers") from None
 
 
-def _bulk_structure(body: list[str]) -> Structure | None:
+def _bulk_structure(text: str) -> Structure | None:
     """A saved body read a relation block at a time, or None for the line reader."""
-    text = "\n".join(body)
-    first, *blocks = text.split("\nrel ")
+    first, *blocks = text[:-1].split("\nrel ")
     keyword, *spelled = first.split(" ")
     vocabulary, relations = {}, {}
     try:
         ids = {u: int(u) for u in spelled}  # elements by the universe line's own spellings
         if (keyword != "universe" or list(map(str, ids.values())) != spelled
-                or any(c in text for c in "\t'\"\\")):  # fields _fields splits otherwise
-            return None
+                or text[-1:] != "\n" or any(c in text for c in "\t'\"\\")):
+            return None  # fields _fields splits otherwise, or not a saved body
         for block in blocks:
-            header, _, rows = block.partition("\n")
-            name, _, arity = header.partition(" ")
-            if not name or name in vocabulary or not arity.isdecimal():
+            header, newline, rows = block.partition("\n")
+            name, _, arity = header.partition(" ")  # a name holds no line break
+            if name.splitlines() != [name] or name in vocabulary or not arity.isdecimal():
                 return None
             k = vocabulary[name] = int(arity)
-            lines = rows.count("\n") + 1 if rows else 0
-            tokens = rows.replace("\n", " ").split(" ") if rows else []
+            lines = rows.count("\n") + 1 if newline else 0  # a blank line counts
+            tokens = rows.replace("\n", " ").split(" ") if newline else []
             # each line is "tuple" and k elements: every line starts "tuple ", there are
             # lines*(k+1) tokens, and a "tuple" off every (k+1)-th one fails the lookup
             if ("\n" + rows).count("\ntuple ") != lines or len(tokens) != lines * (k + 1):
@@ -375,8 +377,8 @@ def _bulk_structure(body: list[str]) -> Structure | None:
         return None
 
 
-def _structure_lines(body: list[str], where: str) -> Structure:
-    b = _Body(body, where)
+def _structure_lines(text: str, where: str) -> Structure:
+    b = _Body(text, where)
     universe: tuple[int, ...] | None = None
     vocabulary: dict[str, int] = {}
     relations: dict[str, set] = {}
@@ -389,20 +391,19 @@ def _structure_lines(body: list[str], where: str) -> Structure:
                 raise FileFormatError(f"{b.where}: repeated universe line")
             universe = _int_fields(row[1:], b.where)
         elif row[0] == "rel":
-            if len(row) != 3 or not row[2].isdecimal():
+            if len(row) != 3 or (arity := _decimal(row[2])) is None:
                 raise FileFormatError(f"{b.where}: rel lines take name, arity")
             current = row[1]
             if current in vocabulary:
                 raise FileFormatError(f"{b.where}: repeated relation {current}")
-            vocabulary[current] = int(row[2])
+            vocabulary[current] = arity
             relations[current] = set()
         elif row[0] == "tuple":
             if current is None:
                 raise FileFormatError(f"{b.where}: tuple before any rel line")
             items = _int_fields(row[1:], b.where)
             if len(items) != vocabulary[current]:
-                raise FileFormatError(
-                    f"{b.where}: tuple arity mismatch under {current}")
+                raise FileFormatError(f"{b.where}: tuple arity mismatch under {current}")
             relations[current].add(items)
         else:
             raise FileFormatError(f"{b.where}: unknown line keyword {row[0]!r}")
@@ -438,36 +439,35 @@ def save_fot(path: str | Path, t: FOTransduction) -> None:
 def _vocab(rows: list[list[str]], where: str, keyword: str) -> dict[str, int]:
     vocab = {}
     for row in rows:
-        if len(row) != 2 or not row[1].isdecimal():
+        if len(row) != 2 or (arity := _decimal(row[1])) is None:
             raise FileFormatError(f"{where}: {keyword} lines take name, arity")
-        vocab[row[0]] = int(row[1])
+        vocab[row[0]] = arity
     return vocab
 
 
 def load_fot(path: str | Path) -> FOTransduction:
     b = _Body(_read_body(path, "fot"), str(path))
     b.check_keywords({"copies", "input", "output", "universe", "rel", "case"})
-    copies = b.take("copies", 1)[0]
-    if not copies.isdecimal() or int(copies) < 1:
+    copies = _decimal(b.take("copies", 1)[0])
+    if not copies:  # not a number, or 0
         raise FileFormatError(f"{b.where}: copies must be a positive number")
     universe = {}
     for row in b.all("universe"):
-        if len(row) != 2 or not row[0].isdecimal() or int(row[0]) in universe:
+        if len(row) != 2 or (copy := _decimal(row[0])) is None or copy in universe:
             raise FileFormatError(
                 f"{b.where}: universe lines take a new copy number, formula")
-        universe[int(row[0])] = parse_formula(row[1])
+        universe[copy] = parse_formula(row[1])
     relations: dict[str, tuple] = {}
     for row in b.all("rel"):
         if not row or row[0] in relations:
-            raise FileFormatError(
-                f"{b.where}: rel lines take a new name, variables")
+            raise FileFormatError(f"{b.where}: rel lines take a new name, variables")
         relations[row[0]] = (tuple(row[1:]), {})
     for row in b.all("case"):
-        key = tuple(int(c) for c in row[1:-1] if c.isdecimal())
-        if (len(row) < 2 or row[0] not in relations or len(key) != len(row) - 2
+        key = tuple(map(_decimal, row[1:-1]))
+        if (len(row) < 2 or row[0] not in relations or None in key
                 or key in relations[row[0]][1]):
             raise FileFormatError(
                 f"{b.where}: case lines take a rel name, new copy numbers, formula")
         relations[row[0]][1][key] = parse_formula(row[-1])
-    return b.build(FOTransduction, int(copies), _vocab(b.all("input"), b.where, "input"),
+    return b.build(FOTransduction, copies, _vocab(b.all("input"), b.where, "input"),
                    _vocab(b.all("output"), b.where, "output"), universe, relations)

@@ -4,12 +4,12 @@ A rational function reads a word and emits, at every position, an output block
 that may depend on the whole input, but only through the images of the prefix
 and suffix in a finite aperiodic monoid.  Direct evaluation uses prefix and
 suffix product arrays.  The compiler reproduces the same function as a
-pipeline of five stages, all on element numbers of the monoid's Cayley table:
-``forest`` builds a factorisation tree; ``profiles`` makes each node one tuple
-(left, right, children, letter), the products of its left and right siblings'
-labels; ``ancestors`` walks the tree once from the root and gives each
-position (letter, ancestor count, left fold, right fold), the folds being its
-prefix and suffix images; ``classify`` reads each position's (prefix image,
+pipeline of four stages, all on element numbers of the monoid's Cayley table:
+``forest`` builds a factorisation tree; ``ancestors`` walks it once from the
+root, handing each child its prefix (the fold from the left times its left
+siblings' labels) and its suffix (its right siblings' labels times the fold
+from the right), and gives each position (letter, ancestor count, prefix
+image, suffix image); ``classify`` reads each position's (prefix image,
 letter, suffix image) symbol from a table built at compile time, or DEAD when
 its ancestor count exceeds the depth bound.  The last stage, ``table``, is an
 ordinary term, a finite table followed by flattening; the tree stages stay
@@ -94,50 +94,31 @@ def eval_rational_direct(r: RationalFn, word: Sequence[str]) -> tuple[str, ...]:
 
 # ------------------------------------------------------- compiled pipeline
 
-def sibling_profiles(m: FiniteMonoid, t: FactTree) -> tuple:
-    """One tuple ``(left, right, children, letter)`` per node: the element
-    numbers of the products of its left and right siblings' labels, its
-    children's tuples, and under a leaf parent (no children) its letter."""
+def ancestor_lists(m: FiniteMonoid, t: FactTree) -> list[tuple[str, int, int, int]]:
+    """Per position: its letter, its ancestor count, and its prefix and suffix
+    images (element numbers), in one walk from the root that hands each child
+    the fold of everything left and right of it and recurses as deep as the
+    forest."""
     table, index, one = m.table, m.index, m.index[m.identity]
-
-    def walk(t: FactTree, left: int, right: int) -> tuple:
-        kids = t.children
-        if isinstance(kids[0], Leaf):
-            return (left, right, (), kids[0].letter)
-        if len(kids) == 2:
-            a, b = kids
-            return (left, right, (walk(a, one, index[b.label]),
-                                  walk(b, index[a.label], one)), None)
-        labels = [index[c.label] for c in kids]
-        rights = [one]
-        for x in reversed(labels[1:]):
-            rights.append(table[x][rights[-1]])
-        out, p = [], one
-        for c, x, s in zip(kids, labels, reversed(rights)):
-            out.append(walk(c, p, s))
-            p = table[p][x]
-        return (left, right, tuple(out), None)
-
-    return walk(t, one, one)
-
-
-def ancestor_lists(m: FiniteMonoid,
-                   t: tuple) -> list[tuple[str, int, int, int]]:
-    """Per position: its letter, its ancestor count, and the root-to-leaf
-    folds of its ancestors' left and right profiles (element numbers), in
-    one walk from the root that recurses as deep as the forest."""
-    table, one = m.table, m.index[m.identity]
     out: list[tuple[str, int, int, int]] = []
 
-    def walk(node: tuple, count: int, left: int, right: int) -> None:
-        a, b, kids, letter = node
+    def walk(t: FactTree, count: int, left: int, right: int) -> None:
+        kids = t.children
         count += 1
-        left = table[left][a]
-        right = table[b][right]  # nearer the root is further right
-        if not kids:
-            out.append((letter, count, left, right))
-        for c in kids:
-            walk(c, count, left, right)
+        if isinstance(kids[0], Leaf):
+            out.append((kids[0].letter, count, left, right))
+        elif len(kids) == 2:
+            a, b = kids
+            walk(a, count, left, table[index[b.label]][right])
+            walk(b, count, table[left][index[a.label]], right)
+        else:
+            labels = [index[c.label] for c in kids]
+            rights = [right]
+            for x in reversed(labels[1:]):
+                rights.append(table[x][rights[-1]])
+            for c, x, s in zip(kids, labels, reversed(rights)):
+                walk(c, count, left, s)
+                left = table[left][x]
 
     walk(t, 0, one, one)
     return out
@@ -216,7 +197,6 @@ def compile_rational(r: RationalFn,
     term = output_table_term(r, table)
     stages = (
         Stage("forest", "opaque", lambda word: build_factorisation(hom, list(word))),
-        Stage("profiles", "opaque", lambda t: sibling_profiles(m, t)),
         Stage("ancestors", "opaque", lambda t: ancestor_lists(m, t)),
         Stage("classify", "opaque", lambda ann: classify_positions(syms, bound, ann)),
         Stage("table", "term", compile_term(term), term),

@@ -310,6 +310,13 @@ _COMPONENT_RE = re.compile(r"^\s*(\d+)\s*:=\s*\[(.*)\]\s*$")
 _ITEM_RE = re.compile(r'\s*(?:\$(\d+)|"([^"]*)"|([A-Za-z0-9_#\'.]+))\s*$')
 
 
+def _register_number(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # int() refuses more than sys.get_int_max_str_digits() digits
+        raise UpdateError(f"register number of {len(digits)} digits") from None
+
+
 def parse_update(text: str) -> RegUpdate:
     """Parse `1 := ["ab", $2]; 2 := []` into an update.
 
@@ -321,7 +328,7 @@ def parse_update(text: str) -> RegUpdate:
         m = _COMPONENT_RE.match(component)
         if not m:
             raise UpdateError(f"bad update component: {component.strip()!r}")
-        if int(m.group(1)) != expected:
+        if _register_number(m.group(1)) != expected:
             raise UpdateError(
                 f"components must name registers 1..{len(components)} in "
                 f"order, got {m.group(1)}")
@@ -334,7 +341,7 @@ def parse_update(text: str) -> RegUpdate:
                     raise UpdateError(f"bad update item: {piece.strip()!r}")
                 reg, quoted, bare = im.groups()
                 if reg is not None:
-                    items.append(Reg(int(reg)))
+                    items.append(Reg(_register_number(reg)))
                 elif quoted is not None:
                     items.append(Lit(tuple(quoted)))
                 else:

@@ -16,10 +16,11 @@ import listfn
 from helpers import time_limit, word_sort_fot
 from listfn.algebra import FiniteMonoid
 from listfn.cli import main
-from listfn.fileio import save_fot, save_monoid, save_rational, save_structure
-from listfn.logic import FOTransduction, Structure, parse_formula
-from listfn.samples import SAMPLE_RATIONALS
+from listfn.fileio import save_fot, save_monoid, save_rational, save_sst, save_structure
+from listfn.logic import FOTransduction, Structure, builtin_fot, parse_formula
+from listfn.samples import SAMPLE_RATIONALS, SAMPLE_SSTS
 from listfn.registers import t_k_monoid
+from listfn.types import FinSet
 
 
 def run(capsys, *argv):
@@ -424,6 +425,31 @@ def test_registers_fold_runs_the_update_pipeline(capsys, monkeypatch):
     code, out, err = run(capsys, "check", "registers-fold", "--count", "3")
     assert (code, out) == (4, "")
     assert "result: fail (1 case(s); first: case 2 (" in err
+
+
+_AB = FinSet(("a", "b"))
+# per command: file name, how to save it, the field made 5,000 digits long, argv
+_LONG_NUMBER_FILES = {
+    "decode": ("big.lstruct", lambda p: save_structure(p, Structure((0,), {}, {})),
+               "universe 0", "universe 0\nrel q N", ["{a}^*"]),
+    "fot": ("big.lfot", lambda p: save_fot(p, builtin_fot("reverse", _AB)),
+            "copies 1", "copies N", ["--word", "ab"]),
+    "sst": ("big.lsst", lambda p: save_sst(p, SAMPLE_SSTS["drop-last"]),
+            "$2]", "$N]", ["ab"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_LONG_NUMBER_FILES))
+def test_a_5000_digit_number_in_a_file_exits_2_naming_it(capsys, tmp_path, command):
+    name, save, old, new, argv = _LONG_NUMBER_FILES[command]
+    p = tmp_path / name
+    save(p)
+    text = p.read_text(encoding="utf-8")
+    assert old in text
+    p.write_text(text.replace(old, new.replace("N", "9" * 5000), 1), encoding="utf-8")
+    code, out, err = run(capsys, command, str(p), *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"{p}: ") and "Traceback" not in err
 
 
 def test_missing_file_exits_2(capsys, tmp_path):

@@ -154,6 +154,14 @@ def test_structure_files_skip_blank_and_comment_lines(tmp_path):
     assert load_structure(p) == Structure((0, 1), {"q": 1}, {"q": frozenset({(1,)})})
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r", "\x0b", "\x1e", "\x85", "\u2028"])
+def test_the_header_line_ends_where_splitlines_ends_it(tmp_path, end):
+    p = tmp_path / "s.lstruct"
+    p.write_text(f"listfn-structure 1{end}universe 0 1\nrel q 1\ntuple 1\n",
+                 encoding="utf-8", newline="")
+    assert load_structure(p) == Structure((0, 1), {"q": 1}, {"q": frozenset({(1,)})})
+
+
 _MALFORMED_STRUCTURES = [
     ("universe 0 1\ntuple 0\nrel q 1", "tuple before any rel line"),
     ("universe 0 1\nrel q 2\ntuple 0", "tuple arity mismatch under q"),
@@ -246,6 +254,64 @@ def test_non_decimal_digits_in_numeric_fields_are_rejected(tmp_path, keyword,
     p.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(FileFormatError):
         load(p)
+
+
+_LONG = "1" * 5000  # int() reads at most 4,300 digits unless told otherwise
+
+
+def _with_long_number(p, old, new):
+    """Rewrite file ``p`` with its first ``old`` made ``new``, _LONG in it."""
+    text = p.read_text(encoding="utf-8")
+    assert old in text
+    p.write_text(text.replace(old, new.replace("N", _LONG), 1), encoding="utf-8")
+
+
+def _raises_naming(p, load, message=None):
+    with pytest.raises(FileFormatError) as caught:
+        load(p)
+    assert str(caught.value).startswith(f"{p}: ")
+    if message is not None:
+        assert str(caught.value) == f"{p}: {message}"
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("rel sib 2", "rel sib N", "rel lines take name, arity"),
+    ("universe 0 1 2", "universe 0 1 2 N", "elements must be integers"),
+    ("tuple 1 2", "tuple 1 N", "elements must be integers"),
+], ids=["arity", "universe", "tuple"])
+def test_structure_file_with_a_5000_digit_number_is_a_format_error(tmp_path, old, new,
+                                                                    message):
+    p = tmp_path / "big.lstruct"
+    save_structure(p, encode_value(sym_list("ab"), List(AB)))
+    _with_long_number(p, old, new)
+    _raises_naming(p, load_structure, message)
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("copies 1", "copies N", "copies must be a positive number"),
+    ("input sib 2", "input sib N", "input lines take name, arity"),
+    ("output sib 2", "output sib N", "output lines take name, arity"),
+    ("universe 1 true", "universe N true", "universe lines take a new copy number, formula"),
+    ("case t 1 ", "case t N ", "case lines take a rel name, new copy numbers, formula"),
+], ids=["copies", "input", "output", "universe", "case"])
+def test_fot_file_with_a_5000_digit_number_is_a_format_error(tmp_path, old, new, message):
+    p = tmp_path / "big.lfot"
+    save_fot(p, builtin_fot("reverse", AB))
+    _with_long_number(p, old, new)
+    _raises_naming(p, load_fot, message)
+
+
+@pytest.mark.parametrize("old,new", [
+    ("registers 2", "registers N"),
+    ("output-register 1", "output-register N"),
+    ("[$1, $2]", "[$1, $N]"),
+    ("2 := [", "N := ["),
+], ids=["registers", "output-register", "register-item", "component"])
+def test_sst_file_with_a_5000_digit_number_is_a_format_error(tmp_path, old, new):
+    p = tmp_path / "big.lsst"
+    save_sst(p, SAMPLE_SSTS["drop-last"])
+    _with_long_number(p, old, new)
+    _raises_naming(p, load_sst)
 
 
 def test_header_and_kind_mismatch_are_rejected(tmp_path):
@@ -361,7 +427,7 @@ _PLAIN = "universe 0 1 7\nrel p 1\ntuple 7\nrel q 2\ntuple 0 1\ntuple 1 7\n"
 # (body, whether the bulk reader takes it); every other body falls back
 _HAND_MADE = [
     (_PLAIN, True),
-    (_PLAIN.replace("rel q 2", "# a comment\n\n  # another\nrel q 2\n \t"), True),
+    (_PLAIN.replace("rel q 2", "# a comment\n\n  # another\nrel q 2\n \t"), False),
     (_PLAIN + "rel r 1\n", True),  # an empty relation, last
     (_PLAIN.replace("rel p 1\ntuple 7\n", "rel p 1\n"), True),  # and first
     (_PLAIN + "rel t 3\ntuple 0 1 7\ntuple 7 7 7\n", True),
@@ -371,6 +437,16 @@ _HAND_MADE = [
     ("universe\nrel q 1\n", True),
     (_PLAIN.replace("tuple 0 1", "tuple\t0\t1"), False),
     (_PLAIN.replace("\n", "\r\n"), True),  # splitlines takes \r\n off
+    (_PLAIN.replace("\n", "\r"), True),  # and read_text makes \r a newline
+    (_PLAIN.replace(" 7", " 17")[:-1], False),  # no last newline after "tuple 1 17"
+    (_PLAIN + "\n", False),  # a blank line: at the end,
+    (_PLAIN.replace("rel q 2", "rel r 1\n\nrel q 2"), False),  # after an empty relation,
+    (_PLAIN.replace("rel q 2", "\nrel q 2"), False),  # between blocks
+    ("\n" + _PLAIN, False),  # and first
+    (_PLAIN.replace("rel q 2", "# a comment\nrel q 2"), False),
+    (_PLAIN.replace("rel q 2", "rel q\x85 2"), False),  # splitlines breaks the name's line
+    (_PLAIN.replace("rel q 2", "rel q\u2028 2"), False),
+    (_PLAIN.replace("rel q 2", "rel q\x1f 2"), True),  # but not here
     (_PLAIN.replace("tuple 7", "tuple 7 "), False),
     (_PLAIN.replace("universe 0 1 7", "universe 0 1 7 "), False),
     (_PLAIN.replace("rel q 2", "rel q 2 "), False),

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from listfn import rational
 from listfn.algebra import AlgebraError, Leaf, Node, build_factorisation, tree_depth
 from listfn.rational import (
     DEAD,
@@ -188,6 +189,29 @@ def _leaf_depths(t, depth=0):
 
 
 @pytest.mark.parametrize("name", NAMES)
+def test_the_pipeline_runs_forest_ancestors_classify_table(name, monkeypatch):
+    """Four stages by these names: forest gives a factorisation tree, classify
+    a list of triple symbols that the table stage reads, DEAD among them for
+    a position with more ancestors than the bound."""
+    r = SAMPLE_RATIONALS[name]
+    w = (r.input_letters * 5)[:9]
+    p = compile_rational(r)
+    assert [s.name for s in p.stages] == ["forest", "ancestors", "classify", "table"]
+    assert [s.kind for s in p.stages] == ["opaque"] * 3 + ["term"]
+    forest, ancestors, classify, table = p.stages
+    tree = forest.run(w)
+    assert isinstance(tree, Node) and tree.children
+    classes = classify.run(ancestors.run(tree))
+    assert isinstance(classes, ListV) and len(classes.items) == len(w)
+    assert {s.name for s in classes.items} <= set(triple_alphabet(r).names) - {DEAD}
+    assert table.run(classes) == eval_term(table.term, classes)
+    monkeypatch.setattr(rational, "forest_depth_bound", lambda m, gens: 0)
+    cut = compile_rational(r).stages[2].run(ancestors.run(tree))
+    assert isinstance(cut, ListV) and cut.items == (Sym(DEAD),) * len(w)
+    assert DEAD in triple_alphabet(r).names
+
+
+@pytest.mark.parametrize("name", NAMES)
 def test_stages_by_hand_count_ancestors_and_go_dead_above_the_bound(name):
     """The ancestors stage gives each position its leaf's depth in the forest
     and the element numbers of its prefix and suffix images.  Classified with
@@ -196,7 +220,7 @@ def test_stages_by_hand_count_ancestors_and_go_dead_above_the_bound(name):
     that depth are dead, and they emit nothing."""
     r = SAMPLE_RATIONALS[name]
     m = r.monoid
-    forest, profiles, ancestors, _, table = compile_rational(r).stages
+    forest, ancestors, _, table = compile_rational(r).stages
     syms = triple_symbols(r)
 
     def blocks(classes):
@@ -208,7 +232,7 @@ def test_stages_by_hand_count_ancestors_and_go_dead_above_the_bound(name):
     for n in (1, 2, 3, 5, 8, 40, 700):
         w = [rng.choice(r.input_letters) for _ in range(n)]
         tree = forest.run(w)
-        ann = ancestors.run(profiles.run(tree))
+        ann = ancestors.run(tree)
         depths = _leaf_depths(tree)
         assert [(a, count) for a, count, _, _ in ann] == list(zip(w, depths))
         prefix = m.identity
