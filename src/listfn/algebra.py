@@ -76,6 +76,9 @@ class FiniteSemigroup:
                 if c not in index:
                     raise AlgebraError(f"product {a}·{b}={c} outside the elements")
                 table[index[a]][index[b]] = index[c]
+        if len(mult) != n * n:  # every pair has its entry, so the others name a non-element
+            a, b = next(p for p in mult if p[0] not in index or p[1] not in index)
+            raise AlgebraError(f"product {a}·{b} of a non-element in the table")
         for g in _generators(table):
             tg = table[g]
             for i, ti in enumerate(table):

@@ -90,7 +90,6 @@ from .types import (
     ListfnError,
     NestingError,
     ParseError,
-    TypeMismatch,
     enumerate_values,
     parse_type,
     parse_value,
@@ -178,18 +177,10 @@ def _fot_arg(text: str, type_texts: list[str] | None):
         texts = _split_args(annotation) + texts
     arities = builtin_names()
     if name in arities:
-        return builtin_fot(name, *_type_args(name, [parse_type(t) for t in texts]))
+        return builtin_fot(name, *map(parse_type, texts))
     raise ParseError(
         f"{text!r} is neither a transduction file nor one of "
         f"{', '.join(arities)}")
-
-
-def _type_args(name: str, types: list) -> list:
-    """``types``, once built-in ``name`` is known to take that many."""
-    arity = builtin_names()[name]
-    if len(types) != arity:
-        raise ParseError(f"{name} takes {arity} type argument(s), got {len(types)}")
-    return types
 
 
 def _hom_map(text: str) -> dict[str, str]:
@@ -198,6 +189,8 @@ def _hom_map(text: str) -> dict[str, str]:
         letter, sep, image = part.partition("=")
         if not sep or not letter or not image:
             raise ParseError(f"--hom expects letter=element pairs, got {part!r}")
+        if letter in mapping:
+            raise ParseError(f"--hom gives letter {letter!r} twice")
         mapping[letter] = image
     return mapping
 
@@ -320,9 +313,6 @@ def _cross_checked(rep: Reporter, kind: str, input_: dict, **routes) -> int:
 def cmd_run_pipeline(args, rep: Reporter) -> int:
     pipeline = fileio.load_pipeline(args.pipeline)
     word = _word_arg(args.word)
-    for a in word:
-        if a not in pipeline.rational.input_letters:
-            raise TypeMismatch(f"letter {a!r} is not in the input alphabet")
     return _cross_checked(
         rep, "run-pipeline", {"pipeline": args.pipeline, "word": args.word},
         pipeline=eval_pipeline(pipeline, word),
@@ -517,8 +507,10 @@ def cmd_check(args, rep: Reporter) -> int:
         raise ParseError(f"check {args.which} takes no --type")
     types = [parse_type(t) for t in args.types or ()]
     defaults = [parse_type("{a,b}"), parse_type("{c,d}")]
-    builtins = {name: _type_args(name, types or defaults[:arities[name]])
+    builtins = {name: types or defaults[:arities[name]]
                 for name in ([args.target] if args.target else arities)}
+    for name, ts in builtins.items():
+        builtin_term(name, *ts)  # a wrong type count exits 2 before any check prints
     worst = 0
     for check in which:
         family = _CHECKS[check](seed, args.count, builtins)

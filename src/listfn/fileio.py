@@ -3,6 +3,8 @@
 Every file opens with a one-line header naming its format and version, for
 example ``listfn-rational 1``.  Later lines hold whitespace-separated fields;
 a field containing spaces is shell-quoted, and ``#`` starts a comment line.
+A keyed line, such as a monoid ``row`` or an SST ``trans``, names its key
+once; a repeat is a ``FileFormatError``.
 Term files are the exception: after the header the rest of the file is raw
 term text, since terms carry their own quoting.  A structure file as
 ``save_structure`` writes it (the universe line, then ``rel`` blocks; no tab,
@@ -122,13 +124,12 @@ class _Body:
 
     def take(self, keyword: str, count: int | None = None) -> list[str]:
         """The fields after the single required line starting with keyword."""
-        hits = [r for r in self.rows if r and r[0] == keyword]
+        hits = self.all(keyword)
         if len(hits) != 1:
             raise FileFormatError(f"{self.where}: need exactly one {keyword!r} line")
-        args = hits[0][1:]
-        if count is not None and len(args) != count:
+        if count is not None and len(hits[0]) != count:
             raise FileFormatError(f"{self.where}: {keyword!r} takes {count} field(s)")
-        return args
+        return hits[0]
 
     def build(self, make, *args, **kw):
         """``make(*args, **kw)``, a library error in it read as this file's."""
@@ -139,6 +140,21 @@ class _Body:
 
     def all(self, keyword: str) -> list[list[str]]:
         return [r[1:] for r in self.rows if r and r[0] == keyword]
+
+    def keyed(self, keyword: str, key: int, count: int | None = None) -> dict:
+        """The keyword's lines as a dict from the tuple of their first ``key``
+        fields to the list of the rest, ``count`` fields if given; a key given
+        twice raises."""
+        lines = {}
+        for row in self.all(keyword):
+            k, rest = tuple(row[:key]), row[key:]
+            if len(k) < key or count not in (None, len(rest)):
+                size = f"at least {key}" if count is None else key + count
+                raise FileFormatError(f"{self.where}: {keyword} lines take {size} field(s)")
+            if k in lines:
+                raise FileFormatError(f"{self.where}: repeated {keyword} line for {_line(*k)}")
+            lines[k] = rest
+        return lines
 
     def check_keywords(self, allowed: set[str]) -> None:
         for r in self.rows:
@@ -176,11 +192,8 @@ def _parse_monoid_rows(b: _Body) -> FiniteMonoid:
     """The monoid of the elements, identity and row lines."""
     elements = tuple(b.take("elements"))
     identity = b.take("identity", 1)[0]
-    table = {}
-    for row in b.all("row"):
-        if len(row) != len(elements) + 1:
-            raise FileFormatError(f"{b.where}: row needs 1+{len(elements)} fields")
-        table.update(((row[0], y), p) for y, p in zip(elements, row[1:]))
+    table = {(x, y): p for (x,), row in b.keyed("row", 1, len(elements)).items()
+             for y, p in zip(elements, row)}
     return b.build(FiniteMonoid, elements, table, identity)
 
 
@@ -196,9 +209,7 @@ def load_monoid(path: str | Path) -> tuple[FiniteMonoid, dict[str, str] | None]:
     b = _Body(_read_body(path, "monoid"), str(path))
     b.check_keywords(_MONOID_KEYWORDS | {"letter"})
     m = _parse_monoid_rows(b)
-    if any(len(r) != 2 for r in b.all("letter")):
-        raise FileFormatError(f"{b.where}: letter lines take 2 fields")
-    letters = {r[0]: r[1] for r in b.all("letter")}
+    letters = {a: img for (a,), (img,) in b.keyed("letter", 1, 1).items()}
     for a, img in letters.items():
         if img not in m.elements:
             raise FileFormatError(f"{b.where}: letter {a} maps outside")
@@ -236,16 +247,8 @@ def _parse_rational(b: _Body, extra_keywords: set[str] = frozenset()) -> Rationa
     inputs = tuple(b.take("input"))
     outputs = tuple(b.take("output"))
     empty = tuple(b.take("empty"))
-    h = {}
-    for row in b.all("h"):
-        if len(row) != 2:
-            raise FileFormatError(f"{b.where}: h lines take 2 fields")
-        h[row[0]] = row[1]
-    out: dict[tuple[str, str, str], tuple[str, ...]] = {}
-    for row in b.all("out"):
-        if len(row) < 3:
-            raise FileFormatError(f"{b.where}: out lines need m, letter, m'")
-        out[(row[0], row[1], row[2])] = tuple(row[3:])
+    h = {a: img for (a,), (img,) in b.keyed("h", 1, 1).items()}
+    out = {context: tuple(block) for context, block in b.keyed("out", 3).items()}
     return b.build(RationalFn, name, inputs, outputs, monoid, h, out, empty)
 
 
@@ -268,13 +271,8 @@ def load_pipeline(path: str | Path) -> Pipeline:
     b = _Body(_read_body(path, "pipeline"), str(path))
     r = _parse_rational(b, extra_keywords={"bound", "table"})
     bound = b.take("bound", 1)[0]
-    table: dict[str, tuple[str, ...]] = {}
-    for row in b.all("table"):
-        if not row:
-            raise FileFormatError(f"{path}: table lines name a triple")
-        table[row[0]] = tuple(row[1:])
-    missing = [n for n in triple_alphabet(r).names if n not in table]
-    if missing:
+    table = {name: tuple(block) for (name,), block in b.keyed("table", 1).items()}
+    if missing := [n for n in triple_alphabet(r).names if n not in table]:
         raise FileFormatError(f"{path}: table misses triple {missing[0]}")
     p = compile_rational(r, table=table)
     if bound != str(p.bound):
@@ -303,12 +301,8 @@ def load_sst(path: str | Path) -> SSTSpec:
     b = _Body(_read_body(path, "sst"), str(path))
     b.check_keywords({"name", "input", "states", "initial", "registers",
                       "output-register", "trans"})
-    transitions = {}
-    for row in b.all("trans"):
-        if len(row) != 4:
-            raise FileFormatError(
-                f"{b.where}: trans lines take state, letter, target, update")
-        transitions[(row[0], row[1])] = (row[2], b.build(parse_update, row[3]))
+    transitions = {k: (target, b.build(parse_update, eta))
+                   for k, (target, eta) in b.keyed("trans", 2, 2).items()}
     registers, output_register = (_decimal(b.take(k, 1)[0])
                                   for k in ("registers", "output-register"))
     if None in (registers, output_register):
@@ -436,12 +430,10 @@ def save_fot(path: str | Path, t: FOTransduction) -> None:
     _write(path, "fot", body)
 
 
-def _vocab(rows: list[list[str]], where: str, keyword: str) -> dict[str, int]:
-    vocab = {}
-    for row in rows:
-        if len(row) != 2 or (arity := _decimal(row[1])) is None:
-            raise FileFormatError(f"{where}: {keyword} lines take name, arity")
-        vocab[row[0]] = arity
+def _vocab(b: _Body, keyword: str) -> dict[str, int]:
+    vocab = {name: _decimal(arity) for (name,), (arity,) in b.keyed(keyword, 1, 1).items()}
+    if None in vocab.values():
+        raise FileFormatError(f"{b.where}: {keyword} lines take name, arity")
     return vocab
 
 
@@ -457,11 +449,7 @@ def load_fot(path: str | Path) -> FOTransduction:
             raise FileFormatError(
                 f"{b.where}: universe lines take a new copy number, formula")
         universe[copy] = parse_formula(row[1])
-    relations: dict[str, tuple] = {}
-    for row in b.all("rel"):
-        if not row or row[0] in relations:
-            raise FileFormatError(f"{b.where}: rel lines take a new name, variables")
-        relations[row[0]] = (tuple(row[1:]), {})
+    relations = {name: (tuple(order), {}) for (name,), order in b.keyed("rel", 1).items()}
     for row in b.all("case"):
         key = tuple(map(_decimal, row[1:-1]))
         if (len(row) < 2 or row[0] not in relations or None in key
@@ -469,5 +457,5 @@ def load_fot(path: str | Path) -> FOTransduction:
             raise FileFormatError(
                 f"{b.where}: case lines take a rel name, new copy numbers, formula")
         relations[row[0]][1][key] = parse_formula(row[-1])
-    return b.build(FOTransduction, copies, _vocab(b.all("input"), b.where, "input"),
-                   _vocab(b.all("output"), b.where, "output"), universe, relations)
+    return b.build(FOTransduction, copies, _vocab(b, "input"), _vocab(b, "output"),
+                   universe, relations)

@@ -1243,7 +1243,7 @@ def builtin_term(name: str, *types: TypeExpr) -> Term:
         raise LogicError(f"unknown builtin transduction {name}")
     arity = builtin_names()[name]
     if len(types) != arity:
-        raise LogicError(f"{name} takes {arity} type argument(s)")
+        raise ParseError(f"{name} takes {arity} type argument(s), got {len(types)}")
     return _BUILTINS[name][0](*types)
 
 

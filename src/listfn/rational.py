@@ -54,6 +54,8 @@ class RationalFn:
         for a in self.input_letters:
             if self.h.get(a) not in self.monoid.elements:
                 raise AlgebraError(f"{self.name}: no image for letter {a}")
+        if extra := [a for a in self.h if a not in self.input_letters]:
+            raise AlgebraError(f"{self.name}: image for letter {extra[0]}, not in the input")
         for (m, a, mr), block in self.out.items():
             if m not in self.monoid.elements or mr not in self.monoid.elements:
                 raise AlgebraError(f"{self.name}: context ({m},{mr}) unknown")

@@ -46,6 +46,13 @@ def test_semigroup_rejects_non_associative_table():
             ("y", "x"): "y", ("y", "y"): "y"}, "x")  # x not an identity
 
 
+def test_semigroup_rejects_a_table_with_products_of_non_elements():
+    mult = {(a, b): "0" if "0" in (a, b) else "1" for a in "01" for b in "01"}
+    FiniteMonoid(("0", "1"), mult, "1")
+    with pytest.raises(AlgebraError, match="^product zz·1 of a non-element in the table$"):
+        FiniteMonoid(("0", "1"), {**mult, ("zz", "1"): "0"}, "1")
+
+
 def _light_failure(table: list[list[int]]):
     """The triple the library's check reports for ``table``, or None."""
     els = tuple(f"x{i}" for i in range(len(table)))
@@ -290,6 +297,25 @@ def test_validator_rejects_wrong_labels_and_unequal_runs():
     res = validate_factorisation(h, Node(h.target.product([p.label for p in parents]), parents))
     assert not res
     assert "unequal child labels" in res.message
+
+
+_A, _B = (Node(x, (Leaf(x),)) for x in "ab")  # leaf parents under hom_contains_ab
+
+
+@pytest.mark.parametrize("tree,message", [
+    (Leaf("a"), "a leaf appears without its unary parent"),
+    (Node("a", ()), "node without children"),
+    (Node("ab", (Leaf("a"), Leaf("b"))), "a leaf has siblings"),
+    (Node("b", (Leaf("a"),)), "leaf parent labelled b, letter maps to a"),
+    (Node("a", (_A,)), "unary node above non-leaves"),
+    (Node("ba", (_A, _B)), "label ba differs from the product of child labels"),
+    (Node("ab", (_A, _B, _A)), "node of degree three or more with unequal child labels"),
+    (Node("ab", (Node("a", (Leaf("b"),)), _B)), "leaf parent labelled a, letter maps to b"),
+], ids=["bare-leaf", "childless", "leaf-siblings", "leaf-label", "unary",
+        "product-label", "unequal-run", "below-the-root"])
+def test_validator_names_each_rule_a_tree_breaks(tree, message):
+    result = validate_factorisation(hom_contains_ab(), tree)
+    assert (result.ok, result.message) == (False, message)
 
 
 def test_forest_evaluation_matches_direct_image():

@@ -18,7 +18,7 @@ from listfn.algebra import FiniteMonoid
 from listfn.cli import main
 from listfn.fileio import save_fot, save_monoid, save_rational, save_sst, save_structure
 from listfn.logic import FOTransduction, Structure, builtin_fot, parse_formula
-from listfn.samples import SAMPLE_RATIONALS, SAMPLE_SSTS
+from listfn.samples import SAMPLE_RATIONALS, SAMPLE_SSTS, hom_u1_keep_a
 from listfn.registers import t_k_monoid
 from listfn.types import FinSet
 
@@ -586,6 +586,43 @@ def test_a_rational_file_with_a_repeated_letter_exits_2_naming_it(capsys, tmp_pa
     code, out, err = run(capsys, "compile-rational", str(p), "-o", str(tmp_path / "x.lpipe"))
     assert (code, out) == (2, "")
     assert err == f"{p}: keep-a: {side} letters must be distinct\n"
+
+
+@pytest.mark.parametrize("suffix", ["lrat", "lpipe"])
+def test_a_file_with_an_image_for_a_letter_outside_the_input_exits_2(capsys, tmp_path,
+                                                                      suffix):
+    p = tmp_path / f"extra.{suffix}"
+    if suffix == "lrat":
+        save_rational(p, SAMPLE_RATIONALS["keep-a"])
+        argv = ["compile-rational", str(p), "-o", str(tmp_path / "x.lpipe")]
+    else:
+        run(capsys, "compile-rational", "keep-a", "-o", str(p))
+        argv = ["run-pipeline", str(p), "ab"]
+    with p.open("a", encoding="utf-8") as f:
+        f.write("h c 0\n")
+    assert run(capsys, *argv) == (2, "", f"{p}: keep-a: image for letter c, not in the input\n")
+
+
+def test_run_pipeline_on_a_letter_outside_the_input_exits_3(capsys, tmp_path):
+    pipe = tmp_path / "keepa.lpipe"
+    run(capsys, "compile-rational", "keep-a", "-o", str(pipe))
+    assert run(capsys, "run-pipeline", str(pipe), "abc") == (3, "", "letter 'c' has no image\n")
+
+
+def test_forest_on_a_monoid_file_with_a_row_for_a_non_element_exits_2(capsys, tmp_path):
+    p = tmp_path / "u1.lmonoid"
+    hom = hom_u1_keep_a()
+    save_monoid(p, hom.target, hom.letter_map)
+    with p.open("a", encoding="utf-8") as f:
+        f.write("row zz 1 0\n")
+    code, out, err = run(capsys, "forest", str(p), "ab")
+    assert (code, out) == (2, "")
+    assert err == f"{p}: product zz·1 of a non-element in the table\n"
+
+
+def test_forest_refuses_a_letter_given_twice_in_hom(capsys):
+    assert run(capsys, "forest", "u1", "a", "--hom", "a=1,a=0") == (
+        2, "", "--hom gives letter 'a' twice\n")
 
 
 def test_fot_file_with_a_3000_wide_connective_runs(capsys, tmp_path):

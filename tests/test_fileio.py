@@ -230,6 +230,57 @@ def test_malformed_fot_files_are_rejected(tmp_path, line):
         load_fot(p)
 
 
+# per keyed line: how to save a file holding it, its loader, its key's width
+_KEYED_LINES = {
+    "row": (lambda p: save_monoid(p, CONTAINS_AB, {"a": "a", "b": "b"}), load_monoid, 1),
+    "letter": (lambda p: save_monoid(p, CONTAINS_AB, {"a": "a", "b": "b"}), load_monoid, 1),
+    "h": (lambda p: save_rational(p, SAMPLE_RATIONALS["keep-a"]), load_rational, 1),
+    "out": (lambda p: save_rational(p, SAMPLE_RATIONALS["keep-a"]), load_rational, 3),
+    "table": (lambda p: save_pipeline(p, compile_rational(SAMPLE_RATIONALS["keep-a"])),
+              load_pipeline, 1),
+    "trans": (lambda p: save_sst(p, SAMPLE_SSTS["reverse"]), load_sst, 2),
+    "input": (lambda p: save_fot(p, builtin_fot("reverse", AB)), load_fot, 1),
+    "output": (lambda p: save_fot(p, builtin_fot("reverse", AB)), load_fot, 1),
+    "rel": (lambda p: save_fot(p, builtin_fot("reverse", AB)), load_fot, 1),
+}
+
+
+@pytest.mark.parametrize("keyword", list(_KEYED_LINES))
+def test_a_repeated_key_is_refused_naming_it(tmp_path, keyword):
+    """A second line with the same key would override the first; it is
+    refused instead."""
+    save, load, width = _KEYED_LINES[keyword]
+    p = tmp_path / "artifact"
+    save(p)
+    lines = p.read_text(encoding="utf-8").splitlines()
+    line = next(ln for ln in lines if ln.split()[0] == keyword)
+    p.write_text("\n".join([*lines, line]) + "\n", encoding="utf-8")
+    key = " ".join(shlex.split(line)[1:1 + width])
+    _raises_naming(p, load, f"repeated {keyword} line for {key}")
+
+
+@pytest.mark.parametrize("keyword,keep,message", [
+    ("row", 5, "row lines take 6 field(s)"),
+    ("letter", 1, "letter lines take 2 field(s)"),
+    ("h", 1, "h lines take 2 field(s)"),
+    ("out", 2, "out lines take at least 3 field(s)"),
+    ("table", 0, "table lines take at least 1 field(s)"),
+    ("trans", 3, "trans lines take 4 field(s)"),
+    ("input", 1, "input lines take 2 field(s)"),
+    ("rel", 0, "rel lines take at least 1 field(s)"),
+])
+def test_a_keyed_line_with_too_few_fields_is_refused(tmp_path, keyword, keep, message):
+    """The line cut to its keyword and first ``keep`` fields."""
+    save, load, _ = _KEYED_LINES[keyword]
+    p = tmp_path / "artifact"
+    save(p)
+    lines = p.read_text(encoding="utf-8").splitlines()
+    i = next(i for i, ln in enumerate(lines) if ln.split()[0] == keyword)
+    lines[i] = " ".join(shlex.quote(f) for f in shlex.split(lines[i])[:1 + keep])
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _raises_naming(p, load, message)
+
+
 def _save_drop_last(p):
     save_sst(p, SAMPLE_SSTS["drop-last"])
 

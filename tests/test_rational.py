@@ -89,6 +89,13 @@ def test_rational_fn_refuses_repeated_letters(field):
         dataclasses.replace(keep_a, **{field: ("a", "a", "b")})
 
 
+def test_rational_fn_refuses_an_image_for_a_letter_outside_its_input():
+    """Else the pipeline's classify stage meets a letter its table lacks."""
+    keep_a = SAMPLE_RATIONALS["keep-a"]
+    with pytest.raises(AlgebraError, match="^keep-a: image for letter c, not in the input$"):
+        dataclasses.replace(keep_a, h={**keep_a.h, "c": "0"})
+
+
 def test_a_letter_outside_the_input_is_a_library_error():
     keep_a = SAMPLE_RATIONALS["keep-a"]
     with pytest.raises(TypeMismatch, match="keep-a: letter 'c' not in the input"):
