@@ -9,17 +9,18 @@ on the length of the word.
 Each semigroup numbers its elements once (``index``) and keeps its product
 only as the integer Cayley table that its associativity check (Light's test,
 on a greedy generating set) builds (``table``; ``mult`` on names reads it),
-beside its aperiodicity index.  The builder works on element numbers and turns
-them into names only for node labels.  Which one-sided ideal splits a word
-depends only on the set of its letters' images, so that choice is memoised per
-generator set on the semigroup object itself, filled on first use: a
-long-lived semigroup such as the cached T_k computes each closure once.
+beside its aperiodicity index.  The builder holds a word as its trees and one
+string of their labels, ``chr(element number)`` each, so ``set`` finds its
+generator set and ``str.split`` its runs; names are made only for node labels.
+Which one-sided ideal splits a word depends only on its generator set, so that
+choice is memoised per set (its sorted characters) on the semigroup itself,
+filled on first use: a long-lived semigroup such as the cached T_k computes
+each closure once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import groupby
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .types import ListfnError
@@ -59,8 +60,8 @@ class FiniteSemigroup:
         self.index = {e: i for i, e in enumerate(self.elements)}
         self.table = self._check_table(mult)
         self.aperiodicity = _aperiodicity(self.table)
-        # generator set (element indices, ascending) -> (g, right) split choice
-        self._splits: dict[tuple[int, ...], tuple[int, bool]] = {}
+        # generator set (label characters, ascending) -> (g, right) split choice
+        self._splits: dict[str, tuple[int, bool]] = {}
 
     def _check_table(self, mult: dict[tuple[str, str], str]) -> list[list[int]]:
         """Integer Cayley table: ``table[i][j]`` indexes element i·j."""
@@ -274,42 +275,37 @@ def build_factorisation(h: Homomorphism, word: Sequence[Hashable]) -> FactTree:
     if not word:
         raise AlgebraError("cannot factorise the empty word")
     index = s.index
-    leaves: dict[Hashable, tuple[FactTree, int]] = {}
-    items = []
-    for a in word:
-        item = leaves.get(a)
-        if item is None:
-            name = h(a)
-            if name not in index:
-                raise AlgebraError(
-                    f"letter {a!r} maps to {name!r}, not an element")
-            item = leaves[a] = (Node(name, (Leaf(a),)), index[name])
-        items.append(item)
-    tree, _ = _combine(s, items)
+    leaves: dict[Hashable, FactTree] = {}
+    chars: dict[Hashable, str] = {}
+    for a in dict.fromkeys(word):
+        name = h(a)
+        if name not in index:
+            raise AlgebraError(f"letter {a!r} maps to {name!r}, not an element")
+        leaves[a] = Node(name, (Leaf(a),))
+        chars[a] = chr(index[name])
+    tree, _ = _combine(s, list(map(leaves.__getitem__, word)),
+                       "".join(map(chars.__getitem__, word)))
     return tree
 
 
-# Items below carry (tree, index of its label in s.elements).
+# A word below is its list of trees and one string of their labels,
+# chr(element number) per tree; a built tree comes with its label's number.
 
-def _combine(s: FiniteSemigroup,
-             items: list[tuple[FactTree, int]]) -> tuple[FactTree, int]:
-    if len(items) == 1:
-        return items[0]
-    gens = tuple(sorted({v for _, v in items}))
+def _combine(s: FiniteSemigroup, trees: Sequence[FactTree],
+             labels: str) -> tuple[FactTree, int]:
+    if len(labels) == 1:
+        return trees[0], ord(labels)
+    gens = set(labels)
     if len(gens) == 1:
-        label = gens[0]
-        row = s.table[label]
-        for _ in range(min(len(items), s.aperiodicity) - 1):
-            label = row[label]
-        return (Node(s.elements[label], tuple(t for t, _ in items)), label)
-    choice = s._splits.get(gens)
+        return _power(s, trees, ord(labels[0]))
+    key = "".join(sorted(gens))
+    choice = s._splits.get(key)
     if choice is None:
-        choice = s._splits[gens] = _split_choice(s.table, gens)
-    return _split(s, items, *choice)
+        choice = s._splits[key] = _split_choice(s.table, [ord(c) for c in key])
+    return _split(s, trees, labels, *choice)
 
 
-def _split_choice(table: list[list[int]],
-                  gens: tuple[int, ...]) -> tuple[int, bool]:
+def _split_choice(table: list[list[int]], gens: list[int]) -> tuple[int, bool]:
     """First (g, right) whose ideal is strict in the closure of ``gens``.
 
     Right ideals (closure·g) are tried before left ones (g·closure), each
@@ -327,29 +323,57 @@ def _split_choice(table: list[list[int]],
     raise AssertionError("no strict ideal found; semigroup is not aperiodic")
 
 
+def _power(s: FiniteSemigroup, trees: Sequence[FactTree],
+           g: int) -> tuple[FactTree, int]:
+    """A run of trees labelled g: one stands for itself, more take one wide
+    node labelled g to their number, the power capped at the aperiodicity."""
+    if len(trees) == 1:
+        return trees[0], g
+    label, row = g, s.table[g]
+    for _ in range(min(len(trees), s.aperiodicity) - 1):
+        label = row[label]
+    return Node(s.elements[label], tuple(trees)), label
+
+
 def _binary(s: FiniteSemigroup, a: tuple[FactTree, int],
             b: tuple[FactTree, int]) -> tuple[FactTree, int]:
     label = s.table[a[1]][b[1]]
     return (Node(s.elements[label], (a[0], b[0])), label)
 
 
-def _split(s: FiniteSemigroup, items: list[tuple[FactTree, int]],
+def _split(s: FiniteSemigroup, trees: Sequence[FactTree], labels: str,
            g: int, right: bool) -> tuple[FactTree, int]:
-    runs = [list(run) for _, run in groupby(items, lambda it: it[1] == g)]
+    # the maximal runs, alternately of g and of other labels: the pieces
+    # between the g's are the others, and a run of g ends at each such piece
+    c = chr(g)
+    runs = []
+    start = i = 0  # start: where the run of g that i is in began
+    for piece in labels.split(c):
+        if piece:
+            if i > start:
+                runs.append(_power(s, trees[start:i], g))
+            start = i + len(piece)
+            runs.append((trees[i], ord(piece)) if start - i == 1
+                        else _combine(s, trees[i:start], piece))
+            i = start
+        i += 1
+    if len(labels) > start:
+        runs.append(_power(s, trees[start:], g))
     # a pair is blue·red for a right ideal, red·blue for a left one: a run of
     # its second colour first, or of its first colour last, is left over
-    pre = runs.pop(0) if (runs[0][0][1] == g) == right else None
-    post = runs.pop() if runs and (runs[-1][0][1] == g) != right else None
+    pre = runs.pop(0) if (labels[0] == c) == right else None
+    post = runs.pop() if runs and (labels[-1] == c) != right else None
     assert len(runs) % 2 == 0
-    pairs = [_binary(s, _combine(s, runs[i]), _combine(s, runs[i + 1]))
-             for i in range(0, len(runs), 2)]
-    mid = _combine(s, pairs) if pairs else None
+    mid = None
+    if runs:
+        table, els, firsts, seconds = s.table, s.elements, runs[::2], runs[1::2]
+        nums = [table[a][b] for (_, a), (_, b) in zip(firsts, seconds)]
+        tops = [Node(els[x], (a, b)) for x, (a, _), (b, _) in zip(nums, firsts, seconds)]
+        mid = _combine(s, tops, "".join(map(chr, nums)))
     if pre is not None:
-        pre_c = _combine(s, pre)
-        mid = pre_c if mid is None else _binary(s, pre_c, mid)
+        mid = pre if mid is None else _binary(s, pre, mid)
     if post is not None:
-        post_c = _combine(s, post)
-        mid = post_c if mid is None else _binary(s, mid, post_c)
+        mid = post if mid is None else _binary(s, mid, post)
     assert mid is not None
     return mid
 

@@ -44,7 +44,7 @@ from .rational import (
 from .registers import SSTSpec, parse_update, render_update
 from .syntax import parse_term, render_term
 from .terms import Term
-from .types import ListfnError, ParseError
+from .types import ListfnError, NestingError, ParseError
 
 
 class FileFormatError(ParseError):
@@ -132,9 +132,11 @@ class _Body:
         return hits[0]
 
     def build(self, make, *args, **kw):
-        """``make(*args, **kw)``, a library error in it read as this file's."""
+        """``make(*args, **kw)``, a library error other than NestingError read as this file's."""
         try:
             return make(*args, **kw)
+        except NestingError:
+            raise
         except ListfnError as e:
             raise FileFormatError(f"{self.where}: {e}") from None
 
@@ -448,7 +450,7 @@ def load_fot(path: str | Path) -> FOTransduction:
         if len(row) != 2 or (copy := _decimal(row[0])) is None or copy in universe:
             raise FileFormatError(
                 f"{b.where}: universe lines take a new copy number, formula")
-        universe[copy] = parse_formula(row[1])
+        universe[copy] = b.build(parse_formula, row[1])
     relations = {name: (tuple(order), {}) for (name,), order in b.keyed("rel", 1).items()}
     for row in b.all("case"):
         key = tuple(map(_decimal, row[1:-1]))
@@ -456,6 +458,6 @@ def load_fot(path: str | Path) -> FOTransduction:
                 or key in relations[row[0]][1]):
             raise FileFormatError(
                 f"{b.where}: case lines take a rel name, new copy numbers, formula")
-        relations[row[0]][1][key] = parse_formula(row[-1])
+        relations[row[0]][1][key] = b.build(parse_formula, row[-1])
     return b.build(FOTransduction, copies, _vocab(b, "input"), _vocab(b, "output"),
                    universe, relations)

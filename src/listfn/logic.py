@@ -657,11 +657,12 @@ def _tests(ctx: _Ctx, cols: tuple[str, ...], parts, join):
             return (0, len(ctx.rows(p.name, len(p.args))) / max(1, len(ctx.univ)) ** len(p.args))
         return (0 if p.direct else 1, 0)
 
-    def fold(tests: list):
-        half = len(tests) // 2
-        return join(fold(tests[:half]), fold(tests[half:])) if half else tests[0]
+    return _fold([p.test(ctx, cols) for p in sorted(parts, key=cost)], join)
 
-    return fold([p.test(ctx, cols) for p in sorted(parts, key=cost)])
+
+def _fold(tests: list, join):
+    half = len(tests) // 2
+    return join(_fold(tests[:half], join), _fold(tests[half:], join)) if half else tests[0]
 
 
 class _All(_Node):
@@ -940,6 +941,7 @@ def _encoding(v: Value, t: TypeExpr, ids) -> dict[str, frozenset]:
         return nid
 
     walk(v, t, (), [])
+    del walk  # its closure refers to it: clear it, or the relations wait for the collector
     return {name: frozenset(rows) for name, rows in rels.items()}
 
 
@@ -995,6 +997,7 @@ def decode_structure(s: Structure, t: TypeExpr) -> Value:
         return PairV(read(kids[0], ty.left, path + (0,)), read(kids[1], ty.right, path + (1,)))
 
     v = read(next(iter(roots)), t, ())
+    del read  # as in _encoding: no cycle through its closure
     for name, rows in _encoding(v, t, iter(order)).items():
         if rows != rels[name]:
             row = min(rows ^ rels[name])

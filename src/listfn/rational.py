@@ -123,6 +123,7 @@ def ancestor_lists(m: FiniteMonoid, t: FactTree) -> list[tuple[str, int, int, in
                 left = table[left][x]
 
     walk(t, 0, one, one)
+    del walk  # the walk's closure refers to it: clear it, or the list waits for the collector
     return out
 
 

@@ -274,7 +274,9 @@ def product_list_updates(etas: Sequence[RegUpdate],
             return update_product(parts[0], parts[1])
         return _homogeneous(parts, by_name[t.label])
 
-    return evaluate(tree)
+    total = evaluate(tree)
+    del evaluate  # its closure refers to it: clear it, so no cycle outlives the call
+    return total
 
 
 def random_abstraction(k: int, rng) -> RegUpdate:
@@ -376,6 +378,9 @@ class SSTSpec:
     output_register: int = 1
 
     def __post_init__(self) -> None:
+        for what, items in (("input letters", self.input_letters), ("states", self.states)):
+            if len(set(items)) != len(items):
+                raise UpdateError(f"{self.name}: {what} must be distinct")
         if self.initial not in self.states:
             raise UpdateError("initial state unknown")
         if not 1 <= self.output_register <= self.registers:

@@ -5,10 +5,13 @@ frozen expected value and must finish inside its stated budget, so the suite
 doubles as a performance envelope.
 """
 import functools
+import gc
 import itertools
 import random
 import time
 from contextlib import contextmanager
+
+import pytest
 
 from helpers import (
     AB,
@@ -28,6 +31,7 @@ from listfn.algebra import (
     tree_yield,
     validate_factorisation,
 )
+from listfn.fileio import load_structure, save_structure
 from listfn.logic import (
     apply_transduction,
     builtin_fot,
@@ -313,3 +317,69 @@ def test_round_trips_are_identities_across_the_panel():
                 assert decode_structure(encode_value(v, t), t) == v
                 count += 1
             assert count > 0
+
+
+def _eval_terms():
+    rng = random.Random("garbage-terms")
+    for entry in CATALOG.values():
+        for args in entry.instances:
+            term = entry.build(*args)
+            eval_term(term, random_value(infer_type(term)[0], 12, rng))
+    for group in SAMPLE_GROUPS.values():
+        eval_term(PrefixGroupMult(group), ListV(tuple(map(Sym, group.elements * 5))))
+
+
+def _pipelines():
+    rng = random.Random("garbage-pipelines")
+    for r in SAMPLE_RATIONALS.values():
+        eval_pipeline(compile_rational(r), [rng.choice(r.input_letters) for _ in range(300)])
+
+
+def _update_lists(k):
+    rng = random.Random(f"garbage-k{k}")
+    return [random_update(k, rng) for _ in range(100)]
+
+
+def _homogeneous(k):
+    rng = random.Random(f"garbage-homogeneous-k{k}")
+    tau = random_abstraction(k, rng)
+    return [random_update_like(tau, rng) for _ in range(100)], tau
+
+
+def _transduction(name, types, path):
+    term = builtin_term(name, *types)
+    dom, cod = infer_type(term)
+    save_structure(path, encode_value(random_value(dom, 20, random.Random(name)), dom))
+    decode_structure(apply_transduction(builtin_fot(name, *types), load_structure(path)), cod)
+
+
+_OPS = {
+    "eval_term": lambda path: _eval_terms(),
+    "eval_pipeline": lambda path: _pipelines(),
+    "product_list_updates": lambda path: [product_list_updates(_update_lists(k))
+                                          for k in (1, 2, 3, 4)],
+    "homogeneous_product": lambda path: [homogeneous_product(*_homogeneous(k))
+                                         for k in (1, 2, 3, 4)],
+    "run_sst_structured": lambda path: [run_sst_structured(sst, sst.input_letters * 60)
+                                        for sst in SAMPLE_SSTS.values()],
+    **{f"transduction-{name}": functools.partial(_transduction, name, types)
+       for name, types in [("reverse", (AB,)), ("append", (AB,)), ("coappend", (AB,)),
+                           ("flat", (AB,)), ("block", (AB, CD)), ("ab_example", ())]},
+}
+
+
+@pytest.mark.parametrize("kind", _OPS)
+def test_an_op_leaves_no_garbage_cycles(kind, tmp_path):
+    """Each kind of op the benchmark times frees all it made by reference
+    counts: with the collector off, a full collection after it finds no
+    unreachable object.  The first call fills the caches."""
+    path = tmp_path / "op.lstruct"
+    _OPS[kind](path)
+    gc.disable()
+    try:
+        gc.collect()
+        with budget(10):
+            _OPS[kind](path)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

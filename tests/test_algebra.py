@@ -1,4 +1,5 @@
 """Semigroups, homomorphisms, and bounded-depth factorisation trees."""
+import hashlib
 import random
 import re
 import sys
@@ -347,3 +348,58 @@ def test_tree_depth_needs_no_stack_per_level():
         t = Node("e", (t,))
     assert sys.getrecursionlimit() < 5000
     assert tree_depth(t) == 5000
+
+
+class _Chain(FiniteMonoid):
+    """x·y = max(x, y) on n elements, its table set directly: Light's test
+    would take every element as a generator, n³ steps in all."""
+
+    def __init__(self, n: int) -> None:
+        super().__init__([f"l{i}" for i in range(n)], {}, "l0")
+
+    def _check_table(self, mult):
+        n = len(self.elements)
+        return [[max(i, j) for j in range(n)] for i in range(n)]
+
+
+def _tree_corpus():
+    """Words of up to 1000 letters over U1, contains-ab and T_2..T_4; random
+    and descending words over the 400-element chain, whose element numbers
+    pass 255; and T_4 words over element numbers 10, 45, 92, 93 and 94, the
+    characters newline, -, \\, ] and ^."""
+    rng = random.Random("tree-corpus")
+    monoids = [U1, CONTAINS_AB] + [t_k_monoid(k)[0] for k in (2, 3, 4)]
+    for m in monoids:
+        for n in (1, 2, 3, 8, 40, 250, 1000):
+            for size in (2, 3, 6, len(m)):
+                alphabet = rng.sample(m.elements, min(len(m), size))
+                yield m, [rng.choice(alphabet) for _ in range(n)]
+    t_4 = monoids[-1]
+    odd = [t_4.elements[i] for i in (10, 45, 92, 93, 94)]
+    for n in (2, 40, 1000):
+        yield t_4, [rng.choice(odd) for _ in range(n)]
+        yield t_4, [rng.choice(odd + rng.sample(t_4.elements, 3)) for _ in range(n)]
+    chain = _Chain(400)
+    for n in (8, 250, 1000):
+        for size in (3, 20, 400):
+            alphabet = rng.sample(chain.elements, size)
+            yield chain, [rng.choice(alphabet) for _ in range(n)]
+    yield chain, list(reversed(chain.elements))
+
+
+# SHA-256 of the trees' reprs over _tree_corpus, as the builder gave them
+# before it kept its labels as a string.
+TREE_CORPUS_SHA256 = "656b26feb5d1cede8de46a798f457573a5652470d16126b8784b6331e6a8a316"
+
+
+def test_trees_of_a_fixed_corpus_do_not_change():
+    digest = hashlib.sha256()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10_000)  # repr takes frames per level of a 400-deep tree
+    try:
+        for m, w in _tree_corpus():
+            tree = build_factorisation(Homomorphism(m, {e: e for e in m.elements}), w)
+            digest.update(repr(tree).encode())
+    finally:
+        sys.setrecursionlimit(limit)
+    assert digest.hexdigest() == TREE_CORPUS_SHA256

@@ -588,6 +588,33 @@ def test_a_rational_file_with_a_repeated_letter_exits_2_naming_it(capsys, tmp_pa
     assert err == f"{p}: keep-a: {side} letters must be distinct\n"
 
 
+def test_a_malformed_formula_in_a_transduction_file_exits_2_naming_it(capsys, tmp_path):
+    p = tmp_path / "bad.lfot"
+    save_fot(p, builtin_fot("reverse", FinSet(("a", "b"))))
+    text = p.read_text(encoding="utf-8")
+    assert "\ncase pare 1 1 'pare(x,y)'\n" in text
+    p.write_text(text.replace("\ncase pare 1 1 'pare(x,y)'\n", "\ncase pare 1 1 'x &'\n"),
+                 encoding="utf-8")
+    code, out, err = run(capsys, "fot", str(p), "--word", "ab")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"{p}: ")
+
+
+@pytest.mark.parametrize("old,new,what", [
+    ("input a b", "input a b a", "input letters"), ("states q", "states q q", "states"),
+])
+def test_an_sst_file_with_a_repeated_letter_or_state_exits_2_naming_it(capsys, tmp_path,
+                                                                      old, new, what):
+    p = tmp_path / "dup.lsst"
+    save_sst(p, SAMPLE_SSTS["reverse"])
+    text = p.read_text(encoding="utf-8")
+    assert f"\n{old}\n" in text
+    p.write_text(text.replace(f"\n{old}\n", f"\n{new}\n"), encoding="utf-8")
+    code, out, err = run(capsys, "sst", str(p), "ab")
+    assert (code, out) == (2, "")
+    assert err == f"{p}: reverse: {what} must be distinct\n"
+
+
 @pytest.mark.parametrize("suffix", ["lrat", "lpipe"])
 def test_a_file_with_an_image_for_a_letter_outside_the_input_exits_2(capsys, tmp_path,
                                                                       suffix):

@@ -273,6 +273,15 @@ def test_sst_refuses_a_bad_transition_update_at_construction(eta, message):
         SSTSpec("x", ("a",), ("q",), "q", 1, {("q", "a"): ("q", eta)})
 
 
+@pytest.mark.parametrize("letters,states,message", [
+    (("a", "b", "a"), ("q",), "x: input letters must be distinct"),
+    (("a",), ("q", "q"), "x: states must be distinct"),
+], ids=["letters", "states"])
+def test_sst_refuses_repeated_letters_and_states(letters, states, message):
+    with pytest.raises(UpdateError, match=message):
+        SSTSpec("x", letters, states, "q", 1, {("q", "a"): ("q", ((Reg(1),),))})
+
+
 def test_update_pipeline_refuses_bad_updates():
     g = _constant_update_rational("dup", {"a": "1 := [$1, $1]", "b": "1 := [$1]"})
     assert fot_pipeline_eval(g, 1, "bb") == ()
