@@ -306,21 +306,17 @@ def _combine(s: FiniteSemigroup, trees: Sequence[FactTree],
 
 
 def _split_choice(table: list[list[int]], gens: list[int]) -> tuple[int, bool]:
-    """First (g, right) whose ideal is strict in the closure of ``gens``.
+    """First (g, right) whose ideal is strict in the closure C of ``gens``,
+    two or more elements in element order: right ideals C·g first.
 
-    Right ideals (closure·g) are tried before left ones (g·closure), each
-    with the generators in element order.
+    If no C·g is strict, the left ideal of the first generator is: each
+    right translation by a generator permutes C, so the one by any y in C
+    does too, and y^n = y^(n+1) (aperiodicity) then makes it the identity.
+    So x·y = x on C (a left-zero band), and g·C = {g} is smaller than C.
     """
     active = _closure(table, gens)
-    size = len(active)
-    for g in gens:
-        if len({table[t][g] for t in active}) < size:
-            return g, True
-    for g in gens:
-        row = table[g]
-        if len({row[t] for t in active}) < size:
-            return g, False
-    raise AssertionError("no strict ideal found; semigroup is not aperiodic")
+    return next(((g, True) for g in gens if len({table[t][g] for t in active}) < len(active)),
+                (gens[0], False))
 
 
 def _power(s: FiniteSemigroup, trees: Sequence[FactTree],

@@ -19,7 +19,9 @@ when its output is compared against direct evaluation.
 A transduction file (``listfn-fot 2``) holds one formula per line over the
 input vocabulary: ``universe COPY FORMULA`` per kept copy, ``rel NAME VARS...``
 fixing each output relation's variable order, and ``case NAME COPIES...
-FORMULA`` per tuple of copies; a missing case holds for nothing.
+FORMULA`` per tuple of copies; a missing case holds for nothing.  A keyed
+``def NAME VARS... FORMULA`` line defines a relation for the formulas to read;
+a ``def`` formula reads the input and the ``def`` lines above it only.
 """
 from __future__ import annotations
 
@@ -422,6 +424,8 @@ def save_fot(path: str | Path, t: FOTransduction) -> None:
         body.append(_line("input", name, t.input_vocab[name]))
     for name in sorted(t.output_vocab):
         body.append(_line("output", name, t.output_vocab[name]))
+    for name, args, phi in t.definitions:
+        body.append(_line("def", name, *args, render_formula(phi)))
     for i in sorted(t.universe):
         body.append(_line("universe", i, render_formula(t.universe[i])))
     for name in sorted(t.relations):
@@ -441,7 +445,7 @@ def _vocab(b: _Body, keyword: str) -> dict[str, int]:
 
 def load_fot(path: str | Path) -> FOTransduction:
     b = _Body(_read_body(path, "fot"), str(path))
-    b.check_keywords({"copies", "input", "output", "universe", "rel", "case"})
+    b.check_keywords({"copies", "input", "output", "def", "universe", "rel", "case"})
     copies = _decimal(b.take("copies", 1)[0])
     if not copies:  # not a number, or 0
         raise FileFormatError(f"{b.where}: copies must be a positive number")
@@ -459,5 +463,7 @@ def load_fot(path: str | Path) -> FOTransduction:
             raise FileFormatError(
                 f"{b.where}: case lines take a rel name, new copy numbers, formula")
         relations[row[0]][1][key] = b.build(parse_formula, row[-1])
+    definitions = tuple((name, tuple(rest[:-1]), b.build(parse_formula, (rest or [""])[-1]))
+                        for (name,), rest in b.keyed("def", 1).items())  # "" does not parse
     return b.build(FOTransduction, copies, _vocab(b, "input"), _vocab(b, "output"),
-                   universe, relations)
+                   universe, relations, definitions)

@@ -14,9 +14,9 @@ structure.  ``builtin_fot`` builds the built-in transductions, each typed by
 its paired term (a basic combinator, or catalog parts for ``ab_example``): it
 maps the encoding of the term's domain to that of its codomain.  Their
 formulas are text in the formula syntax below, parsed when a built-in is
-built; the encoding's derived relations (``root``, ``nsib``, ...) are defined
-once, as text, and expanded before parsing.  ``check_commutes`` runs a term
-and its transduction side by side through encode/decode.
+built; the encoding's derived relations (``root``, ``nsib``, ...) are their
+definitions, each solved once per structure when a formula first reads it.
+``check_commutes`` runs a term and its transduction through encode/decode.
 Formulas parse on ``types._Cursor``, the one token cursor and nesting limit
 that also serves the type, value and term parsers.
 
@@ -35,7 +35,6 @@ against each other in tests.
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -166,6 +165,21 @@ def free_vars(phi: Formula) -> frozenset[str]:
     if isinstance(phi, (Exists, Forall)):
         return free_vars(phi.body) - {phi.var}
     raise TypeError(f"not a formula: {phi!r}")
+
+
+def _relations(*phis: Formula) -> set[str]:
+    """Names of the relations that ``phis`` read."""
+    names = set()
+    for phi in phis:
+        if isinstance(phi, Rel):
+            names.add(phi.name)
+        elif isinstance(phi, (Not, Exists, Forall)):
+            names |= _relations(phi.body)
+        elif isinstance(phi, (And, Or)):
+            names |= _relations(*phi.parts)
+        elif isinstance(phi, (Implies, Iff)):
+            names |= _relations(phi.left, phi.right)
+    return names
 
 
 # ---------------------------------------------------------------- structures
@@ -408,19 +422,23 @@ def _either(a, b):
 
 
 class _Ctx:
-    """One structure under evaluation, with relation indexes built on demand."""
+    """One structure under evaluation: indexes built, definitions solved on demand."""
 
-    def __init__(self, s: Structure) -> None:
+    def __init__(self, s: Structure, definitions: tuple = ()) -> None:
         self.univ = s.universe
-        self.structure = s
+        self.defs = {name: (args, phi) for name, args, phi in definitions}
+        self.rels = {n: r for n, r in s.relations.items() if n not in self.defs}
+        self.arity = {**s.vocabulary, **{n: len(a) for n, (a, _) in self.defs.items()}}
         self.indexes: dict[tuple, dict[tuple, set[tuple]]] = {}
         self.orders: dict[str, tuple | None] = {}
 
     def rows(self, name: str, arity: int) -> frozenset:
-        s = self.structure
-        if name not in s.relations:
-            raise LogicError(f"unknown relation {name}")
-        return s.relations[name] if s.vocabulary[name] == arity else frozenset()
+        if name not in self.rels:
+            if name not in self.defs:
+                raise LogicError(f"unknown relation {name}")
+            args, phi = self.defs[name]  # reads earlier definitions only: no cycle
+            self.rels[name] = frozenset(_solve(self, phi, args))
+        return self.rels[name] if self.arity[name] == arity else frozenset()
 
     def index(self, name: str, args: tuple[str, ...], known: tuple[str, ...]):
         """Relation ``name`` read as ``args``: values of ``known`` -> the others'."""
@@ -823,7 +841,8 @@ class FOTransduction:
     free in ``x``, keeps (i, u) where it holds at u.  ``relations[name]`` is
     (variable order, table): ``table[(i1, ..., ir)]`` puts ((i1, u1), ...,
     (ir, ur)) into ``name`` where it holds at u1, ..., ur, read in that
-    order.  A missing entry holds for nothing.
+    order.  A missing entry holds for nothing.  ``definitions`` are (name,
+    variables, formula): relations over the input and earlier definitions.
     """
 
     k: int
@@ -831,10 +850,19 @@ class FOTransduction:
     output_vocab: dict[str, int]
     universe: dict[int, Formula]
     relations: dict[str, tuple[tuple[str, ...], dict[tuple[int, ...], Formula]]]
+    definitions: tuple[tuple[str, tuple[str, ...], Formula], ...] = ()
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise LogicError("copy count must be at least 1")
+        names = [name for name, _, _ in self.definitions]
+        for i, (name, args, phi) in enumerate(self.definitions):
+            if name in self.input_vocab or name in names[:i]:
+                raise LogicError(f"definition {name} repeats an input relation or definition")
+            if not args or len(set(args)) != len(args) or not free_vars(phi) <= set(args):
+                raise LogicError(f"definition {name} needs distinct variables, its free ones")
+            if ahead := _relations(phi) & set(names[i:]):
+                raise LogicError(f"definition {name} reads {min(ahead)}, not an earlier one")
         copies = range(1, self.k + 1)
         for i, phi in self.universe.items():
             if i not in copies:
@@ -861,7 +889,7 @@ def apply_transduction(t: FOTransduction, s: Structure) -> Structure:
             raise LogicError(f"vocabulary mismatch: input needs {name}/{arity}")
     n = len(s.universe)
     pos = {u: p for p, u in enumerate(s.universe)}
-    ctx = _Ctx(s)
+    ctx = _Ctx(s, t.definitions)
     # copy i: each kept u -> its output id; a copy with no formula keeps none
     ids: dict[int, dict[int, int]] = {i: {} for i in range(1, t.k + 1)}
     for i, phi in t.universe.items():
@@ -1026,31 +1054,21 @@ def decode_word_structure(s: Structure) -> str:
 #
 # Built-in formulas are text in the syntax ``parse_formula`` reads and
 # ``save_fot`` writes.  The derived relations of the encoding are defined once,
-# in ``_DERIVED``: ``{0}`` and ``{1}`` stand for the arguments, and bound helper
-# variables derive their names from them, so distinct sites never collide with
-# the role variables x, y.  ``_fo`` expands them and parses.  A builder paired
-# with a basic returns its copy count, universe formulas and relation tables;
-# ``builtin_fot`` reads both vocabularies off the basic's type.
+# in ``_DERIVED``, each over the input vocabulary and the ones before it;
+# ``builtin_fot`` declares those that a built-in's formulas reach.  A builder
+# paired with a basic returns its copy count, universe formulas and relation
+# tables; ``builtin_fot`` reads both vocabularies off the basic's type.
 
 _Built = tuple[int, dict[int, Formula], dict[str, dict[tuple[int, ...], Formula]]]
+_fo = parse_formula
 
-_DERIVED = {
-    "root": "!E r{0}. pare(r{0},{0})",
-    "nsib": "sib({0},{1}) & !E m{0}_{1}. sib({0},m{0}_{1}) & sib(m{0}_{1},{1})",
-    "root_child": "E p{0}. pare(p{0},{0}) & root(p{0})",
-    "first_root_child": "root_child({0}) & !E s{0}. sib(s{0},{0})",
-    "later_root_child": "root_child({0}) & E s{0}. sib(s{0},{0})",
-}
-
-
-def _fo(text: str) -> Formula:
-    """Parse built-in formula text, each derived-relation call replaced by its
-    body in parentheses until none is left."""
-    call = rf"\b({'|'.join(_DERIVED)})\(([^()]*)\)"
-    calls = 1
-    while calls:
-        text, calls = re.subn(call, lambda m: f"({_DERIVED[m[1]].format(*m[2].split(','))})", text)
-    return parse_formula(text)
+_DERIVED = tuple((name, tuple(args.split()), _fo(body)) for name, args, body in (
+    ("root", "x", "!E p. pare(p,x)"),
+    ("nsib", "x y", "sib(x,y) & !E m. sib(x,m) & sib(m,y)"),
+    ("root_child", "x", "E p. pare(p,x) & root(p)"),
+    ("first_root_child", "x", "root_child(x) & !E s. sib(s,x)"),
+    ("later_root_child", "x", "root_child(x) & E s. sib(s,x)"),
+))
 
 
 def _enc_depth(t: TypeExpr) -> int:
@@ -1237,7 +1255,12 @@ def builtin_fot(name: str, *types: TypeExpr) -> FOTransduction:
     k, universe, tables = _BUILTINS[name][1](*types)
     out = encoding_vocabulary(cod)
     relations = {r: (("x", "y")[:a], tables.get(r, {})) for r, a in out.items()}
-    return FOTransduction(k, encoding_vocabulary(dom), out, universe, relations)
+    reached = _relations(*universe.values(), *(p for tb in tables.values() for p in tb.values()))
+    for d, _, phi in reversed(_DERIVED):  # a definition reads earlier ones only
+        if d in reached:
+            reached |= _relations(phi)
+    return FOTransduction(k, encoding_vocabulary(dom), out, universe, relations,
+                          tuple(d for d in _DERIVED if d[0] in reached))
 
 
 def builtin_term(name: str, *types: TypeExpr) -> Term:

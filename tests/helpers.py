@@ -9,7 +9,21 @@ import itertools
 import signal
 from contextlib import contextmanager
 
-from listfn.logic import FOTransduction, Structure, eval_formula, parse_formula
+from listfn.logic import (
+    And,
+    Eq,
+    Exists,
+    FOTransduction,
+    Forall,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    Rel,
+    Structure,
+    eval_formula,
+    parse_formula,
+)
 from listfn.registers import Reg
 from listfn.terms import (
     Append,
@@ -199,14 +213,27 @@ def is_monotone(eta) -> bool:
     return True
 
 
+def with_definitions(t, s):
+    """``s`` extended by each of ``t``'s definitions, in order: the relation
+    of the tuples where ``eval_formula`` finds its formula true."""
+    for name, args, phi in t.definitions:
+        rows = frozenset(us for us in itertools.product(s.universe, repeat=len(args))
+                         if eval_formula(s, phi, dict(zip(args, us))))
+        s = Structure(s.universe, {**s.vocabulary, name: len(args)},
+                      {**s.relations, name: rows})
+    return s
+
+
 def apply_transduction_by_definition(t, s):
     """The output of the transduction ``t`` on ``s``, formula by formula.
 
+    ``s`` is first extended by ``t``'s definitions (``with_definitions``).
     (i, u) is kept where copy i's universe formula holds at u, and gets id
     (i-1)*n + the position of u. A row of copies ``key`` is in a relation
     where its formula holds, among kept elements only. ``eval_formula``
     decides every formula at every tuple; no planner is involved.
     """
+    s = with_definitions(t, s)
     n = len(s.universe)
     kept = {(i, u): (i - 1) * n + p
             for i, phi in t.universe.items()
@@ -220,6 +247,40 @@ def apply_transduction_by_definition(t, s):
             and eval_formula(s, phi, dict(zip(order, us))))
         for name, (order, table) in t.relations.items()}
     return Structure(tuple(sorted(kept.values())), dict(t.output_vocab), rels)
+
+
+def inline_definitions(t):
+    """``t`` without definitions: each relation a definition names is replaced
+    by the definition's formula, on the relation's arguments, wherever it is
+    read; every quantified variable is renamed fresh, so none is captured."""
+    defs = {name: (args, phi) for name, args, phi in t.definitions}
+    fresh = (f"v#{i}" for i in itertools.count())  # "#" is in no built-in's names
+
+    def inline(phi, env):
+        if isinstance(phi, Rel):
+            args = tuple(env.get(v, v) for v in phi.args)
+            if phi.name in defs:
+                params, body = defs[phi.name]
+                return inline(body, dict(zip(params, args)))
+            return Rel(phi.name, args)
+        if isinstance(phi, Eq):
+            return Eq(env.get(phi.left, phi.left), env.get(phi.right, phi.right))
+        if isinstance(phi, Not):
+            return Not(inline(phi.body, env))
+        if isinstance(phi, (And, Or)):
+            return type(phi)(tuple(inline(p, env) for p in phi.parts))
+        if isinstance(phi, (Implies, Iff)):
+            return type(phi)(inline(phi.left, env), inline(phi.right, env))
+        if isinstance(phi, (Exists, Forall)):
+            var = next(fresh)
+            return type(phi)(var, inline(phi.body, {**env, phi.var: var}))
+        return phi  # true, false
+
+    return FOTransduction(
+        t.k, t.input_vocab, t.output_vocab,
+        {i: inline(phi, {}) for i, phi in t.universe.items()},
+        {name: (order, {key: inline(phi, {}) for key, phi in table.items()})
+         for name, (order, table) in t.relations.items()})
 
 
 # Word structures: positions with a successor S, a strict linear order lt and

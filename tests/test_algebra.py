@@ -20,6 +20,7 @@ from listfn.algebra import (
     tree_depth,
     tree_yield,
     validate_factorisation,
+    _closure,
     _generators,
 )
 from listfn.registers import (abstraction, abstraction_name, random_update,
@@ -403,3 +404,21 @@ def test_trees_of_a_fixed_corpus_do_not_change():
     finally:
         sys.setrecursionlimit(limit)
     assert digest.hexdigest() == TREE_CORPUS_SHA256
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_a_split_by_a_left_ideal_is_over_a_left_zero_band(k):
+    # _split_choice takes the first generator's left ideal only when no right
+    # ideal is strict; its docstring proves the closure then a left-zero band
+    m = t_k_monoid(k)[0]
+    h = Homomorphism(m, {e: e for e in m.elements})
+    rng = random.Random(f"left-zero-T_{k}")
+    for _ in range(200):
+        alphabet = rng.sample(m.elements, rng.randint(2, 4))
+        build_factorisation(h, [rng.choice(alphabet) for _ in range(rng.randint(2, 30))])
+    lefts = [key for key, (_, right) in m._splits.items() if not right]
+    assert lefts  # the branch is reached
+    for key in lefts:
+        closure = _closure(m.table, [ord(c) for c in key])
+        assert all(m.table[x][y] == x for x in closure for y in closure)
+        assert m._splits[key] == (ord(key[0]), False)

@@ -600,6 +600,25 @@ def test_a_malformed_formula_in_a_transduction_file_exits_2_naming_it(capsys, tm
     assert err.startswith(f"{p}: ")
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda text: text.replace("def root x '!E p. pare(p,x)'",  # root_child reads root
+                               "def root x '!E p. pare(p,x) & !root_child(x)'"),
+     "definition root reads root_child, not an earlier one"),
+    (lambda text: text.replace("def root x", "def root x '!E p. pare(p,x)'\ndef root x", 1),
+     "repeated def line for root"),
+], ids=["reads-a-later-one", "repeated"])
+def test_a_transduction_file_with_a_bad_definition_exits_2_naming_it(capsys, tmp_path,
+                                                                     edit, message):
+    p = tmp_path / "bad.lfot"
+    save_fot(p, builtin_fot("reverse", FinSet(("a", "b"))))
+    text = p.read_text(encoding="utf-8")
+    p.write_text(edit(text), encoding="utf-8")
+    assert p.read_text(encoding="utf-8") != text
+    code, out, err = run(capsys, "fot", str(p), "--word", "ab")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"{p}: ") and message in err
+
+
 @pytest.mark.parametrize("old,new,what", [
     ("input a b", "input a b a", "input letters"), ("states q", "states q q", "states"),
 ])

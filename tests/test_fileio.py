@@ -1,4 +1,5 @@
 """On-disk formats: round trips and tamper detection."""
+import re
 import shlex
 
 import pytest
@@ -228,6 +229,34 @@ def test_malformed_fot_files_are_rejected(tmp_path, line):
                  f"rel Q_a x\n{line}\n")
     with pytest.raises(FileFormatError):
         load_fot(p)
+
+
+@pytest.mark.parametrize("line,message", [
+    ("def q", "unexpected end of formula"),
+    ("def q x", "lone identifier 'x'"),
+    ("def q x 'Q_a(y)'", "definition q needs distinct variables"),
+    ("def Q_a x 'Q_a(x)'", "definition Q_a repeats an input relation"),
+    ("def q x 'r(x)'\ndef r x 'Q_a(x)'", "definition q reads r, not an earlier one"),
+    ("def q x 'Q_a(x)'\ndef q y 'Q_a(y)'", "repeated def line for q"),
+], ids=["no-formula", "no-variable", "undeclared-var", "input-name", "reads-later",
+        "repeated"])
+def test_malformed_def_lines_name_their_file(tmp_path, line, message):
+    p = tmp_path / "bad.lfot"
+    p.write_text("listfn-fot 2\ncopies 1\ninput Q_a 1\noutput Q_a 1\n"
+                 f"{line}\nrel Q_a x\ncase Q_a 1 'q(x)'\n")
+    with pytest.raises(FileFormatError, match=f"^{re.escape(str(p))}: .*{message}"):
+        load_fot(p)
+
+
+def test_def_lines_load_in_file_order(tmp_path):
+    p = tmp_path / "defs.lfot"
+    p.write_text("listfn-fot 2\ncopies 1\ninput Q_a 1\noutput Q_a 1\n"
+                 "universe 1 true\nrel Q_a x\ncase Q_a 1 'q(x)'\n"
+                 "def r x 'Q_a(x)'\ndef q x 'r(x) & !Q_a(x)'\n")
+    t = load_fot(p)
+    assert [(name, args) for name, args, _ in t.definitions] == [("r", ("x",)), ("q", ("x",))]
+    save_fot(p, t)
+    assert load_fot(p) == t
 
 
 # per keyed line: how to save a file holding it, its loader, its key's width

@@ -57,27 +57,27 @@ GOLDEN = {
     "t3.lmonoid":
         "49cca560e50c19c79410ec71e78d69f8fb6126cdd6da1a2995a4f1f9f37a2a78",
     "reverse.lfot":
-        "a5a9290d6c3ff090b4859ba615ce69d19a1286a9e0533814e4d04f7832559214",
+        "ba81c27a04a6258b4e584553bae49429e9864ae868928285bc4edf30b8b3c924",
     "append.lfot":
-        "372ee2cd7311ef328c3c39217e34caaae364853c943e6e22184978a12154c967",
+        "7443930e034e5daff090e246544d2667a1d38e537809c4f1e6a8bb2ad7feac03",
     "coappend.lfot":
-        "b5b1b6ab01d53367b8967eb51f9f1e742ebf2d3aa2d0e75b8782cc9d8b9becea",
+        "1fda9371cf586da0608bb058a2169177d1d11d55f87af32b2c5a604ff9ea8d41",
     "flat.lfot":
-        "5ebcd897a707f9b7c0345895ccd3716e9349527679d2d7c7bc1d6a7bb4ac30a7",
+        "9102fc6e49dba3e7c2e6ee9e2387b46f8c5e388e54b6e096084bab9cc329da4e",
     "block.lfot":
-        "d5199a75723a9a2aedc40c9f204934e912709e997973bf718f3777b15c597de3",
+        "7f5f4a19a9c449afb7ee5a8c5b9ca66497105fcfe2d74d368c95058cc925be25",
     "ab_example.lfot":
         "eb1a790e07c3e2ec4c12f61d22f55f435e8839aa01f3c93c6321aea5cd6b0f98",
     "reverse@({a}+{b})^*.lfot":
-        "8e12643c89b3a0c76f7d8f61f3862c840ab9c661f3791e57510628efafc0ae66",
+        "e4d4cbfdba9e3b5a9d286f285b5af6ebfcbdfbb5a51e640441b272ef7b993468",
     "append@{a}^*.lfot":
-        "627953e65ea3417e903b0580a224b8007c3c1a55a1e504febceba7554d4d9ce4",
+        "ca2e07a063ba0f88bb166bfb545861cae1e6b4d60e7a2d99fce0eeba3f80902a",
     "coappend@({a,b}^*)^*.lfot":
-        "f0a207f50d1a4f4e55e007e59768a94fcbc2fd48b13492f340b83422505df682",
+        "cadf449635dd05b621b967a622c7faf75bdd2a6da2d2e1b7ee9bd00b80ad8d12",
     "flat@{a}*{b}+{c}.lfot":
-        "e6b1caf241d0ecd77bae4493b574e2c0044562b4d24944deb79a9cb309fcd496",
+        "c98337b2179bbf3fe299fa4804a65a1f7c381449878f838e83badf772e318c7b",
     "block@{a}^*,{b}*{c}.lfot":
-        "2b055a4552b2c2bea8252d1b4ed92e2191e17608f05ff17536367b6d1c766f4f",
+        "c209a4f904fb817e2fe150ee89cb3be8c351a12c831027defc1e179b7b747d4b",
     "keep-a.lrational":
         "51035945444d4ed95873c597ef46d47f48623cb04b1c520b9e3fa56fcd9f62c8",
     "mark-after-ab.lrational":

@@ -13,14 +13,17 @@ from helpers import (
     FOT_CASES,
     WORD_VOCAB,
     apply_transduction_by_definition,
+    inline_definitions,
     ordered_word_structure,
     sym_list,
     time_limit,
+    with_definitions,
     word_sort_fot,
 )
 from listfn.logic import (
     _Atom,
     _Ctx,
+    _relations,
     _solve,
     And,
     Eq,
@@ -64,6 +67,7 @@ from listfn.types import (
     parse_type,
     parse_value,
     random_value,
+    render_value,
 )
 
 FORMULAS = [
@@ -138,7 +142,8 @@ def test_parse_formula_raises_only_parse_errors(text):
 
 
 def test_derived_relation_names_mean_plain_relations_in_parsed_text():
-    # only the built-ins' own formula text expands root(x), nsib(x,y), ...
+    # root(x), nsib(x,y), ... read the structure's relations; only a transduction's
+    # definitions give those names a formula
     phi = parse_formula("root(x) & nsib(x,y)")
     assert free_vars(phi) == {"x", "y"}
     s = Structure((0, 1), {"root": 1, "nsib": 2},
@@ -435,15 +440,17 @@ def test_transduction_formulas_agree_with_pointwise_evaluation(name, types):
     dom = infer_type(builtin_term(name, *types))[0]
     size = 6 if name == "ab_example" else 5  # every word to length 5
     inputs = [encode_value(v, dom) for v in enumerate_values(dom, size)]
-    formulas = [(phi, ("x",)) for phi in fot.universe.values()]
+    formulas = [(phi, args) for _, args, phi in fot.definitions]
+    formulas += [(phi, ("x",)) for phi in fot.universe.values()]
     formulas += [(phi, order) for order, table in fot.relations.values()
                  for phi in table.values()]
     for s in inputs:
+        extended = with_definitions(fot, s)  # the formulas read the definitions
         for phi, order in formulas:
             brute = {
                 tup for tup in itertools.product(s.universe, repeat=len(order))
-                if eval_formula(s, phi, dict(zip(order, tup)))}
-            assert sat_rows(s, phi, order) == brute, (name, render_formula(phi))
+                if eval_formula(extended, phi, dict(zip(order, tup)))}
+            assert sat_rows(extended, phi, order) == brute, (name, render_formula(phi))
         assert apply_transduction(fot, s) == apply_transduction_by_definition(fot, s)
 
 
@@ -491,6 +498,75 @@ def test_malformed_transductions_raise_logic_errors(change):
         change = {"relations": {**t.relations, **change["relations"]}}
     with pytest.raises(LogicError):
         dataclasses.replace(t, **change)
+
+
+# each a definition list that FOTransduction refuses, and its message
+_BAD_DEFINITIONS = {
+    "input-name": ([("lt", ("x", "y"), parse_formula("S(x,y)"))],
+                   "definition lt repeats an input relation"),
+    "repeated-name": ([("q", ("x",), parse_formula("Q_a(x)")),
+                       ("q", ("x",), parse_formula("Q_b(x)"))],
+                      "definition q repeats an input relation or definition"),
+    "repeated-var": ([("q", ("x", "x"), parse_formula("S(x,x)"))],
+                     "definition q needs distinct variables"),
+    "no-var": ([("q", (), parse_formula("true"))], "definition q needs distinct variables"),
+    "undeclared-var": ([("q", ("x",), parse_formula("S(x,y)"))],
+                       "definition q needs distinct variables, its free ones"),
+    "reads-itself": ([("q", ("x",), parse_formula("Q_a(x) | E y. S(y,x) & q(y)"))],
+                     "definition q reads q, not an earlier one"),
+    "reads-later": ([("q", ("x",), parse_formula("r(x)")),
+                     ("r", ("x",), parse_formula("Q_a(x)"))],
+                    "definition q reads r, not an earlier one"),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_DEFINITIONS)
+def test_malformed_definitions_raise_logic_errors(case):
+    definitions, message = _BAD_DEFINITIONS[case]
+    with pytest.raises(LogicError, match=f"^{message}"):
+        dataclasses.replace(word_sort_fot(), definitions=tuple(definitions))
+
+
+def test_definitions_are_read_as_relations_and_only_when_read():
+    # q: the a positions with an a after them; "unknown" would raise if solved
+    t = dataclasses.replace(THREE_COPIES, definitions=(
+        ("unread", ("x",), parse_formula("unknown(x)")),
+        ("q", ("x",), parse_formula("Q_a(x) & E y. lt(x,y) & Q_a(y)")),
+        ("qq", ("x", "y"), parse_formula("q(x) & q(y) & lt(x,y)"))),
+        universe={1: parse_formula("q(x)"), 3: parse_formula("E y. qq(x,y)")})
+    for s in _words(5):
+        assert apply_transduction(t, s) == apply_transduction_by_definition(
+            dataclasses.replace(t, definitions=t.definitions[1:]), s)
+    # a definition stands for its formula, not for a relation of the structure's
+    s = ordered_word_structure("aab")
+    extra = Structure(s.universe, {**s.vocabulary, "q": 1},
+                      {**s.relations, "q": frozenset({(2,)})})
+    assert apply_transduction(t, extra) == apply_transduction(t, s)
+    assert apply_transduction(t, s).universe == (0,)  # copy 1 keeps position 0 only
+
+
+# the nested element types that CI runs check fot-commute at
+CI_NESTED_TYPES = [("coappend", ("{a}^*",)), ("flat", ("{a}*{b}",)),
+                   ("block", ("{a}^*", "{b}")), ("reverse", ("({a}+{b})^*",)),
+                   ("append", ("{a}^*",))]
+
+
+@pytest.mark.parametrize("name,types", [
+    *FOT_CASES, *((n, tuple(map(parse_type, ts))) for n, ts in CI_NESTED_TYPES)],
+    ids=[*(c[0] for c in FOT_CASES), *(f"{n}@{','.join(ts)}" for n, ts in CI_NESTED_TYPES)])
+def test_definitions_give_what_their_formulas_inlined_give(name, types):
+    fot = builtin_fot(name, *types)
+    inlined = inline_definitions(fot)
+    assert fot.definitions and not inlined.definitions or name == "ab_example"
+    assert _relations(*inlined.universe.values(), *(
+        phi for _, table in inlined.relations.values() for phi in table.values())
+    ) <= set(fot.input_vocab)
+    dom = infer_type(builtin_term(name, *types))[0]
+    rng = random.Random(f"inlined-{name}")
+    values = [*enumerate_values(dom, 4), *(random_value(dom, 24, rng) for _ in range(20))]
+    for v in values:
+        s = encode_value(v, dom)
+        assert apply_transduction(fot, s) == apply_transduction(inlined, s), render_value(v)
 
 
 def test_transduction_numbers_copy_i_of_u_after_i_minus_1_copies():
