@@ -229,37 +229,32 @@ class ValidationResult:
 
 
 def validate_factorisation(h: Homomorphism, t: FactTree) -> ValidationResult:
-    """Check the shape rules; reports the first violation found."""
-    s = h.target
-
-    def walk(t: FactTree) -> str | None:
+    """Check the shape rules; reports the first violation in preorder, on a stack."""
+    s, work = h.target, [t]
+    while work:
+        t = work.pop()
         if isinstance(t, Leaf):
-            return "a leaf appears without its unary parent"
-        if not t.children:
-            return "node without children"
-        if any(isinstance(c, Leaf) for c in t.children):
+            msg = "a leaf appears without its unary parent"
+        elif not t.children:
+            msg = "node without children"
+        elif any(isinstance(c, Leaf) for c in t.children):
             if len(t.children) != 1:
-                return "a leaf has siblings"
-            leaf = t.children[0]
-            if t.label != h(leaf.letter):
-                return (f"leaf parent labelled {t.label}, "
-                        f"letter maps to {h(leaf.letter)}")
-            return None
-        if len(t.children) < 2:
-            return "unary node above non-leaves"
-        labels = [c.label for c in t.children]
-        if t.label != s.product(labels):
-            return f"label {t.label} differs from the product of child labels"
-        if len(labels) >= 3 and len(set(labels)) != 1:
-            return "node of degree three or more with unequal child labels"
-        for c in t.children:
-            bad = walk(c)
-            if bad:
-                return bad
-        return None
-
-    msg = walk(t)
-    return ValidationResult(msg is None, msg)
+                msg = "a leaf has siblings"
+            elif t.label != (image := h(t.children[0].letter)):
+                msg = f"leaf parent labelled {t.label}, letter maps to {image}"
+            else:
+                continue
+        elif len(t.children) < 2:
+            msg = "unary node above non-leaves"
+        elif t.label != s.product(labels := [c.label for c in t.children]):
+            msg = f"label {t.label} differs from the product of child labels"
+        elif len(labels) >= 3 and len(set(labels)) != 1:
+            msg = "node of degree three or more with unequal child labels"
+        else:
+            work += reversed(t.children)
+            continue
+        return ValidationResult(False, msg)
+    return ValidationResult(True)
 
 
 # ------------------------------------------------------------------- builder

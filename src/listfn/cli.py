@@ -234,12 +234,16 @@ def cmd_eval(args, rep: Reporter) -> int:
     return 0
 
 
-def _render_tree(t: FactTree, indent: str = "") -> list[str]:
-    if isinstance(t, Leaf):
-        return [f"{indent}leaf {t.letter}"]
-    lines = [f"{indent}node {t.label}"]
-    for c in t.children:
-        lines.extend(_render_tree(c, indent + "  "))
+def _render_tree(t: FactTree) -> list[str]:
+    """One line per node in preorder, two spaces in per level; an explicit stack."""
+    lines, work = [], [(t, "")]
+    while work:
+        t, indent = work.pop()
+        if isinstance(t, Leaf):
+            lines.append(f"{indent}leaf {t.letter}")
+        else:
+            lines.append(f"{indent}node {t.label}")
+            work.extend((c, indent + "  ") for c in reversed(t.children))
     return lines
 
 

@@ -143,43 +143,32 @@ class Forall(Formula):
     body: Formula
 
 
-def _disj(*parts: Formula) -> Formula:
-    if not parts:
-        return FalseF()
-    return parts[0] if len(parts) == 1 else Or(parts)
+def _atoms(*phis: Formula):
+    """Each ``Rel`` and ``Eq`` of ``phis``, left to right, with the variables
+    bound above it; walked on an explicit stack."""
+    work = [(phi, frozenset()) for phi in reversed(phis)]
+    while work:
+        phi, bound = work.pop()
+        if isinstance(phi, (Rel, Eq)):
+            yield phi, bound
+        elif isinstance(phi, (Not, Exists, Forall)):
+            work.append((phi.body, bound if isinstance(phi, Not) else bound | {phi.var}))
+        elif isinstance(phi, (And, Or, Implies, Iff)):
+            parts = phi.parts if isinstance(phi, (And, Or)) else (phi.left, phi.right)
+            work.extend((p, bound) for p in reversed(parts))
+        elif not isinstance(phi, (TrueF, FalseF)):
+            raise TypeError(f"not a formula: {phi!r}")
 
 
 def free_vars(phi: Formula) -> frozenset[str]:
-    if isinstance(phi, (TrueF, FalseF)):
-        return frozenset()
-    if isinstance(phi, Rel):
-        return frozenset(phi.args)
-    if isinstance(phi, Eq):
-        return frozenset((phi.left, phi.right))
-    if isinstance(phi, Not):
-        return free_vars(phi.body)
-    if isinstance(phi, (And, Or)):
-        return frozenset().union(*(free_vars(p) for p in phi.parts))
-    if isinstance(phi, (Implies, Iff)):
-        return free_vars(phi.left) | free_vars(phi.right)
-    if isinstance(phi, (Exists, Forall)):
-        return free_vars(phi.body) - {phi.var}
-    raise TypeError(f"not a formula: {phi!r}")
+    return frozenset(v for a, bound in _atoms(phi)
+                     for v in (a.args if isinstance(a, Rel) else (a.left, a.right))
+                     if v not in bound)
 
 
 def _relations(*phis: Formula) -> set[str]:
     """Names of the relations that ``phis`` read."""
-    names = set()
-    for phi in phis:
-        if isinstance(phi, Rel):
-            names.add(phi.name)
-        elif isinstance(phi, (Not, Exists, Forall)):
-            names |= _relations(phi.body)
-        elif isinstance(phi, (And, Or)):
-            names |= _relations(*phi.parts)
-        elif isinstance(phi, (Implies, Iff)):
-            names |= _relations(phi.left, phi.right)
-    return names
+    return {a.name for a, _ in _atoms(*phis) if isinstance(a, Rel)}
 
 
 # ---------------------------------------------------------------- structures
@@ -880,6 +869,12 @@ class FOTransduction:
                     raise LogicError(f"copies {key} of {name} must be {arity} of 1..{self.k}")
                 if not free_vars(phi) <= set(order):
                     raise LogicError(f"formula for {name} uses undeclared variables")
+        # a name that is neither input nor definition stays unknown until a run reads it
+        arities = {**self.input_vocab, **{name: len(args) for name, args, _ in self.definitions}}
+        for a, _ in _atoms(*(phi for *_, phi in self.definitions), *self.universe.values(),
+                           *(phi for _, table in self.relations.values() for phi in table.values())):
+            if isinstance(a, Rel) and arities.get(a.name, len(a.args)) != len(a.args):
+                raise LogicError(f"{a.name} has arity {arities[a.name]}, read as {render_formula(a)}")
 
 
 def apply_transduction(t: FOTransduction, s: Structure) -> Structure:
@@ -1099,7 +1094,8 @@ def _moved(elem: TypeExpr, to: tuple[int, ...], *sources: tuple[int, ...],
     the same predicate below one of ``sources`` holds (and ``guard`` does)."""
     tables = {}
     for p, l in _pred_entries(elem):
-        phi = _disj(*(Rel(_pred_name(s + p, l), ("x",)) for s in sources))
+        atoms = tuple(Rel(_pred_name(s + p, l), ("x",)) for s in sources)
+        phi = atoms[0] if len(atoms) == 1 else Or(atoms)
         tables[_pred_name(to + p, l)] = {(1,): phi if guard is None else And((phi, guard))}
     return tables
 

@@ -472,11 +472,8 @@ def _enumerate_seqs(elem: TypeExpr, budget: int) -> Iterator[tuple[Value, ...]]:
     yield ()
     if budget < min_size(elem):
         return
-    for first in enumerate_values(elem, budget - 0):
-        rest = budget - value_size(first)
-        if rest < 0:
-            continue
-        for tail in _enumerate_seqs(elem, rest):
+    for first in enumerate_values(elem, budget):
+        for tail in _enumerate_seqs(elem, budget - value_size(first)):
             yield (first,) + tail
 
 

@@ -422,3 +422,15 @@ def test_a_split_by_a_left_ideal_is_over_a_left_zero_band(k):
         closure = _closure(m.table, [ord(c) for c in key])
         assert all(m.table[x][y] == x for x in closure for y in closure)
         assert m._splits[key] == (ord(key[0]), False)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: FiniteSemigroup((), {}), "elements must be distinct and nonempty"),
+    (lambda: FiniteSemigroup(("a", "a"), {("a", "a"): "a"}),
+     "elements must be distinct and nonempty"),
+    (lambda: FiniteMonoid(("a",), {("a", "a"): "a"}, "1"), "identity not among the elements"),
+], ids=["empty", "repeated", "identity"])
+def test_semigroups_refuse_bad_elements_with_algebra_errors(call, message):
+    with pytest.raises(AlgebraError) as err:
+        call()
+    assert str(err.value).startswith(message)

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 import listfn
 from helpers import time_limit, word_sort_fot
-from listfn.algebra import FiniteMonoid
-from listfn.cli import main
+from listfn.algebra import (FiniteMonoid, Leaf, Node, tree_depth, tree_yield,
+                            validate_factorisation)
+from listfn.cli import _render_tree, main
 from listfn.fileio import save_fot, save_monoid, save_rational, save_sst, save_structure
 from listfn.logic import FOTransduction, Structure, builtin_fot, parse_formula
 from listfn.samples import SAMPLE_RATIONALS, SAMPLE_SSTS, hom_u1_keep_a
@@ -619,6 +620,24 @@ def test_a_transduction_file_with_a_bad_definition_exits_2_naming_it(capsys, tmp
     assert err.startswith(f"{p}: ") and message in err
 
 
+@pytest.mark.parametrize("old,new,atom,argv", [
+    ("case pare 1 1 'pare(x,y)'", "case pare 1 1 'pare(x)'", "pare(x)", ["-o", "out.lstruct"]),
+    ("def root_child x 'E p. pare(p,x) & root(p)'", "def root_child x 'E p. pare(p) & root(p)'",
+     "pare(p)", []),
+], ids=["case", "definition"])
+def test_a_transduction_file_reading_a_relation_at_another_arity_exits_2_naming_it(
+        capsys, tmp_path, monkeypatch, old, new, atom, argv):
+    monkeypatch.chdir(tmp_path)
+    p = tmp_path / "arity.lfot"
+    save_fot(p, builtin_fot("reverse", FinSet(("a", "b"))))
+    text = p.read_text(encoding="utf-8")
+    assert f"\n{old}\n" in text
+    p.write_text(text.replace(f"\n{old}\n", f"\n{new}\n"), encoding="utf-8")
+    code, out, err = run(capsys, "fot", str(p), "--word", "ab", *argv)
+    assert (code, out, err) == (2, "", f"{p}: pare has arity 2, read as {atom}\n")
+    assert not (tmp_path / "out.lstruct").exists()
+
+
 @pytest.mark.parametrize("old,new,what", [
     ("input a b", "input a b a", "input letters"), ("states q", "states q q", "states"),
 ])
@@ -669,6 +688,32 @@ def test_forest_on_a_monoid_file_with_a_row_for_a_non_element_exits_2(capsys, tm
 def test_forest_refuses_a_letter_given_twice_in_hom(capsys):
     assert run(capsys, "forest", "u1", "a", "--hom", "a=1,a=0") == (
         2, "", "--hom gives letter 'a' twice\n")
+
+
+def test_forest_takes_letter_images_from_hom(capsys):
+    code, out, err = run(capsys, "forest", "u1", "abba", "--hom", "a=1,b=0")
+    assert (code, err) == (0, "")
+    assert out.startswith("value: 0\ndepth: 4\nbound: 6\nvalid: yes\nyield: preserved\ntree:\n")
+
+
+def test_forest_walks_take_no_frame_per_level():
+    """A valid left-deep tree, thousands of levels deep, is validated, printed,
+    measured and read back at the default recursion limit."""
+    h = hom_u1_keep_a()
+    word = "ab" * 2500 + "a"
+
+    def leaf_parent(c):
+        return Node(h(c), (Leaf(c),))
+
+    tree = leaf_parent(word[0])
+    for c in word[1:]:
+        tree = Node(h.target.product([tree.label, h(c)]), (tree, leaf_parent(c)))
+    assert tree_depth(tree) == len(word) > sys.getrecursionlimit()
+    assert validate_factorisation(h, tree)
+    lines = _render_tree(tree)
+    assert len(lines) == 3 * len(word) - 1
+    assert lines[:3] == ["node 0", "  node 0", "    node 0"] and lines[-1] == "    leaf a"
+    assert "".join(tree_yield(tree)) == word
 
 
 def test_fot_file_with_a_3000_wide_connective_runs(capsys, tmp_path):

@@ -156,6 +156,9 @@ def test_free_vars():
     assert free_vars(parse_formula("Q_a(x)")) == {"x"}
     assert free_vars(parse_formula("E x. lt(x,y)")) == {"y"}
     assert free_vars(parse_formula("E x. Q_a(x)")) == set()
+    # a quantifier binds only inside its own body
+    assert free_vars(parse_formula("Q_a(x) & E x. Q_b(x)")) == {"x"}
+    assert free_vars(parse_formula("A y. (lt(x,y) -> E x. lt(x,y))")) == {"x"}
 
 
 def test_word_structures_decode_back():
@@ -490,8 +493,11 @@ def test_apply_transduction_agrees_with_its_definition_on_three_copies():
     dict(relations={"lt": (("x", "y"), {(1, 2): parse_formula("lt(x,z)")})}),
     dict(universe={1: parse_formula("Q_a(y)")}),
     dict(k=0, universe={}),
+    dict(universe={1: parse_formula("Q_a(x,x)")}),
+    dict(relations={"lt": (("x", "y"), {(1, 2): parse_formula("lt(x)")})}),
 ], ids=["universe-copy", "copy-zero", "order-arity", "key-arity",
-        "repeated-var", "undeclared-var", "universe-var", "no-copies"])
+        "repeated-var", "undeclared-var", "universe-var", "no-copies",
+        "universe-reads-at-another-arity", "case-reads-at-another-arity"])
 def test_malformed_transductions_raise_logic_errors(change):
     t = word_sort_fot()
     if "relations" in change:
@@ -517,6 +523,9 @@ _BAD_DEFINITIONS = {
     "reads-later": ([("q", ("x",), parse_formula("r(x)")),
                      ("r", ("x",), parse_formula("Q_a(x)"))],
                     "definition q reads r, not an earlier one"),
+    "reads-at-another-arity": ([("q", ("x",), parse_formula("Q_a(x)")),
+                                ("r", ("x",), parse_formula("S(x,x) & !q(x,x)"))],
+                               "q has arity 1, read as q"),
 }
 
 
@@ -548,7 +557,8 @@ def test_definitions_are_read_as_relations_and_only_when_read():
 # the nested element types that CI runs check fot-commute at
 CI_NESTED_TYPES = [("coappend", ("{a}^*",)), ("flat", ("{a}*{b}",)),
                    ("block", ("{a}^*", "{b}")), ("reverse", ("({a}+{b})^*",)),
-                   ("append", ("{a}^*",))]
+                   ("append", ("{a}^*",)), ("coappend", ("{a}*{b}",)),
+                   ("coappend", ("{a}+{b}^*",))]
 
 
 @pytest.mark.parametrize("name,types", [
@@ -715,3 +725,22 @@ def test_check_commutes_reports_failures():
     assert not report.ok
     assert report.failures
     assert report.total == len(samples)
+
+
+def _pair_with_one_child() -> Structure:
+    vocab = encoding_vocabulary(parse_type("{a}*{b}"))
+    rels = {name: frozenset() for name in vocab}
+    return Structure((0, 1), vocab, {**rels, "pare": frozenset({(0, 1)})})
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: sat_rows(ordered_word_structure("ab"), parse_formula("Q_a(x)"), ()),
+     LogicError, "free variables ['x'] not among ()"),
+    (lambda: decode_structure(_pair_with_one_child(), parse_type("{a}*{b}")),
+     EncodingError, "pair node 0 has 1 children in pare, not 2"),
+    (lambda: builtin_term("nope"), LogicError, "unknown builtin transduction nope"),
+], ids=["sat-rows-free-variable", "decode-pair-arity", "builtin-term-name"])
+def test_logic_errors_name_the_fault(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value).startswith(message)

@@ -334,3 +334,25 @@ def test_update_rationals_do_not_depend_on_the_hash_seed(tmp_path):
             env=env, capture_output=True, text=True, timeout=60, check=True)
         outputs[seed] = done.stdout
     assert len(set(outputs.values())) == 1, outputs
+
+
+_STEP = ("q", ((Reg(1),),))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: SSTSpec("x", ("a",), ("q",), "p", 1, {("q", "a"): _STEP}), "initial state unknown"),
+    (lambda: SSTSpec("x", ("a",), ("q",), "q", 1, {("q", "a"): _STEP}, output_register=2),
+     "output register out of range"),
+    (lambda: SSTSpec("x", ("a",), ("q",), "q", 1, {("p", "a"): _STEP}),
+     "unknown state in transition p,a"),
+    (lambda: SSTSpec("x", ("a",), ("q",), "q", 1, {("q", "b"): _STEP}), "unknown letter b"),
+    (lambda: apply_update(empty_valuation(2), identity_update(1)),
+     "valuation has 2 entries, update has 1"),
+    (lambda: update_product(identity_update(1), identity_update(2)), "register counts differ"),
+    (lambda: product_list_updates([]), "register count needed for an empty product"),
+], ids=["initial", "output-register", "transition-state", "transition-letter",
+        "valuation-length", "product-counts", "empty-product"])
+def test_register_builders_refuse_bad_parts_with_update_errors(call, message):
+    with pytest.raises(UpdateError) as err:
+        call()
+    assert str(err.value).startswith(message)

@@ -11,6 +11,9 @@ from listfn.stdlib import (
     comma,
     concat,
     filter_left,
+    finite_function,
+    identity,
+    if_then_else,
     len_upto,
     list_to_pair,
     pair_to_list,
@@ -18,7 +21,7 @@ from listfn.stdlib import (
 )
 from listfn.cli import main
 from listfn.syntax import parse_term, render_term
-from listfn.terms import Term, TermTypeError, eval_term, infer_type
+from listfn.terms import BOOL_T, Term, TermTypeError, eval_term, infer_type
 from listfn.types import (
     ListV,
     MAX_NESTING,
@@ -167,3 +170,21 @@ def test_every_catalog_term_is_well_typed():
     for entry in CATALOG.values():
         for args in entry.instances:
             infer_type(entry.build(*args))
+
+
+_PICK = finite_function(AB, {"a": Sym("0"), "b": Sym("1")}, BOOL_T)  # AB -> {0,1}
+_TO_DE = finite_function(AB, {"a": Sym("d"), "b": Sym("e")}, DE)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: finite_function(AB, {"a": Sym("a")}, AB), "table misses ['b'] from its domain"),
+    (lambda: if_then_else(identity(AB), identity(AB), identity(AB)),
+     "condition must land in {0,1}"),
+    (lambda: if_then_else(_PICK, identity(AB), identity(DE)),
+     "branches must consume the condition's domain"),
+    (lambda: if_then_else(_PICK, identity(AB), _TO_DE), "branches must share a codomain"),
+], ids=["finite-function-table", "condition", "branch-domains", "branch-codomains"])
+def test_stdlib_builders_refuse_ill_typed_parts(call, message):
+    with pytest.raises(TermTypeError) as err:
+        call()
+    assert str(err.value).startswith(message)
