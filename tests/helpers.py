@@ -9,6 +9,7 @@ import itertools
 import signal
 from contextlib import contextmanager
 
+from listfn.algebra import FiniteMonoid
 from listfn.logic import (
     And,
     Eq,
@@ -55,6 +56,11 @@ from listfn.types import (
     Sum,
     Sym,
 )
+
+
+# the group of order 2: not aperiodic
+Z2 = FiniteMonoid(("0", "1"), {
+    ("0", "0"): "0", ("0", "1"): "1", ("1", "0"): "1", ("1", "1"): "0"}, "0")
 
 
 @contextmanager

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from helpers import LOOP_ROWS, cubic_associativity_failure, generated
+from helpers import LOOP_ROWS, Z2, cubic_associativity_failure, generated
 from listfn.algebra import (
     AlgebraError,
     FiniteMonoid,
@@ -26,9 +26,6 @@ from listfn.algebra import (
 from listfn.registers import (abstraction, abstraction_name, random_update,
                               t_k_monoid)
 from listfn.samples import U1, CONTAINS_AB, hom_contains_ab, hom_u1_keep_a
-
-Z2 = FiniteMonoid(("0", "1"), {
-    ("0", "0"): "0", ("0", "1"): "1", ("1", "0"): "1", ("1", "1"): "0"}, "0")
 
 
 def random_words(rng, count, max_len, letters="ab"):

@@ -5,9 +5,10 @@ import random
 
 import pytest
 
+from helpers import Z2
 from listfn import rational
-from listfn.algebra import (AlgebraError, FiniteMonoid, Leaf, Node, NotAperiodicError,
-                            build_factorisation, tree_depth)
+from listfn.algebra import (AlgebraError, Leaf, Node, NotAperiodicError, build_factorisation,
+                            tree_depth)
 from listfn.rational import (
     DEAD,
     RationalFn,
@@ -266,12 +267,8 @@ def test_stages_by_hand_count_ancestors_and_go_dead_above_the_bound(name):
     assert mixed
 
 
-_Z2 = FiniteMonoid(("0", "1"), {
-    ("0", "0"): "0", ("0", "1"): "1", ("1", "0"): "1", ("1", "1"): "0"}, "0")
-
-
 @pytest.mark.parametrize("change,error,message", [
-    (dict(monoid=_Z2), NotAperiodicError, "keep-a: monoid is not aperiodic"),
+    (dict(monoid=Z2), NotAperiodicError, "keep-a: monoid is not aperiodic"),
     (dict(h={"b": "1"}), AlgebraError, "keep-a: no image for letter a"),
 ], ids=["not-aperiodic", "no-image"])
 def test_rational_functions_refuse_a_bad_monoid_or_image(change, error, message):
