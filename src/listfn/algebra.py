@@ -106,6 +106,14 @@ class FiniteSemigroup:
     def __len__(self) -> int:
         return len(self.elements)
 
+    def __eq__(self, other: object) -> bool:
+        """Same type, elements and table; the split memo takes no part."""
+        return self is other or (type(other) is type(self) and self.elements == other.elements
+                                 and self.table == other.table)
+
+    def __hash__(self) -> int:
+        return hash(self.elements)
+
 
 class FiniteMonoid(FiniteSemigroup):
     def __init__(self, elements: Sequence[str],

@@ -869,12 +869,16 @@ class FOTransduction:
                     raise LogicError(f"copies {key} of {name} must be {arity} of 1..{self.k}")
                 if not free_vars(phi) <= set(order):
                     raise LogicError(f"formula for {name} uses undeclared variables")
-        # a name that is neither input nor definition stays unknown until a run reads it
         arities = {**self.input_vocab, **{name: len(args) for name, args, _ in self.definitions}}
-        for a, _ in _atoms(*(phi for *_, phi in self.definitions), *self.universe.values(),
-                           *(phi for _, table in self.relations.values() for phi in table.values())):
+        run = [*self.universe.values(),
+               *(phi for _, table in self.relations.values() for phi in table.values())]
+        for a, _ in _atoms(*(phi for *_, phi in self.definitions), *run):
             if isinstance(a, Rel) and arities.get(a.name, len(a.args)) != len(a.args):
                 raise LogicError(f"{a.name} has arity {arities[a.name]}, read as {render_formula(a)}")
+        # every run solves these; a definition's formula is solved only when read
+        for a, _ in _atoms(*run):
+            if isinstance(a, Rel) and a.name not in arities:
+                raise LogicError(f"unknown relation {a.name}: read as {render_formula(a)}")
 
 
 def apply_transduction(t: FOTransduction, s: Structure) -> Structure:

@@ -4,7 +4,6 @@ from __future__ import annotations
 from .algebra import FiniteMonoid, Homomorphism
 from .rational import RationalFn
 from .registers import Lit, Reg, SSTSpec
-from .terms import GroupSpec
 
 
 def _table(elements, f):
@@ -54,12 +53,9 @@ def hom_contains_ab() -> Homomorphism:
     return Homomorphism(CONTAINS_AB, {"a": "a", "b": "b"})
 
 
-Z2 = GroupSpec(("0", "1"), (("0", "1"), ("1", "0")), "0")
-
-Z3 = GroupSpec(
-    ("0", "1", "2"),
-    (("0", "1", "2"), ("1", "2", "0"), ("2", "0", "1")),
-    "0")
+# Z2 and Z3: addition mod n on the names 0..n-1.
+Z2, Z3 = (FiniteMonoid(els, _table(els, lambda a, b: str((int(a) + int(b)) % len(els))), "0")
+          for els in (("0", "1"), ("0", "1", "2")))
 
 
 # Keeps every b, and each a not preceded by any b.  keep_a("abab") = "abb".
@@ -94,7 +90,7 @@ R_DOUBLE_LAST_B = RationalFn(
     out=_tabulate(U1, "ab", lambda m, a, mr:
                   (a, a) if a == "b" and mr == "1" else (a,)))
 
-SAMPLE_GROUPS: dict[str, GroupSpec] = {
+SAMPLE_GROUPS: dict[str, FiniteMonoid] = {
     "z2": Z2,
     "z3": Z3,
 }

@@ -8,8 +8,10 @@ arguments after ``@``::
 
 Type annotations are written without spaces; ``"``-quoted atoms allow spaces
 where a value or type must be embedded.  ``std:NAME@args`` pulls a derived
-constructor from the catalog.  ``(gprefix NAME)`` looks the group up in the
-mapping passed to the parser, which defaults to the built-in sample groups.
+constructor from the catalog.  ``(gprefix NAME)`` looks the group, a
+``FiniteMonoid``, up in the mapping passed to the parser, which defaults to the
+built-in sample groups; ``render_term`` names a group by the first entry whose
+table equals it.
 
 Terms parse on ``types._Cursor``, the token cursor and nesting limit of the
 type, value and formula parsers, from tokens of their own: an annotated atom
@@ -22,6 +24,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from functools import reduce
 
+from .algebra import FiniteMonoid
 from .samples import SAMPLE_GROUPS
 from .stdlib import catalog_term
 from .terms import (
@@ -30,7 +33,6 @@ from .terms import (
     Compose,
     Const,
     FinSplit,
-    GroupSpec,
     PrefixGroupMult,
     Term,
     TermTypeError,
@@ -136,7 +138,7 @@ class _TermParser(_Cursor):
     max_height = MAX_NESTING
     children = staticmethod(term_children)
 
-    def __init__(self, text: str, groups: Mapping[str, GroupSpec]) -> None:
+    def __init__(self, text: str, groups: Mapping[str, FiniteMonoid]) -> None:
         super().__init__(_tokenize(text), "term")
         self.groups = groups
 
@@ -175,7 +177,7 @@ class _TermParser(_Cursor):
         raise ParseError(f"unknown combinator {head!r}")
 
 
-def parse_term(text: str, groups: Mapping[str, GroupSpec] | None = None) -> Term:
+def parse_term(text: str, groups: Mapping[str, FiniteMonoid] | None = None) -> Term:
     p = _TermParser(text, SAMPLE_GROUPS if groups is None else groups)
     return p.finish(p.term())
 
@@ -183,7 +185,7 @@ def parse_term(text: str, groups: Mapping[str, GroupSpec] | None = None) -> Term
 _NAMES = {cls: name for name, cls in (BASICS | COMBINATORS).items()}
 
 
-def render_term(t: Term, groups: Mapping[str, GroupSpec] | None = None) -> str:
+def render_term(t: Term, groups: Mapping[str, FiniteMonoid] | None = None) -> str:
     """Surface syntax for a term; round trips through parse_term.
 
     Derived terms render as their expansion into basics, not as std: calls.

@@ -30,34 +30,6 @@ class GuardViolation(EvalError):
     """Raised when an argument falls outside a guarded term's domain."""
 
 
-# ------------------------------------------------------------------- groups
-
-@dataclass(frozen=True)
-class GroupSpec:
-    """Finite group given by name list and row-major multiplication table."""
-    elements: tuple[str, ...]
-    rows: tuple[tuple[str, ...], ...]
-    identity: str
-
-    def __post_init__(self) -> None:
-        """Check the group laws; the monoid laws are ``FiniteMonoid``'s."""
-        els = self.elements
-        if len(self.rows) != len(els) or any(len(r) != len(els) for r in self.rows):
-            raise AlgebraError("multiplication table must be square")
-        FiniteMonoid(els, {(a, b): x for a, row in zip(els, self.rows)
-                           for b, x in zip(els, row)}, self.identity)
-        for a, row in zip(els, self.rows):
-            if self.identity not in row:
-                raise AlgebraError(f"no inverse for {a}")
-
-    def mult(self, a: str, b: str) -> str:
-        return self.rows[self.elements.index(a)][self.elements.index(b)]
-
-    @property
-    def carrier(self) -> FinSet:
-        return FinSet(self.elements)
-
-
 # -------------------------------------------------------------------- terms
 
 def _term(cls: type) -> type:
@@ -173,7 +145,14 @@ class Union:
 @_term
 class PrefixGroupMult:
     """[g1..gn] → [h1..hn] with hi the product of the first i elements."""
-    group: GroupSpec
+    group: FiniteMonoid
+
+    def __post_init__(self) -> None:
+        g = self.group
+        e = g.index[g.identity]
+        for a, row in zip(g.elements, g.table):
+            if e not in row:
+                raise AlgebraError(f"gprefix needs a group: no inverse for {a}")
 
 
 @_term
@@ -270,7 +249,7 @@ def infer_type(t: Term) -> tuple[TypeExpr, TypeExpr]:
                 f"union mismatch: {render_type(cod_f)} vs {render_type(cod_g)}")
         return (Sum(dom_f, dom_g), cod_f)
     if isinstance(t, PrefixGroupMult):
-        carrier = List(t.group.carrier)
+        carrier = List(FinSet(t.group.elements))
         return (carrier, carrier)
     if isinstance(t, Guarded):
         dom, cod = infer_type(t.inner)

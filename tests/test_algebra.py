@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from helpers import LOOP_ROWS, Z2, cubic_associativity_failure, generated
+from helpers import LOOP_ROWS, cubic_associativity_failure, generated
 from listfn.algebra import (
     AlgebraError,
     FiniteMonoid,
@@ -25,7 +25,7 @@ from listfn.algebra import (
 )
 from listfn.registers import (abstraction, abstraction_name, random_update,
                               t_k_monoid)
-from listfn.samples import U1, CONTAINS_AB, hom_contains_ab, hom_u1_keep_a
+from listfn.samples import U1, Z2, CONTAINS_AB, hom_contains_ab, hom_u1_keep_a
 
 
 def random_words(rng, count, max_len, letters="ab"):
@@ -150,6 +150,23 @@ def test_groups_are_not_aperiodic():
     h = Homomorphism(Z2, {"a": "1", "b": "0"})
     with pytest.raises(NotAperiodicError):
         build_factorisation(h, "ab")
+
+
+def test_semigroups_compare_by_type_elements_and_table():
+    z2_table = {(a, b): Z2.mult(a, b) for a in "01" for b in "01"}
+    semigroup = FiniteSemigroup(Z2.elements, z2_table)
+    assert semigroup.table == Z2.table
+    assert semigroup != Z2 and Z2 != semigroup  # a semigroup is never a monoid
+    assert FiniteMonoid(("1", "0"), z2_table, "0") != Z2  # the same group, another order
+    assert FiniteMonoid(Z2.elements, {(a, b): min(a, b) for a in "01" for b in "01"},
+                        "1") != Z2  # the same elements, another table
+    # the memo of ideal splits takes no part
+    els = CONTAINS_AB.elements
+    used, fresh = (FiniteMonoid(els, {(a, b): CONTAINS_AB.mult(a, b) for a in els for b in els},
+                                "1") for _ in range(2))
+    build_factorisation(Homomorphism(used, {"a": "a", "b": "b"}), "abba" * 5)
+    assert used._splits and not fresh._splits
+    assert used == fresh == CONTAINS_AB and hash(used) == hash(fresh)
 
 
 def test_homomorphism_image_folds_letters():

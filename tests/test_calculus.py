@@ -6,6 +6,7 @@ import pytest
 
 from helpers import (ABC, AB, BASICS, CD, HASH, LOOP_ROWS, _oracle_block,
                      mixed_list, sym_list)
+from listfn.algebra import AlgebraError, FiniteMonoid
 from listfn.stdlib import CATALOG, finite_function, is_nonempty
 from listfn.syntax import parse_term, render_term
 from listfn.terms import (
@@ -20,7 +21,6 @@ from listfn.terms import (
     EvalError,
     FinSplit,
     Flat,
-    GroupSpec,
     GuardViolation,
     Guarded,
     Map,
@@ -37,7 +37,7 @@ from listfn.terms import (
     is_first_order,
     subterms,
 )
-from listfn.samples import SAMPLE_GROUPS
+from listfn.samples import SAMPLE_GROUPS, U1
 from listfn.types import (
     FinSet,
     InL,
@@ -109,15 +109,23 @@ def test_guarded_enforces_domain_predicate():
         eval_term(g, ListV(()))
 
 
-def test_group_spec_validates_laws():
-    with pytest.raises(ValueError):
-        GroupSpec(("1", "g"), (("1", "g"), ("g", "g")), "1")  # no inverse for g
-    with pytest.raises(ValueError):
-        GroupSpec(("1", "g"), (("1", "g"),), "1")  # not square
-    with pytest.raises(ValueError):
-        GroupSpec(("1", "g"), (("g", "1"), ("1", "g")), "1")  # identity law
+def _rows_monoid(els, rows, identity):
+    """The monoid whose product table has row ``rows[i]`` for ``els[i]``."""
+    return FiniteMonoid(els, {(a, b): x for a, row in zip(els, rows)
+                              for b, x in zip(els, row)}, identity)
+
+
+def test_gprefix_groups_validate_laws():
+    with pytest.raises(ValueError, match="gprefix needs a group: no inverse for g"):
+        PrefixGroupMult(_rows_monoid(("1", "g"), (("1", "g"), ("g", "g")), "1"))
+    with pytest.raises(ValueError, match="missing from the table"):
+        _rows_monoid(("1", "g"), (("1", "g"),), "1")  # not square
+    with pytest.raises(ValueError, match="identity law fails"):
+        _rows_monoid(("1", "g"), (("g", "1"), ("1", "g")), "1")
     with pytest.raises(ValueError, match="associativity fails"):
-        GroupSpec(LOOP_ROWS[0], LOOP_ROWS, "e")
+        _rows_monoid(LOOP_ROWS[0], LOOP_ROWS, "e")
+    with pytest.raises(AlgebraError, match="^gprefix needs a group: no inverse for 0$"):
+        PrefixGroupMult(U1)  # 0·x = 0 for every x
 
 
 @pytest.mark.parametrize("name", ["z2", "z3"])
@@ -141,14 +149,14 @@ def test_is_first_order_flags_group_prefix():
     reg = Map(PrefixGroupMult(SAMPLE_GROUPS["z2"]))
     assert not is_first_order(reg)
     assert not is_first_order(Pair(fo, Compose(reg, Const(
-        ListV(()), List(AB), List(SAMPLE_GROUPS["z2"].carrier)))))
+        ListV(()), List(AB), List(FinSet(SAMPLE_GROUPS["z2"].elements))))))
 
 
 def test_infer_type_of_guards_and_group_prefix():
     nonempty = "std:is_nonempty@{a,b}"
     guard = parse_term(f"(guard reverse@{{a,b}} {nonempty} {nonempty})")
     assert infer_type(guard) == (List(AB), List(AB))
-    z3 = List(SAMPLE_GROUPS["z3"].carrier)
+    z3 = List(FinSet(SAMPLE_GROUPS["z3"].elements))
     assert infer_type(parse_term("(gprefix z3)")) == (z3, z3)
     with pytest.raises(TermTypeError, match="guard predicate domain "
                        r"\{a,b\}\^\* does not match \{c,d\}\^\*"):
@@ -160,7 +168,7 @@ def test_infer_type_of_guards_and_group_prefix():
 
 
 def test_is_first_order_looks_inside_unions_and_guards():
-    z2 = SAMPLE_GROUPS["z2"].carrier
+    z2 = FinSet(SAMPLE_GROUPS["z2"].elements)
     reg = PrefixGroupMult(SAMPLE_GROUPS["z2"])
     fo_guard = Guarded(Reverse(AB), is_nonempty(AB), is_nonempty(AB))
     assert is_first_order(Union(Reverse(AB), fo_guard))
@@ -233,6 +241,16 @@ def test_eval_errors_name_the_node(term, value, error, message):
         eval_term(term, value)
     assert type(caught.value) is error
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("term,message", [
+    (Const(Sym("c"), AB, AB), "const value c is not of type {a,b}"),
+    (Pair(Reverse(AB), Reverse(CD)), "pairing mismatch: {a,b}^* vs {c,d}^*"),
+], ids=["const-value", "pair-domains"])
+def test_type_errors_name_the_node(term, message):
+    with pytest.raises(TermTypeError) as caught:
+        infer_type(term)
+    assert str(caught.value).startswith(message)
 
 
 def test_split_tables_agree_with_their_trees():

@@ -638,6 +638,17 @@ def test_a_transduction_file_reading_a_relation_at_another_arity_exits_2_naming_
     assert not (tmp_path / "out.lstruct").exists()
 
 
+def test_a_transduction_file_reading_an_unknown_relation_exits_2_naming_it(capsys, tmp_path):
+    p = tmp_path / "unknown.lfot"
+    save_fot(p, builtin_fot("reverse", FinSet(("a", "b"))))
+    text = p.read_text(encoding="utf-8")
+    old = "\ncase pare 1 1 'pare(x,y)'\n"
+    assert old in text
+    p.write_text(text.replace(old, "\ncase pare 1 1 'parent(x,y)'\n"), encoding="utf-8")
+    code, out, err = run(capsys, "fot", str(p), "--word", "ab")
+    assert (code, out, err) == (2, "", f"{p}: unknown relation parent: read as parent(x,y)\n")
+
+
 @pytest.mark.parametrize("old,new,what", [
     ("input a b", "input a b a", "input letters"), ("states q", "states q q", "states"),
 ])
@@ -688,6 +699,24 @@ def test_forest_on_a_monoid_file_with_a_row_for_a_non_element_exits_2(capsys, tm
 def test_forest_refuses_a_letter_given_twice_in_hom(capsys):
     assert run(capsys, "forest", "u1", "a", "--hom", "a=1,a=0") == (
         2, "", "--hom gives letter 'a' twice\n")
+
+
+@pytest.mark.parametrize("env,argv,message", [
+    ({}, ["forest", "u1", "ab", "--hom", "a"], "--hom expects letter=element pairs, got 'a'"),
+    ({"LISTFN_SEED": "x"}, ["check", "all", "--count", "1"],
+     "LISTFN_SEED must be an integer, got 'x'"),
+    ({}, ["forest", "bare.lmonoid", "ab"], "no letter images: pass --hom"),
+    ({}, ["fot", "reverse@{a,b}"], "fot needs a structure file or --word"),
+], ids=["hom-without-image", "seed-not-a-number", "monoid-without-letters",
+        "fot-without-input"])
+def test_usage_faults_exit_2_naming_them(capsys, tmp_path, monkeypatch, env, argv, message):
+    monkeypatch.chdir(tmp_path)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    save_monoid("bare.lmonoid", hom_u1_keep_a().target, None)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(message)
 
 
 def test_forest_takes_letter_images_from_hom(capsys):

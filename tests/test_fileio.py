@@ -69,6 +69,7 @@ def test_term_file_round_trip(tmp_path):
 def test_monoid_file_round_trip(tmp_path):
     p = tmp_path / "cab.lmon"
     save_monoid(p, CONTAINS_AB, letters=None)
+    assert load_monoid(p) == (CONTAINS_AB, None)
     back, letters = load_monoid(p)
     assert letters is None
     assert set(back.elements) == set(CONTAINS_AB.elements)
@@ -83,8 +84,30 @@ def test_rational_file_round_trip(tmp_path):
     p = tmp_path / "mark.lrat"
     save_rational(p, r)
     back = load_rational(p)
+    assert back == r
     for w in ["", "a", "ab", "abab", "bbaab"]:
         assert eval_rational_direct(back, w) == eval_rational_direct(r, w)
+
+
+_U1_FILE = """listfn-monoid 1
+elements 1 0
+identity 1
+row 1 1 0
+row 0 0 0
+"""
+
+
+@pytest.mark.parametrize("load,text,message", [
+    (load_term, "", "empty file"),
+    (load_term, "listfn-term 1\n  \n", "term file has no term"),
+    (load_monoid, _U1_FILE + "letter a 1\nletter b 2\n", "letter b maps outside"),
+], ids=["empty", "no-term", "letter-outside"])
+def test_file_readers_name_the_file_and_the_fault(tmp_path, load, text, message):
+    p = tmp_path / "bad"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(FileFormatError) as err:
+        load(p)
+    assert str(err.value).startswith(f"{p}: {message}")
 
 
 def test_pipeline_file_round_trip(tmp_path):

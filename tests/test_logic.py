@@ -55,7 +55,7 @@ from listfn.logic import (
     sat_rows,
     word_structure,
 )
-from listfn.terms import eval_term, infer_type
+from listfn.terms import Reverse, eval_term, infer_type
 from listfn.types import (
     EncodingError,
     FinSet,
@@ -495,9 +495,12 @@ def test_apply_transduction_agrees_with_its_definition_on_three_copies():
     dict(k=0, universe={}),
     dict(universe={1: parse_formula("Q_a(x,x)")}),
     dict(relations={"lt": (("x", "y"), {(1, 2): parse_formula("lt(x)")})}),
+    dict(universe={1: parse_formula("Q_a(x) | parent(x)")}),
+    dict(relations={"lt": (("x", "y"), {(1, 2): parse_formula("lt(x,y) & parent(x,y)")})}),
 ], ids=["universe-copy", "copy-zero", "order-arity", "key-arity",
         "repeated-var", "undeclared-var", "universe-var", "no-copies",
-        "universe-reads-at-another-arity", "case-reads-at-another-arity"])
+        "universe-reads-at-another-arity", "case-reads-at-another-arity",
+        "universe-reads-an-unknown-relation", "case-reads-an-unknown-relation"])
 def test_malformed_transductions_raise_logic_errors(change):
     t = word_sort_fot()
     if "relations" in change:
@@ -727,6 +730,18 @@ def test_check_commutes_reports_failures():
     assert report.total == len(samples)
 
 
+def test_check_commutes_counts_an_output_that_does_not_decode_as_a_failure():
+    fot = builtin_fot("reverse", AB)
+    no_pare = dataclasses.replace(
+        fot, relations={**fot.relations, "pare": (fot.relations["pare"][0], {})})
+    samples = list(enumerate_values(List(AB), 2))  # [], [a], [b]
+    report = check_commutes(Reverse(AB), no_pare, samples)
+    assert (report.ok, report.total) == (False, 3)
+    assert [v for v, _, _ in report.failures] == samples[1:]  # [] has no pare tuple to lose
+    for _, _, got in report.failures:
+        assert isinstance(got, EncodingError) and str(got).startswith("pare is not a tree")
+
+
 def _pair_with_one_child() -> Structure:
     vocab = encoding_vocabulary(parse_type("{a}*{b}"))
     rels = {name: frozenset() for name in vocab}
@@ -739,7 +754,17 @@ def _pair_with_one_child() -> Structure:
     (lambda: decode_structure(_pair_with_one_child(), parse_type("{a}*{b}")),
      EncodingError, "pair node 0 has 1 children in pare, not 2"),
     (lambda: builtin_term("nope"), LogicError, "unknown builtin transduction nope"),
-], ids=["sat-rows-free-variable", "decode-pair-arity", "builtin-term-name"])
+    (lambda: Structure((0, 1), {"q": 1}, {}), LogicError,
+     "relations must match the vocabulary exactly"),
+    (lambda: eval_formula(word_structure("ab"), parse_formula("nope(x)"), {"x": 0}),
+     LogicError, "unknown relation nope"),
+    (lambda: eval_formula(word_structure("ab"), parse_formula("t(x)"), {}),
+     LogicError, "unbound variable x"),
+    (lambda: sat_rows(word_structure("ab"), parse_formula("nope(x)"), ("x",)),
+     LogicError, "unknown relation nope"),
+], ids=["sat-rows-free-variable", "decode-pair-arity", "builtin-term-name",
+        "relations-not-vocabulary", "eval-unknown-relation", "eval-unbound-variable",
+        "sat-rows-unknown-relation"])
 def test_logic_errors_name_the_fault(call, error, message):
     with pytest.raises(error) as err:
         call()

@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from helpers import Z2
 from listfn import rational
 from listfn.algebra import (AlgebraError, Leaf, Node, NotAperiodicError, build_factorisation,
                             tree_depth)
@@ -22,7 +21,7 @@ from listfn.rational import (
     triple_symbols,
 )
 from listfn.registers import t_k_monoid
-from listfn.samples import SAMPLE_RATIONALS
+from listfn.samples import SAMPLE_RATIONALS, Z2
 from listfn.terms import eval_term
 from listfn.types import ListV, Sym, TypeMismatch
 

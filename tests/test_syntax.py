@@ -1,9 +1,12 @@
 """Concrete term syntax: parse/render round trips and error reporting."""
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import AB, BASICS, CD, time_limit
+from listfn.algebra import FiniteMonoid
 from listfn.samples import SAMPLE_GROUPS
 from listfn.stdlib import comma, filter_left, len_upto, list_to_pair
 from listfn.syntax import parse_term, render_term
@@ -48,6 +51,7 @@ def test_term_text_round_trip(term):
     assert back == term
     # rendered text is stable
     assert render_term(back) == text
+    assert pickle.loads(pickle.dumps(term)) == term
 
 
 def test_round_trip_preserves_semantics():
@@ -82,12 +86,31 @@ def test_parse_reports_errors():
         parse_term(":}<9")
 
 
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: parse_term("finsplit@{a}^*,{b}"), ParseError,
+     "finsplit needs a finite set, got {a}^*"),
+    (lambda: render_term(PrefixGroupMult(SAMPLE_GROUPS["z2"]), {"z3": SAMPLE_GROUPS["z3"]}),
+     TermTypeError, "group has no name in the given registry"),
+], ids=["finsplit-not-finite", "group-outside-registry"])
+def test_syntax_errors_name_the_fault(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value).startswith(message)
+
+
 def test_custom_group_table():
     groups = {"swap": SAMPLE_GROUPS["z2"]}
     term = parse_term("(gprefix swap)", groups=groups)
     assert term == PrefixGroupMult(SAMPLE_GROUPS["z2"])
     with pytest.raises(ParseError):
         parse_term("(gprefix z2)", groups=groups)
+
+
+def test_a_group_built_apart_renders_by_its_registry_name():
+    z2 = FiniteMonoid(("0", "1"), {(a, b): str(int(a != b)) for a in "01" for b in "01"}, "0")
+    assert z2 is not SAMPLE_GROUPS["z2"]
+    assert z2 == SAMPLE_GROUPS["z2"] and hash(z2) == hash(SAMPLE_GROUPS["z2"])
+    assert render_term(PrefixGroupMult(z2)) == "(gprefix z2)"
 
 
 # Digit pieces reach std:len_upto@N and std:windows@N, whose terms grow with

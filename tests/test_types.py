@@ -234,6 +234,17 @@ def test_parse_value_raises_only_parse_errors(text):
     assert parse_value(render_value(v)) == v
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: FinSet(()), "finite set needs at least one name"),
+    (lambda: parse_type("{inl}"), "reserved word 'inl' cannot name a symbol"),
+    (lambda: parse_value("[a b]", List(AB)), "expected ',' or ']' at position 3"),
+], ids=["empty-finite-set", "reserved-name", "list-without-comma"])
+def test_type_and_value_errors_name_the_fault(call, message):
+    with pytest.raises(ParseError) as err:
+        call()
+    assert str(err.value).startswith(message)
+
+
 def test_every_error_class_in_the_package_is_a_listfn_error():
     """So the command line's one ``except ListfnError`` sees each of them."""
     errors = {cls for info in pkgutil.iter_modules(listfn.__path__)
