@@ -209,11 +209,9 @@ def homogeneous_product(etas: Sequence[RegUpdate],
     One left-to-right pass.  Only register r reads a self-feeding register r
     (nonduplication), so temporaries read only temporaries, and those reads
     have no cycle (monotone: an increasing bijection of a finite set is the
-    identity).  So the prefix product restricted to temporaries is the
-    product of the last k updates; it is carried with one substitution per
-    temporary per step.  A self-feeding register collects the parts left and
-    right of its read, resolved against the carried temporaries, and joins
-    them once at the end.
+    identity).  So the prefix product on temporaries is the product of the
+    last k updates, carried from step to step.  A self-feeding register
+    collects the parts around its read, resolved against the carried ones.
     """
     if not etas:
         raise UpdateError("empty homogeneous product")
@@ -225,24 +223,36 @@ def homogeneous_product(etas: Sequence[RegUpdate],
 
 
 def _homogeneous(etas: Sequence[RegUpdate], tau: RegUpdate) -> RegUpdate:
-    """``homogeneous_product`` for a checked, nonempty sequence."""
+    """``homogeneous_product`` for a checked, nonempty sequence.  τ fixes
+    where each self-feeding read sits and which parts read temporaries: only
+    those are substituted, and the literal rest is joined once, at the end."""
     temps = temporary_registers(tau)
-    feeding = [(r, [], []) for r in range(1, len(tau) + 1) if r not in temps]
-    carried = identity_update(len(tau))  # only temporaries' entries are read
+    feeding = [(r - 1, j, j > 0, j < len(side) - 1, [], [])
+               for r, side in enumerate(tau, start=1) if r not in temps
+               for j in [side.index(Reg(r))]]
+    reading = [t - 1 for t in temps if tau[t - 1]]
+    literal = [t - 1 for t in temps if not tau[t - 1]]
+    carried = list(identity_update(len(tau)))  # only temporaries' entries are read
     for eta in etas:
-        for r, lefts, rights in feeding:
-            rhs = eta[r - 1]
-            pos = next(p for p, item in enumerate(rhs)
-                       if item.__class__ is Reg and item.index == r)
-            lefts.append(_substituted(rhs[:pos], carried))
-            rights.append(_substituted(rhs[pos + 1:], carried))
-        carried = [_substituted(rhs, carried) if r in temps else ()
-                   for r, rhs in enumerate(eta, start=1)]
-    for r, lefts, rights in feeding:
+        for i, j, before, after, lefts, rights in feeding:
+            rhs = eta[i]
+            for pos, item in enumerate(rhs):  # up to the j-th read, from 0
+                if item.__class__ is Reg:
+                    if not j:
+                        break
+                    j -= 1
+            lefts.append(_substituted(rhs[:pos], carried) if before else rhs[:pos])
+            rights.append(_substituted(rhs[pos + 1:], carried) if after else rhs[pos + 1:])
+        if reading:  # the new sides read the old ones: substitute all, then write
+            for i, side in [(i, _substituted(eta[i], carried)) for i in reading]:
+                carried[i] = side
+        for i in literal:
+            carried[i] = eta[i]
+    for i, _, _, _, lefts, rights in feeding:
         lefts.reverse()
-        carried[r - 1] = _joined(chain(chain.from_iterable(lefts), (Reg(r),),
-                                       chain.from_iterable(rights)))
-    return tuple(carried)
+        carried[i] = chain(chain.from_iterable(lefts), (Reg(i + 1),),
+                           chain.from_iterable(rights))
+    return normalise(carried)
 
 
 def product_list_updates(etas: Sequence[RegUpdate],
@@ -250,14 +260,14 @@ def product_list_updates(etas: Sequence[RegUpdate],
     """Product of any update list, structured by a factorisation tree.
 
     One pass checks each update and names its abstraction; the tree is built
-    over those names in T_k.  Binary nodes multiply, and wide nodes, whose
-    children share one abstraction, take a homogeneous product.
+    over those names in T_k.  Binary nodes multiply; a wide node multiplies
+    homogeneously on its children's abstraction g (its label is a power of g).
     """
     if not etas:
         if k is None:
             raise UpdateError("register count needed for an empty product")
         return identity_update(k)
-    k = len(etas[0])
+    k = len(etas[0]) if k is None else k
     names = [_checked_name(eta, k) for eta in etas]
     if len(etas) == 1:
         return normalise(etas[0])
@@ -272,7 +282,7 @@ def product_list_updates(etas: Sequence[RegUpdate],
         parts = [evaluate(c) for c in t.children]
         if len(parts) == 2:
             return update_product(parts[0], parts[1])
-        return _homogeneous(parts, by_name[t.label])
+        return _homogeneous(parts, by_name[t.children[0].label])
 
     total = evaluate(tree)
     del evaluate  # its closure refers to it: clear it, so no cycle outlives the call

@@ -216,6 +216,22 @@ def test_product_list_updates_matches_fold():
         assert product_list_updates(etas, k=k) == fold_product(etas)
 
 
+def test_wide_nodes_multiply_on_their_childrens_abstraction():
+    """A run of updates shaped like g takes one wide node labelled by a power
+    of g.  Here g² ≠ g, so the node's own label misplaces the reads."""
+    g = abstraction(parse_update("1 := []; 2 := [$1]; 3 := [$2, $3]"))
+    square = abstraction(parse_update("1 := []; 2 := []; 3 := [$1, $2, $3]"))
+    assert normalise(update_product(g, g)) == square != g
+    rng = random.Random(11)
+    for n in range(2, 8):
+        shaped = [random_update_like(g, rng) for _ in range(n)]
+        for etas in (shaped, [unnormalised(e, rng) for e in shaped]):
+            for product in (product_list_updates(etas, 3),
+                            homogeneous_product(etas, g)):
+                assert product == fold_product(etas)
+                assert_product_acts_stepwise(product, etas, rng)
+
+
 def test_update_text_round_trip():
     rng = random.Random(7)
     for _ in range(100):
@@ -350,8 +366,10 @@ _STEP = ("q", ((Reg(1),),))
      "valuation has 2 entries, update has 1"),
     (lambda: update_product(identity_update(1), identity_update(2)), "register counts differ"),
     (lambda: product_list_updates([]), "register count needed for an empty product"),
+    (lambda: product_list_updates([identity_update(2)], k=3),
+     "register counts differ across the sequence"),
 ], ids=["initial", "output-register", "transition-state", "transition-letter",
-        "valuation-length", "product-counts", "empty-product"])
+        "valuation-length", "product-counts", "empty-product", "list-counts"])
 def test_register_builders_refuse_bad_parts_with_update_errors(call, message):
     with pytest.raises(UpdateError) as err:
         call()
